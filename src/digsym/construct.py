@@ -19,10 +19,9 @@ from .errors import (
     NotAntisymmetric,
     NotNormal,
     ParseError,
-    PartitionInvalid,
     TranslationNotInG,
 )
-from .groups import GroupTable, PermGroup, table_from_text
+from .groups import GroupTable, PermGroup, table_from_text, validate_partition
 from .perm import Permutation
 
 AUT_TABLE_BOUND = 64
@@ -276,17 +275,6 @@ class QuotientResult:
         return self.quotient.n
 
 
-def _validate_partition(n: int, partition) -> list[tuple[int, ...]]:
-    blocks = [tuple(sorted(b)) for b in partition]
-    if any(not b for b in blocks):
-        raise PartitionInvalid("empty block")
-    blocks.sort(key=lambda b: b[0])
-    covered = sorted(v for b in blocks for v in b)
-    if covered != list(range(n)):
-        raise PartitionInvalid("blocks must partition the vertex set")
-    return blocks
-
-
 def quotient_digraph(
     g: Digraph,
     partition=None,
@@ -312,7 +300,7 @@ def quotient_digraph(
         partition = normal.orbit_partition()
     if partition is None:
         raise BadParameter("a partition or normal subgroup is required")
-    blocks = _validate_partition(g.n, partition)
+    blocks = validate_partition(g.n, partition)
     block_of = {}
     for i, b in enumerate(blocks):
         for v in b:

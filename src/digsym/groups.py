@@ -2,15 +2,17 @@
 
 PermGroup carries a deterministic Schreier-Sims stabilizer chain built
 lazily on first use (order, membership, stabilizers).  The chain is the
-engine behind normal closures, block actions and the transitivity-style
-predicates quantified over in the verification checks.
+engine behind normal closures and block actions.  Block systems come from
+Atkinson's minimal-block closure, and their kernels are the one source of
+intransitive normal subgroups that the quasiprimitivity predicates and the
+verification checks quantify over.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     BudgetExceeded,
@@ -22,10 +24,6 @@ from .errors import (
     PartitionNotInvariant,
 )
 from .perm import Permutation
-
-# Groups larger than this are never enumerated element by element; the
-# bounded heuristics fall back to generator-derived seeds instead.
-ELEMENT_ENUMERATION_CAP = 200_000
 
 
 def _largest_cycle_point(perm: Permutation) -> int:
@@ -165,10 +163,6 @@ class _Chain:
             return list(self.levels[depth].gens)
         return []
 
-    @property
-    def gens_at(self) -> list[list[Permutation]]:
-        return [level.gens for level in self.levels]
-
     def elements(self) -> list[Permutation]:
         result = [Permutation.identity(self.degree)]
         for level in reversed(self.levels):
@@ -198,9 +192,53 @@ def _orbits_of(gens: list[Permutation], degree: int) -> list[list[int]]:
     return orbits
 
 
-class CandidateNormals(NamedTuple):
-    groups: list["PermGroup"]
-    complete: bool
+def validate_partition(degree: int, partition) -> list[tuple[int, ...]]:
+    """Blocks of a partition of {0..degree-1} as sorted tuples, ordered by
+    their minimum; raises PartitionInvalid unless they partition the set."""
+    blocks = [tuple(sorted(b)) for b in partition]
+    if any(not b for b in blocks):
+        raise PartitionInvalid("empty block")
+    blocks.sort(key=lambda b: b[0])
+    if sorted(v for b in blocks for v in b) != list(range(degree)):
+        raise PartitionInvalid("blocks must partition the point set")
+    return blocks
+
+
+def _block_closure(gens: tuple[Permutation, ...], degree: int, seed) -> tuple[tuple[int, ...], ...]:
+    """Finest gens-invariant partition with every seed point in one block.
+
+    Atkinson's closure: union-find over the points, where every merge of
+    two classes queues the pair of their roots and each queued pair's
+    images under the generators are merged in turn.  Blocks come back as
+    sorted tuples ordered by their minimum.
+    """
+    parent = list(range(degree))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pending = []
+
+    def merge(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+            pending.append((a, b))
+
+    for p in seed[1:]:
+        merge(seed[0], p)
+    images = [g.images for g in gens]
+    while pending:
+        a, b = pending.pop()
+        for img in images:
+            merge(img[a], img[b])
+    blocks: dict[int, list[int]] = {}
+    for v in range(degree):
+        blocks.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(b) for b in blocks.values()))
 
 
 class PermGroup:
@@ -223,9 +261,7 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(deduped)
         self._chain: _Chain | None = None
         self._chain_lock = threading.Lock()
-        self._class_reps: list[Permutation] | None = None
-        self._closure_counts: list[int] | None = None
-        self._candidates: dict[int, CandidateNormals] = {}
+        self._kernels: list[PermGroup] | None = None
 
     @property
     def chain(self) -> _Chain:
@@ -252,7 +288,7 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
 
-    def elements(self, limit: int | None = ELEMENT_ENUMERATION_CAP) -> list[Permutation]:
+    def elements(self, limit: int | None = None) -> list[Permutation]:
         """All group elements, deterministically ordered by the chain."""
         if limit is not None and self.order() > limit:
             raise BudgetExceeded(f"order {self.order()} exceeds element limit {limit}")
@@ -348,26 +384,6 @@ class PermGroup:
         group._chain = chain
         return group
 
-    def _normal_closure_orbit_count(self, element: Permutation) -> int:
-        """Orbit count of the normal closure of one element.
-
-        Exits early once the partial closure is already transitive: growing
-        the subgroup can only merge orbits further.
-        """
-        gens = [element]
-        chain = _Chain([element], self.degree)
-        queue = deque([element])
-        while queue:
-            if len(_orbits_of(gens, self.degree)) == 1:
-                return 1
-            x = queue.popleft()
-            for g in self.generators:
-                conjugate = g.inverse() * x * g
-                if chain.extend_with(conjugate):
-                    gens.append(conjugate)
-                    queue.append(conjugate)
-        return len(_orbits_of(gens, self.degree))
-
     def join(self, other: "PermGroup") -> "PermGroup":
         """Subgroup generated by both groups' generators."""
         if other.degree != self.degree:
@@ -400,73 +416,21 @@ class PermGroup:
             current, order = derived, next_order
         return True
 
-    def conjugacy_class_representatives(
-        self, limit: int | None = ELEMENT_ENUMERATION_CAP
-    ) -> list[Permutation]:
-        """One representative per conjugacy class, identity excluded."""
-        if self._class_reps is not None:
-            return list(self._class_reps)
-        elements = self.elements(limit=limit)
-        pending = {g.images for g in elements if not g.is_identity()}
-        reps = []
-        while pending:
-            start = min(pending)
-            reps.append(Permutation(start))
-            queue = deque([start])
-            pending.discard(start)
-            while queue:
-                x = Permutation._unchecked(queue.popleft())
-                for g in self.generators:
-                    c = (g.inverse() * x * g).images
-                    if c in pending:
-                        pending.discard(c)
-                        queue.append(c)
-        self._class_reps = reps
-        return list(reps)
-
-    def _closure_orbit_counts(self) -> list[int]:
-        if self._closure_counts is None:
-            self._closure_counts = [
-                self._normal_closure_orbit_count(rep)
-                for rep in self.conjugacy_class_representatives()
-            ]
-        return self._closure_counts
-
     def is_quasiprimitive(self) -> bool:
-        """Every nontrivial normal subgroup is transitive.
-
-        Decided through normal closures of single elements: any nontrivial
-        normal subgroup contains the closure of each of its nontrivial
-        elements, and subgroup orbits refine overgroup orbits.
-        """
-        if not self.is_transitive():
-            raise NotTransitive("quasiprimitivity is defined for transitive groups")
-        return all(count == 1 for count in self._closure_orbit_counts())
+        """Every nontrivial normal subgroup is transitive."""
+        return not self.intransitive_normal_kernels()
 
     def is_biquasiprimitive(self) -> bool:
         """Every nontrivial normal subgroup has <= 2 orbits, some exactly 2."""
-        if not self.is_transitive():
-            raise NotTransitive("bi-quasiprimitivity is defined for transitive groups")
-        some_two = False
-        for count in self._closure_orbit_counts():
-            if count > 2:
-                return False
-            if count == 2:
-                some_two = True
-        return some_two
+        kernels = self.intransitive_normal_kernels()
+        return bool(kernels) and all(k.orbits_count() == 2 for k in kernels)
 
     # ------------------------------------------------------------------
-    # block actions and normal-subgroup candidates
+    # block systems and their kernels
 
     def induced_block_action(self, partition) -> tuple["PermGroup", "PermGroup"]:
         """Action on the blocks of an invariant partition plus its kernel."""
-        blocks = [tuple(sorted(b)) for b in partition]
-        if any(not b for b in blocks):
-            raise PartitionInvalid("empty block")
-        blocks.sort(key=lambda b: b[0])
-        covered = [v for b in blocks for v in b]
-        if sorted(covered) != list(range(self.degree)) or len(covered) != self.degree:
-            raise PartitionInvalid("blocks must partition the point set")
+        blocks = validate_partition(self.degree, partition)
         block_of = {}
         for i, b in enumerate(blocks):
             for v in b:
@@ -495,58 +459,44 @@ class PermGroup:
         kernel_gens = [Permutation(g.images[: self.degree]) for g in stab.generators]
         return image, PermGroup(kernel_gens, self.degree)
 
-    def candidate_normal_subgroups(self, budget: int = 512) -> CandidateNormals:
-        """Bounded heuristic list of normal subgroups.
+    def block_systems(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Every block system other than the singletons and the whole set.
 
-        Normal closures of single elements (one per conjugacy class) plus
-        pairwise joins, deduplicated, with the trivial group filtered out.
-        ``complete`` is True only when every element class was covered and no
-        computation was cut off by the budget.
+        Each system is a tuple of sorted blocks ordered by their minimum, and
+        the list is sorted.  Of a transitive group every block system is the
+        join of the minimal ones that put 0 together with some b, so the
+        Atkinson closures of {0, b} are joined until nothing new appears; the
+        join of two systems is the closure of the union of their blocks at 0.
         """
-        if budget in self._candidates:
-            return self._candidates[budget]
-        complete = True
-        try:
-            seeds = self.conjugacy_class_representatives()
-        except BudgetExceeded:
-            complete = False
-            seeds = []
-            for g in self.generators:
-                seeds.append(g)
-                for h in self.generators:
-                    product = g * h
-                    if not product.is_identity():
-                        seeds.append(product)
-        found: list[PermGroup] = []
+        if not self.is_transitive():
+            raise NotTransitive("block systems are enumerated for transitive groups")
+        found: set[tuple[tuple[int, ...], ...]] = set()
+        seeds = [(0, b) for b in range(1, self.degree)]
+        while seeds:
+            system = _block_closure(self.generators, self.degree, seeds.pop())
+            if len(system) > 1 and system not in found:
+                seeds.extend(system[0] + other[0] for other in found)
+                found.add(system)
+        return sorted(found)
 
-        def add(group: PermGroup) -> None:
-            if group.order() == 1:
-                return
-            if not any(group.same_group_as(existing) for existing in found):
-                found.append(group)
+    def intransitive_normal_kernels(self) -> list["PermGroup"]:
+        """One normal subgroup per orbit partition of the nontrivial
+        intransitive normal subgroups, ordered by that partition.
 
-        spent = 0
-        for x in seeds:
-            if spent >= budget:
-                complete = False
-                break
-            spent += 1
-            add(self.normal_closure([x]))
-        singles = list(found)
-        for i in range(len(singles)):
-            for j in range(i + 1, len(singles)):
-                if spent >= budget:
-                    complete = False
-                    break
-                spent += 1
-                # Joins of normal subgroups are normal; no conjugation needed.
-                add(singles[i].join(singles[j]))
-            if spent >= budget:
-                break
-        found.sort(key=lambda g: (g.order(), [p.images for p in g.generators]))
-        result = CandidateNormals(found, complete)
-        self._candidates[budget] = result
-        return result
+        The orbits of such a subgroup N form a block system B, and the
+        kernel K_B of the action on B contains N and has the same orbits.
+        So the partitions are exactly the systems B with K_B != 1 whose
+        kernel's orbits are B itself, and K_B is the largest normal
+        subgroup with those orbits.
+        """
+        if self._kernels is None:
+            kernels = []
+            for system in self.block_systems():
+                _, kernel = self.induced_block_action(system)
+                if not kernel.is_trivial() and tuple(kernel.orbit_partition()) == system:
+                    kernels.append(kernel)
+            self._kernels = kernels
+        return list(self._kernels)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -559,9 +509,7 @@ class PermGroup:
 class GroupTable:
     """A finite group given by its multiplication table over 0..m-1."""
 
-    ASSOCIATIVITY_FULL_CHECK_LIMIT = 256
-
-    def __init__(self, rows, full_check_limit: int | None = None):
+    def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         m = len(rows)
         for r in rows:
@@ -571,8 +519,7 @@ class GroupTable:
         self.order = m
         self.identity = self._find_identity()
         self.inverse_table = self._find_inverses()
-        limit = self.ASSOCIATIVITY_FULL_CHECK_LIMIT if full_check_limit is None else full_check_limit
-        self._check_associativity(limit)
+        self._check_associativity()
 
     def _find_identity(self) -> int:
         for e in range(self.order):
@@ -591,28 +538,23 @@ class GroupTable:
                 raise ValueError(f"element {x} has no inverse")
         return tuple(inv)
 
-    def _check_associativity(self, full_limit: int) -> None:
+    def _check_associativity(self) -> None:
+        """Light's test: (xa)y = x(ay) for all x, y and each generator a.
+
+        The elements a passing the test are closed under products, so the
+        test over a generating set decides associativity exactly.
+        """
         m = self.order
         mul = self.mul_table
-        if m <= full_limit:
-            triples = (
-                (a, b, c) for a in range(m) for b in range(m) for c in range(m)
-            )
-        else:
-            # Deterministic spot check beyond the full-check bound.
-            state = 1
-            sampled = []
-            for _ in range(4096):
-                state = (state * 1103515245 + 12345) % (2**31)
-                a = state % m
-                state = (state * 1103515245 + 12345) % (2**31)
-                b = state % m
-                state = (state * 1103515245 + 12345) % (2**31)
-                sampled.append((a, b, state % m))
-            triples = sampled
-        for a, b, c in triples:
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise ValueError(f"table is not associative at ({a},{b},{c})")
+        for a in self.generating_set():
+            col_a = [row[a] for row in mul]
+            row_a = mul[a]
+            for x in range(m):
+                xa_row = mul[col_a[x]]
+                x_row = mul[x]
+                for y in range(m):
+                    if xa_row[y] != x_row[row_a[y]]:
+                        raise ValueError(f"table is not associative at ({x},{a},{y})")
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]

@@ -2,8 +2,12 @@
 
 Each check evaluates its hypothesis before asserting its conclusion:
 inapplicable instances come back ``not_applicable`` instead of vacuously
-passing, failures carry a replayable witness, and bounded heuristics
-(normal-subgroup candidates, search budgets) degrade to ``incomplete``.
+passing, failures carry a replayable witness, and a search budget that runs
+out degrades to ``incomplete``.  Checks that quantify over intransitive
+normal subgroups take them from the group's block-system kernels
+(``PermGroup.intransitive_normal_kernels``), one per orbit partition, which
+is exhaustive; they test their own hypotheses first, which make the group
+transitive.
 """
 
 from __future__ import annotations
@@ -15,12 +19,7 @@ from itertools import combinations, permutations
 
 from . import construct, symmetry
 from .digraph import DIRECTED, UNDIRECTED, Digraph
-from .errors import (
-    BadParameter,
-    BoundExceeded,
-    BudgetExceeded,
-    SearchBudgetExceeded,
-)
+from .errors import BadParameter, BoundExceeded, SearchBudgetExceeded
 from .groups import PermGroup
 
 PASS = "pass"
@@ -263,53 +262,83 @@ def check_small_valency(g: Digraph, group: PermGroup) -> CheckResult:
 # normal subgroup orbit structure
 
 
-def check_no_arc_in_orbit(g: Digraph, group: PermGroup, normal: PermGroup) -> CheckResult:
-    """Orbits of an intransitive normal subgroup contain no arc."""
+def _arc_inside_orbit(g: Digraph, normal: PermGroup) -> dict | None:
+    """An arc with both ends in one orbit of ``normal``, as a witness."""
+    for block in normal.orbit_partition():
+        members = set(block)
+        for u in block:
+            for v in g.out_neighbors(u):
+                if v in members:
+                    return {"orbit": list(block), "arc": [u, v]}
+    return None
+
+
+def check_no_arc_in_orbit(
+    g: Digraph, group: PermGroup, normal: PermGroup | None = None
+) -> CheckResult:
+    """Orbits of an intransitive normal subgroup contain no arc.
+
+    Without ``normal``, every intransitive normal subgroup of ``group`` is
+    checked through its block-system kernels.
+    """
     if g.symmetry_class != DIRECTED:
         return _na("L3.1", "not a directed-class digraph")
     symmetry.check_is_automorphism_group(g, group)
     if not g.is_strongly_connected():
         return _na("L3.1", "not strongly connected")
+    if not _is_arc_transitive(g, group):
+        return _na("L3.1", "group is not arc-transitive")
+    if normal is None:
+        return _merge_results(
+            "L3.1", [_no_arc_in_orbit(g, N) for N in group.intransitive_normal_kernels()]
+        )
     if normal.is_trivial() or normal.is_transitive():
         return _na("L3.1", "normal subgroup must be nontrivial and intransitive")
     if not group.is_normal(normal):
         return _na("L3.1", "subgroup is not normal")
-    if not _is_arc_transitive(g, group):
-        return _na("L3.1", "group is not arc-transitive")
-    for block in normal.orbit_partition():
-        members = set(block)
-        for u in block:
-            for v in g.out_neighbors(u):
-                if v in members:
-                    return CheckResult(
-                        "L3.1", FAIL, witness={"orbit": list(block), "arc": [u, v]}
-                    )
-    return CheckResult("L3.1", PASS)
+    return _no_arc_in_orbit(g, normal)
 
 
-def check_two_orbit_normal(g: Digraph, group: PermGroup, normal: PermGroup) -> CheckResult:
-    """A 2-orbit normal subgroup forces bipartite plus 2-arc-transitive."""
+def _no_arc_in_orbit(g: Digraph, normal: PermGroup) -> CheckResult:
+    witness = _arc_inside_orbit(g, normal)
+    return CheckResult("L3.1", FAIL, witness=witness) if witness else CheckResult("L3.1", PASS)
+
+
+def check_two_orbit_normal(
+    g: Digraph, group: PermGroup, normal: PermGroup | None = None
+) -> CheckResult:
+    """A 2-orbit normal subgroup forces bipartite plus 2-arc-transitive.
+
+    Without ``normal``, every 2-orbit normal subgroup of ``group`` is
+    checked through its block-system kernels.
+    """
     if g.symmetry_class != DIRECTED:
         return _na("L3.2", "not a directed-class digraph")
     symmetry.check_is_automorphism_group(g, group)
     if not g.is_strongly_connected():
         return _na("L3.2", "not strongly connected")
+    if not symmetry.is_s_geodesic_transitive(g, group, 2):
+        return _na("L3.2", "not 2-geodesic-transitive")
+    if normal is None:
+        return _merge_results(
+            "L3.2",
+            [
+                _two_orbit_conclusion(g, group, N)
+                for N in group.intransitive_normal_kernels()
+                if N.orbits_count() == 2
+            ],
+        )
     if normal.is_trivial() or normal.orbits_count() != 2:
         return _na("L3.2", "normal subgroup must be nontrivial with exactly 2 orbits")
     if not group.is_normal(normal):
         return _na("L3.2", "subgroup is not normal")
-    if not symmetry.is_s_geodesic_transitive(g, group, 2):
-        return _na("L3.2", "not 2-geodesic-transitive")
-    for block in normal.orbit_partition():
-        members = set(block)
-        for u in block:
-            for v in g.out_neighbors(u):
-                if v in members:
-                    return CheckResult(
-                        "L3.2",
-                        FAIL,
-                        witness={"orbit": list(block), "arc": [u, v], "reason": "not bipartite"},
-                    )
+    return _two_orbit_conclusion(g, group, normal)
+
+
+def _two_orbit_conclusion(g: Digraph, group: PermGroup, normal: PermGroup) -> CheckResult:
+    witness = _arc_inside_orbit(g, normal)
+    if witness:
+        return CheckResult("L3.2", FAIL, witness={**witness, "reason": "not bipartite"})
     if not symmetry.is_s_arc_transitive(g, group, 2):
         return CheckResult("L3.2", FAIL, witness={"reason": "not 2-arc-transitive"})
     return CheckResult("L3.2", PASS)
@@ -323,6 +352,13 @@ def _is_complete_undirected(g: Digraph) -> bool:
     return g.symmetry_class == UNDIRECTED and len(g.arcs) == g.n * (g.n - 1)
 
 
+def _has_larger_overgroup(N: PermGroup, groups: list[PermGroup]) -> bool:
+    """Whether some member of ``groups`` properly contains N."""
+    return any(
+        M.order() > N.order() and all(M.contains(x) for x in N.generators) for M in groups
+    )
+
+
 def check_quotient_theorem(
     g: Digraph,
     group: PermGroup,
@@ -332,7 +368,10 @@ def check_quotient_theorem(
     """Quotient by a normal subgroup with >= 3 orbits: the quotient stays
     connected and geodesic-transitive at the truncated level, is directed or
     complete undirected, and for a maximal subgroup the induced action is
-    quasiprimitive or bi-quasiprimitive."""
+    quasiprimitive or bi-quasiprimitive.
+
+    Without ``normal``, every normal subgroup maximal subject to having
+    >= 3 orbits is checked, taken from the block-system kernels."""
     if g.symmetry_class != DIRECTED:
         return _na("T1.1", "not a directed-class digraph")
     symmetry.check_is_automorphism_group(g, group)
@@ -343,90 +382,87 @@ def check_quotient_theorem(
     if s < 2:
         return _na("T1.1", f"needs 2-geodesic-transitivity, best s={s}")
 
-    candidates = group.candidate_normal_subgroups()
-    notes = [] if candidates.complete else ["normal-subgroup candidate list incomplete"]
-    eligible = [N for N in candidates.groups if N.orbits_count() >= 3 and not N.is_trivial()]
+    kernels = group.intransitive_normal_kernels()
+    eligible = [N for N in kernels if N.orbits_count() >= 3]
     if normal is None:
         if not eligible:
-            return _na("T1.1", "; ".join(["no normal subgroup with >= 3 orbits found"] + notes))
-        normal = eligible[-1]  # candidates are sorted by order: maximum last
-        n_is_maximal = True
+            return _na("T1.1", "no normal subgroup with >= 3 orbits")
+        targets = [(N, True) for N in eligible if not _has_larger_overgroup(N, eligible)]
     else:
         if normal.is_trivial() or normal.orbits_count() < 3:
             return _na("T1.1", "normal subgroup must be nontrivial with >= 3 orbits")
         if not group.is_normal(normal):
             return _na("T1.1", "subgroup is not normal")
-        n_is_maximal = not any(
-            M.order() > normal.order()
-            and M.orbits_count() >= 3
-            and all(M.contains(x) for x in normal.generators)
-            for M in eligible
-        )
+        # A larger eligible normal subgroup lies in the kernel with its orbits.
+        targets = [(normal, not _has_larger_overgroup(normal, eligible))]
 
-    result = construct.quotient_digraph(g, group=group, normal=normal)
-    quotient, image = result.quotient, result.image_group
     failures = []
-
-    if result.internal_arcs:
-        failures.append({"reason": "arc inside a normal-subgroup orbit"})
-    if not (quotient.symmetry_class == DIRECTED or _is_complete_undirected(quotient)):
-        failures.append(
-            {"reason": "quotient neither directed nor complete undirected",
-             "symmetry_class": quotient.symmetry_class}
-        )
-    if not quotient.is_strongly_connected():
-        failures.append({"reason": "quotient not strongly connected"})
-    elif quotient.symmetry_class == DIRECTED:
-        s_prime = min(s, quotient.diameter())
-        if not symmetry.is_s_geodesic_transitive(quotient, image, s_prime):
+    notes = [f"maximal normal subgroups={len(targets)}"] if normal is None else []
+    for N, n_is_maximal in targets:
+        result = construct.quotient_digraph(g, group=group, normal=N)
+        quotient, image = result.quotient, result.image_group
+        here = {"normal_order": N.order()}
+        if result.internal_arcs:
+            failures.append({**here, "reason": "arc inside a normal-subgroup orbit"})
+        if not (quotient.symmetry_class == DIRECTED or _is_complete_undirected(quotient)):
             failures.append(
-                {"reason": "quotient not geodesic-transitive", "s_prime": s_prime}
+                {**here, "reason": "quotient neither directed nor complete undirected",
+                 "symmetry_class": quotient.symmetry_class}
             )
-        notes.append(f"s'={min(s, quotient.diameter())}")
-    else:
-        # Complete undirected quotient: the induced action must be
-        # arc-transitive, i.e. transitive on ordered block pairs.
-        pairs = [(a, b) for a in range(quotient.n) for b in range(quotient.n) if a != b]
-        if not symmetry._single_orbit(image, pairs):
-            failures.append({"reason": "induced action not arc-transitive on complete quotient"})
-        notes.append("quotient is complete undirected")
-
-    if n_is_maximal:
-        quasi = image.is_quasiprimitive()
-        biquasi = image.is_biquasiprimitive()
-        if not (quasi or biquasi):
-            failures.append({"reason": "induced action neither quasiprimitive nor bi-quasiprimitive"})
-        else:
-            notes.append("induced action " + ("quasiprimitive" if quasi else "bi-quasiprimitive"))
-    else:
-        notes.append("given subgroup not maximal among candidates; primitivity not asserted")
-
-    # Reduction corollary: without 2-arc-transitivity, a maximal normal
-    # subgroup with >= 2 orbits induces a quasiprimitive action.
-    if not symmetry.is_s_arc_transitive(g, group, 2):
-        eligible2 = [N for N in candidates.groups if N.orbits_count() >= 2 and not N.is_trivial()]
-        if eligible2:
-            n2 = eligible2[-1]
-            if n2.orbits_count() < 3:
+        if not quotient.is_strongly_connected():
+            failures.append({**here, "reason": "quotient not strongly connected"})
+        elif quotient.symmetry_class == DIRECTED:
+            s_prime = min(s, quotient.diameter())
+            if not symmetry.is_s_geodesic_transitive(quotient, image, s_prime):
                 failures.append(
-                    {"reason": "corollary: maximal >=2-orbit subgroup has only 2 orbits"}
+                    {**here, "reason": "quotient not geodesic-transitive", "s_prime": s_prime}
+                )
+            notes.append(f"s'={s_prime}")
+        else:
+            # Complete undirected quotient: the induced action must be
+            # arc-transitive, i.e. transitive on ordered block pairs.
+            pairs = [(a, b) for a in range(quotient.n) for b in range(quotient.n) if a != b]
+            if not symmetry._single_orbit(image, pairs):
+                failures.append(
+                    {**here, "reason": "induced action not arc-transitive on complete quotient"}
+                )
+            notes.append("quotient is complete undirected")
+
+        if n_is_maximal:
+            quasi = image.is_quasiprimitive()
+            if not (quasi or image.is_biquasiprimitive()):
+                failures.append(
+                    {**here,
+                     "reason": "induced action neither quasiprimitive nor bi-quasiprimitive"}
                 )
             else:
-                result2 = construct.quotient_digraph(g, group=group, normal=n2)
-                if not result2.image_group.is_quasiprimitive():
-                    failures.append({"reason": "corollary: induced action not quasiprimitive"})
-                else:
-                    notes.append("corollary: quasiprimitive")
+                kind = "quasiprimitive" if quasi else "bi-quasiprimitive"
+                notes.append(f"induced action {kind}")
+        else:
+            notes.append("given subgroup not maximal; primitivity not asserted")
 
+    # Reduction corollary: without 2-arc-transitivity, a maximal intransitive
+    # normal subgroup has >= 3 orbits and induces a quasiprimitive action.
+    if not symmetry.is_s_arc_transitive(g, group, 2):
+        for N in kernels:
+            if _has_larger_overgroup(N, kernels):
+                continue
+            here = {"normal_order": N.order()}
+            if N.orbits_count() < 3:
+                failures.append(
+                    {**here, "reason": "corollary: maximal intransitive subgroup has only 2 orbits"}
+                )
+            elif not construct.quotient_digraph(
+                g, group=group, normal=N
+            ).image_group.is_quasiprimitive():
+                failures.append({**here, "reason": "corollary: induced action not quasiprimitive"})
+            else:
+                notes.append("corollary: quasiprimitive")
+
+    notes_text = "; ".join(dict.fromkeys(notes))
     if failures:
-        return CheckResult(
-            "T1.1",
-            FAIL,
-            witness={"normal_order": normal.order(), "failures": failures},
-            notes="; ".join(notes),
-        )
-    status = PASS if candidates.complete else INCOMPLETE
-    return CheckResult("T1.1", status, notes="; ".join(notes))
+        return CheckResult("T1.1", FAIL, witness={"failures": failures}, notes=notes_text)
+    return CheckResult("T1.1", PASS, notes=notes_text)
 
 
 # ----------------------------------------------------------------------
@@ -659,18 +695,32 @@ def _analysis_record(g: Digraph, group: PermGroup) -> CheckResult:
     return CheckResult("report", PASS, notes=notes)
 
 
-def _merge_results(check_id: str, results: list[CheckResult], extra_note: str = "") -> CheckResult:
-    """Aggregate per-candidate results into a single record."""
+def _merge_results(check_id: str, results: list[CheckResult]) -> CheckResult:
+    """Aggregate per-subgroup results into a single record."""
     applicable = [r for r in results if r.status != NOT_APPLICABLE]
     failures = [r for r in results if r.status == FAIL]
     if failures:
-        return CheckResult(check_id, FAIL, witness=failures[0].witness, notes=extra_note)
+        return CheckResult(check_id, FAIL, witness=failures[0].witness)
     if not applicable:
-        note = "no applicable normal subgroup"
-        return _na(check_id, f"{note}; {extra_note}" if extra_note else note)
-    if extra_note or any(r.status == INCOMPLETE for r in applicable):
-        return CheckResult(check_id, INCOMPLETE, notes=extra_note)
-    return CheckResult(check_id, PASS, notes=f"candidates={len(applicable)}")
+        return _na(check_id, "no applicable normal subgroup")
+    return CheckResult(check_id, PASS, notes=f"normal subgroups={len(applicable)}")
+
+
+def _regular_normal_sources(
+    g: Digraph, group: PermGroup, cayley: construct.CayleySpec | None
+) -> list[CheckResult]:
+    """T1.2 over its named sources: ``group`` itself when it is regular and,
+    for a Cayley digraph, the right translations R(T) inside the holomorph
+    action and inside ``group``."""
+    per = []
+    if group.is_regular():
+        per.append(check_regular_normal(g, group, group))
+    if cayley is not None:
+        translations = construct.right_translations(cayley.table)
+        holomorph = construct.cayley_holomorph_action(cayley)
+        per.append(check_regular_normal(g, holomorph, translations))
+        per.append(check_regular_normal(g, group, translations))
+    return per
 
 
 def run_checks_on_instance(
@@ -681,14 +731,6 @@ def run_checks_on_instance(
 ) -> list[CheckResult]:
     """Run the selected checks with the given automorphism subgroup."""
     results: list[CheckResult] = []
-    candidate_cache: list | None = None
-
-    def candidates():
-        nonlocal candidate_cache
-        if candidate_cache is None:
-            candidate_cache = group.candidate_normal_subgroups()
-        return candidate_cache
-
     for check_id in checks:
         try:
             if check_id == "report":
@@ -704,27 +746,16 @@ def run_checks_on_instance(
             elif check_id == "T1.1":
                 results.append(check_quotient_theorem(g, group))
             elif check_id == "L3.1":
-                cands = candidates()
-                per = [check_no_arc_in_orbit(g, group, N) for N in cands.groups]
-                extra = "" if cands.complete else "candidate list incomplete"
-                results.append(_merge_results("L3.1", per, extra))
+                results.append(check_no_arc_in_orbit(g, group))
             elif check_id == "L3.2":
-                cands = candidates()
-                per = [check_two_orbit_normal(g, group, N) for N in cands.groups]
-                extra = "" if cands.complete else "candidate list incomplete"
-                results.append(_merge_results("L3.2", per, extra))
+                results.append(check_two_orbit_normal(g, group))
             elif check_id == "T1.2":
-                cands = candidates()
-                per = [check_regular_normal(g, group, N) for N in cands.groups]
-                extra = "" if cands.complete else "candidate list incomplete"
-                if cayley is not None:
-                    holomorph = construct.cayley_holomorph_action(cayley)
-                    translations = construct.right_translations(cayley.table)
-                    per.append(check_regular_normal(g, holomorph, translations))
-                results.append(_merge_results("T1.2", per, extra))
+                results.append(
+                    _merge_results("T1.2", _regular_normal_sources(g, group, cayley))
+                )
             else:
                 raise BadParameter(f"unknown check {check_id!r}")
-        except (SearchBudgetExceeded, BudgetExceeded, BoundExceeded) as exc:
+        except (SearchBudgetExceeded, BoundExceeded) as exc:
             results.append(CheckResult(check_id, INCOMPLETE, notes=str(exc)))
     return results
 

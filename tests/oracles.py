@@ -146,6 +146,31 @@ def brute_normal_subgroups(gens, degree):
     return lattice
 
 
+def set_partitions(points):
+    """Every partition of a list of points, as lists of blocks."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for partition in set_partitions(rest):
+        yield [[first]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+
+
+def brute_block_systems(gens, degree):
+    """Every invariant partition other than the singletons and the whole
+    set, by scanning all set partitions; blocks sorted, systems sorted."""
+    found = []
+    for partition in set_partitions(list(range(degree))):
+        if len(partition) in (1, degree):
+            continue
+        blocks = {frozenset(b) for b in partition}
+        if all(frozenset(g[v] for v in b) in blocks for g in gens for b in blocks):
+            found.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
+    return sorted(found)
+
+
 def orbits_of_tuples(elements, family):
     """Orbit partition of a tuple family under explicit group elements."""
     remaining = set(family)

@@ -218,10 +218,8 @@ def test_criterion_7_tester_cross_validation():
     print(f"\nACCEPTANCE 7 (tester cross-validation, {validated} instances): PASS")
 
 
-def test_criterion_8_quasiprimitivity_against_full_lattice():
-    """Quasiprimitivity predicates agree with the full normal-subgroup
-    lattice, enumerated independently, for transitive groups of order <= 48."""
-    test_set = {
+def criterion_8_groups():
+    return {
         "C4": PermGroup([parse_cycles("(0 1 2 3)", 4)]),
         "C5": PermGroup([parse_cycles("(0 1 2 3 4)", 5)]),
         "C6": PermGroup([parse_cycles("(0 1 2 3 4 5)", 6)]),
@@ -242,8 +240,13 @@ def test_criterion_8_quasiprimitivity_against_full_lattice():
             [parse_cycles("(0 1 2 3)", 8), parse_cycles("(4 5 6 7)", 8), parse_cycles("(0 4)(1 5)(2 6)(3 7)", 8)]
         ),
     }
+
+
+def test_criterion_8_quasiprimitivity_against_full_lattice():
+    """Quasiprimitivity predicates agree with the full normal-subgroup
+    lattice, enumerated independently, for transitive groups of order <= 48."""
     agreed = 0
-    for name, group in test_set.items():
+    for name, group in criterion_8_groups().items():
         assert group.order() <= 48, name
         if not group.is_transitive():
             continue
@@ -253,26 +256,43 @@ def test_criterion_8_quasiprimitivity_against_full_lattice():
             [p.images for p in group.generators], degree
         )
         identity = frozenset({tuple(range(degree))})
-        whole = frozenset(
-            oracles.brute_closure([p.images for p in group.generators], degree)
-        )
         nontrivial = [n for n in lattice if n != identity]
-        orbit_counts = [
-            len(oracles.brute_orbit_partition(list(n), degree)) for n in nontrivial
+        partitions = [
+            frozenset(oracles.brute_orbit_partition(list(n), degree)) for n in nontrivial
         ]
+        orbit_counts = [len(p) for p in partitions]
         oracle_quasi = all(c == 1 for c in orbit_counts)
         oracle_biquasi = all(c <= 2 for c in orbit_counts) and any(
             c == 2 for c in orbit_counts
         )
         assert group.is_quasiprimitive() == oracle_quasi, name
         assert group.is_biquasiprimitive() == oracle_biquasi, name
-        # The bounded candidate list must sit inside the true lattice.
-        candidates = group.candidate_normal_subgroups()
-        for cand in candidates.groups:
-            members = frozenset(p.images for p in cand.elements())
-            assert members in lattice or members == whole, name
+        # The kernels' orbit partitions are exactly those of the intransitive
+        # nontrivial normal subgroups.
+        kernel_partitions = [
+            frozenset(frozenset(o) for o in k.orbit_partition())
+            for k in group.intransitive_normal_kernels()
+        ]
+        assert len(set(kernel_partitions)) == len(kernel_partitions), name
+        assert set(kernel_partitions) == {p for p in partitions if len(p) > 1}, name
     assert agreed >= 14
     print(f"\nACCEPTANCE 8 (quasiprimitivity vs full lattice, {agreed} groups): PASS")
+
+
+def test_block_systems_against_all_partitions():
+    """Block systems of the criterion-8 groups of degree <= 8 equal the
+    invariant partitions found by scanning every set partition."""
+    compared = 0
+    for name, group in criterion_8_groups().items():
+        if group.degree > 8 or not group.is_transitive():
+            continue
+        compared += 1
+        brute = oracles.brute_block_systems(
+            [p.images for p in group.generators], group.degree
+        )
+        assert group.block_systems() == brute, name
+    assert compared == 14
+    print(f"\nBLOCK SYSTEMS (vs all set partitions, {compared} groups): PASS")
 
 
 def test_theorem_consistency_full_default_corpus():

@@ -136,6 +136,11 @@ class TestCheck:
         assert main(["check", "--id", "L3.1", circuit_file, "--normal", str(normal_file)]) == 0
         assert "not_applicable" in capsys.readouterr().out
 
+    def test_regular_automorphism_group_of_circuit(self, circuit_file, capsys):
+        # Aut of a circuit is regular, so T1.2 has a source without a Cayley spec.
+        assert main(["check", "--id", "T1.2", circuit_file]) == 0
+        assert "T1.2: pass" in capsys.readouterr().out
+
     def test_unknown_id(self, paley_file, capsys):
         assert main(["check", "--id", "T9.9", paley_file]) == 2
 

@@ -266,31 +266,37 @@ class TestBlockAction:
             s4().induced_block_action([(0, 1), (2, 3)])
 
 
-class TestCandidateNormalSubgroups:
+class TestNormalKernels:
     def test_c6(self):
-        groups, complete = group("(0 1 2 3 4 5)", degree=6).candidate_normal_subgroups()
-        assert complete
-        assert sorted(g.order() for g in groups) == [2, 3, 6]
+        c6 = group("(0 1 2 3 4 5)", degree=6)
+        assert c6.block_systems() == [
+            ((0, 2, 4), (1, 3, 5)),
+            ((0, 3), (1, 4), (2, 5)),
+        ]
+        kernels = c6.intransitive_normal_kernels()
+        assert [k.order() for k in kernels] == [3, 2]
+        assert [k.orbit_partition() for k in kernels] == [
+            [(0, 2, 4), (1, 3, 5)],
+            [(0, 3), (1, 4), (2, 5)],
+        ]
 
-    def test_a5_only_itself(self):
-        groups, complete = a5().candidate_normal_subgroups()
-        assert complete
-        assert [g.order() for g in groups] == [60]
+    def test_a5_primitive(self):
+        assert a5().block_systems() == []
+        assert a5().intransitive_normal_kernels() == []
 
-    def test_s4_lattice(self):
-        groups, complete = s4().candidate_normal_subgroups()
-        assert complete
-        assert sorted(g.order() for g in groups) == [4, 12, 24]
+    def test_s4_primitive(self):
+        assert s4().block_systems() == []
+        assert s4().intransitive_normal_kernels() == []
 
-    def test_all_candidates_normal(self):
-        g = s4()
-        for cand in g.candidate_normal_subgroups().groups:
-            assert g.is_normal(cand)
+    def test_all_kernels_normal(self):
+        d4 = group("(0 1 2 3)", "(1 3)", degree=4)
+        kernels = d4.intransitive_normal_kernels()
+        assert [k.order() for k in kernels] == [4]
+        assert all(d4.is_normal(k) for k in kernels)
 
-    def test_budget_marks_incomplete(self):
-        groups, complete = s4().candidate_normal_subgroups(budget=1)
-        assert not complete
-        assert groups
+    def test_requires_transitive(self):
+        with pytest.raises(NotTransitive):
+            group("(0 1)", degree=3).intransitive_normal_kernels()
 
 
 class TestChainConcurrency:
@@ -353,6 +359,19 @@ class TestGroupTable:
         d4 = dihedral_table(4)
         back = table_from_text(table_to_text(d4))
         assert back.mul_table == d4.mul_table
+
+    def test_rejects_one_broken_entry_in_large_table(self):
+        # Z_300 with 1*1 = 3 instead of 2: identity and inverses survive,
+        # and no product a*b, (a*b)*c, b*c or a*(b*c) over the 4096 triples
+        # of the former deterministic sampler reads the broken entry.
+        m = 300
+        rows = [[(i + j) % m for j in range(m)] for i in range(m)]
+        rows[1][1] = 3
+        with pytest.raises(ValueError):
+            GroupTable(rows)
+        text = f"order {m}\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n"
+        with pytest.raises(ParseError):
+            table_from_text(text)
 
     def test_text_errors(self):
         with pytest.raises(ParseError):

@@ -21,7 +21,6 @@ from digsym.perm import parse_cycles
 from digsym.symmetry import automorphism_group
 from digsym.verify import (
     FAIL,
-    INCOMPLETE,
     NOT_APPLICABLE,
     PASS,
     CheckResult,
@@ -212,6 +211,15 @@ class TestRegularNormal:
         rot3 = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
         assert check_regular_normal(g, group, rot3).status == NOT_APPLICABLE
 
+    def test_named_sources_on_cayley_circuit(self):
+        # Aut(C5) is regular and equals R(Z5), which is normal both in Aut
+        # and in the holomorph action: all three sources apply.
+        spec = cayley_spec(cyclic_table(5), [1])
+        g = cayley_digraph(spec)
+        [result] = verify.run_checks_on_instance(g, automorphism_group(g), ["T1.2"], cayley=spec)
+        assert result.status == PASS
+        assert result.notes == "normal subgroups=3"
+
     def test_paley_not_geodesic_transitive(self):
         spec = cayley_spec(cyclic_table(7), [1, 2, 4])
         g = cayley_digraph(spec)
@@ -372,7 +380,9 @@ class TestCheckResultShape:
         assert merged.status == FAIL and merged.witness == {"arc": [0, 1]}
         merged = verify._merge_results("L3.1", [CheckResult("L3.1", NOT_APPLICABLE)])
         assert merged.status == NOT_APPLICABLE
+        merged = verify._merge_results("L3.1", [])
+        assert merged.status == NOT_APPLICABLE
         merged = verify._merge_results(
-            "L3.1", [CheckResult("L3.1", PASS)], extra_note="candidate list incomplete"
+            "L3.1", [CheckResult("L3.1", PASS), CheckResult("L3.1", PASS)]
         )
-        assert merged.status == INCOMPLETE
+        assert merged.status == PASS and merged.notes == "normal subgroups=2"
