@@ -132,7 +132,7 @@ def cmd_check(args) -> int:
             "T1.1": verify.check_quotient_theorem,
             "T1.2": verify.check_regular_normal,
         }[parent]
-        results = [fn(g, group, normal)]
+        results = [fn(verify.InstanceFacts(g, group), normal)]
     else:
         results = verify.run_checks_on_instance(g, group, [parent])
     if check_id != parent:

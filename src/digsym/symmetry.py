@@ -207,17 +207,6 @@ def automorphism_group(
     return PermGroup(gens, n)
 
 
-def exhaustive_automorphisms(g: Digraph) -> list[Permutation]:
-    """All automorphisms by scanning every permutation; oracle for tiny n."""
-    from itertools import permutations as iter_perms
-
-    result = []
-    for images in iter_perms(range(g.n)):
-        if all((images[u], images[v]) in g.arcs for u, v in g.arcs):
-            result.append(Permutation(images))
-    return result
-
-
 def check_is_automorphism_group(g: Digraph, group: PermGroup) -> None:
     """Raise NotAutomorphismGroup unless every generator preserves the arcs."""
     if group.degree != g.n:

@@ -1,6 +1,9 @@
 """Executable checks over digraph/group instances, plus catalog surveys.
 
-Each check evaluates its hypothesis before asserting its conclusion:
+Every check reads one ``InstanceFacts`` object, which validates the group
+as a group of automorphisms once per instance and computes each shared
+fact at most once; ``run_checks_on_instance`` looks each check id up in
+``_CHECKS``.  Each check evaluates its hypothesis before its conclusion:
 inapplicable instances come back ``not_applicable`` instead of vacuously
 passing, failures carry a replayable witness, and a search budget that runs
 out degrades to ``incomplete``.  Checks that quantify over intransitive
@@ -15,10 +18,11 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations
 
 from . import construct, symmetry
-from .digraph import DIRECTED, UNDIRECTED, Digraph
+from .digraph import DIRECTED, UNDIRECTED, Digraph, build
 from .errors import BadParameter, BoundExceeded, SearchBudgetExceeded
 from .groups import PermGroup
 
@@ -27,7 +31,6 @@ FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 INCOMPLETE = "incomplete"
 
-CHECK_IDS = ("report", "L2.1", "L3.1", "L3.2", "T1.1", "T1.2", "T1.4i", "T1.4ii", "P3.4")
 ARC_LOCAL_IDS = ("SC", "L2.1.1", "L2.1.2", "L4.1", "L4.4", "L4.5", "L4.7")
 
 
@@ -53,86 +56,97 @@ def _na(check_id: str, notes: str = "") -> CheckResult:
     return CheckResult(check_id, NOT_APPLICABLE, notes=notes)
 
 
-def _common_out(g: Digraph, u: int, v: int) -> frozenset[int]:
-    return g.out_neighbors(u) & g.out_neighbors(v)
+class InstanceFacts:
+    """The facts about one pair (g, group) that the checks share.
 
+    Building it raises ``NotAutomorphismGroup`` unless every generator of
+    ``group`` preserves the arcs of ``g``.  Each fact is computed on first
+    use and kept for the life of the object.  The transitivity facts need
+    the directed class, and ``report`` also strong connectivity; checks test
+    those first.  ``cayley`` is the Cayley structure of ``g``, if known.
+    """
 
-def _is_arc_transitive(g: Digraph, group: PermGroup) -> bool:
-    return symmetry.is_s_arc_transitive(g, group, 1)
+    def __init__(self, g: Digraph, group: PermGroup, cayley: construct.CayleySpec | None = None):
+        symmetry.check_is_automorphism_group(g, group)
+        self.g = g
+        self.group = group
+        self.cayley = cayley
 
+    @cached_property
+    def strongly_connected(self) -> bool:
+        return self.g.is_strongly_connected()
 
-def _max_geodesic_transitivity(g: Digraph, group: PermGroup) -> int:
-    """Largest s with single orbits on every i-geodesic family, i <= s."""
-    cap = g.max_geodesic_length()
-    best = 0
-    for s in range(1, cap + 1):
-        family = [w.vertices for w in g.s_geodesics(s)]
-        if not symmetry._single_orbit(group, family):
-            break
-        best = s
-    return best
+    @cached_property
+    def valency(self) -> int | None:
+        return self.g.valency()
+
+    @cached_property
+    def underlying_connected(self) -> bool:
+        return len(_weak_components(self.g)) == 1
+
+    @cached_property
+    def arc_transitive(self) -> bool:
+        return symmetry.is_s_arc_transitive(self.g, self.group, 1)
+
+    @cached_property
+    def two_arc_transitive(self) -> bool:
+        return symmetry.is_s_arc_transitive(self.g, self.group, 2)
+
+    @cached_property
+    def two_geodesic_transitive(self) -> bool:
+        return symmetry.is_s_geodesic_transitive(self.g, self.group, 2)
+
+    @cached_property
+    def report(self) -> symmetry.TransitivityReport:
+        return symmetry.transitivity_report(self.g, self.group)
 
 
 # ----------------------------------------------------------------------
 # arc-local constraints
 
 
-def _weak_components(g: Digraph) -> list[list[int]]:
-    undirected = {v: set() for v in range(g.n)}
+def _weak_components(g: Digraph) -> list[tuple[int, ...]]:
+    """The weakly connected components, each sorted, ordered by least vertex."""
+    component = [{v} for v in range(g.n)]
     for u, v in g.arcs:
-        undirected[u].add(v)
-        undirected[v].add(u)
-    seen: set[int] = set()
-    components = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in undirected[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        components.append(sorted(comp))
-    return components
+        if component[u] is not component[v]:
+            merged = component[u] | component[v]
+            for w in merged:
+                component[w] = merged
+    return sorted({tuple(sorted(c)) for c in component})
 
 
-def _digraphs_isomorphic(a: Digraph, b: Digraph) -> bool:
-    """Brute-force isomorphism test for tiny digraphs."""
+def _connected_isomorphic(a: Digraph, b: Digraph) -> bool:
+    """Isomorphism test for weakly connected digraphs.
+
+    An automorphism of the disjoint union maps components onto components,
+    so a and b are isomorphic iff the orbit of vertex 0 (in a) meets b.
+    """
     if a.n != b.n or len(a.arcs) != len(b.arcs):
         return False
-    for images in permutations(range(a.n)):
-        if all((images[u], images[v]) in b.arcs for u, v in a.arcs):
-            return True
-    return False
+    union = build(a.n + b.n, [*a.arcs, *((u + a.n, v + a.n) for u, v in b.arcs)])
+    return max(symmetry.automorphism_group(union).orbit(0)) >= a.n
 
 
-def _out_neighborhood_components(g: Digraph, v: int):
-    sub, _ = g.induced(g.out_neighbors(v))
-    comps = _weak_components(sub)
-    return sub, comps
+def _arc_with_common(commons: dict, size: int) -> list[int] | None:
+    """The first arc whose common out-neighborhood has ``size`` vertices."""
+    return next(([u, v] for (u, v), c in commons.items() if len(c) == size), None)
 
 
-def check_arc_local_constraints(g: Digraph, group: PermGroup) -> list[CheckResult]:
+def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     """Local out-neighborhood constraints forced by arc-transitivity."""
+    g = facts.g
     if g.symmetry_class != DIRECTED:
         return [_na(cid, "not a directed-class digraph") for cid in ARC_LOCAL_IDS]
-    symmetry.check_is_automorphism_group(g, group)
-    valency = g.valency()
-    underlying_connected = len(_weak_components(g)) == 1
-    if valency is None or valency < 1 or not underlying_connected:
+    valency = facts.valency
+    if valency is None or valency < 1 or not facts.underlying_connected:
         return [_na(cid, "needs a connected regular digraph") for cid in ARC_LOCAL_IDS]
-    arc_transitive = _is_arc_transitive(g, group)
-    if not arc_transitive:
+    if not facts.arc_transitive:
         return [_na(cid, "group is not arc-transitive") for cid in ARC_LOCAL_IDS]
 
     results = []
     # Arc-transitive with connected underlying graph forces strong connectivity.
-    if g.is_strongly_connected():
+    if facts.strongly_connected:
         results.append(CheckResult("SC", PASS))
     else:
         results.append(CheckResult("SC", FAIL, witness={"strongly_connected": False}))
@@ -140,7 +154,7 @@ def check_arc_local_constraints(g: Digraph, group: PermGroup) -> list[CheckResul
         return results
 
     arcs = sorted(g.arcs)
-    commons = {(u, v): _common_out(g, u, v) for u, v in arcs}
+    commons = {(u, v): g.out_neighbors(u) & g.out_neighbors(v) for u, v in arcs}
 
     # L2.1.1: no arc (u,v) has out(u) = {v} union (out(u) & out(v)).
     if valency < 2:
@@ -180,56 +194,46 @@ def check_arc_local_constraints(g: Digraph, group: PermGroup) -> list[CheckResul
     if valency < 2:
         results.append(_na("L4.1", "valency below 2"))
     else:
-        witness = None
-        for (u, v), c in commons.items():
-            if len(c) == valency - 1:
-                witness = {"arc": [u, v], "common": len(c), "valency": valency}
-                break
+        arc = _arc_with_common(commons, valency - 1)
+        witness = None if arc is None else {"arc": arc, "common": valency - 1, "valency": valency}
         results.append(CheckResult("L4.1", FAIL if witness else PASS, witness=witness))
 
     # L4.4: out-neighborhoods splitting into k isomorphic connected pieces of
     # size >= 3, under 2-geodesic-transitivity, forbid common count 1.
-    two_geodesic_transitive = symmetry.is_s_geodesic_transitive(g, group, 2)
-    applicable_44 = two_geodesic_transitive and valency >= 3
+    applicable_44 = facts.two_geodesic_transitive and valency >= 3
     if applicable_44:
-        sub, comps = _out_neighborhood_components(g, 0)
+        sub, _ = g.induced(g.out_neighbors(0))
+        comps = _weak_components(sub)
         pieces = [sub.induced(c)[0] for c in comps]
         uniform = all(len(c) >= 3 for c in comps) and all(
-            _digraphs_isomorphic(pieces[0], p) for p in pieces[1:]
+            _connected_isomorphic(pieces[0], p) for p in pieces[1:]
         )
         applicable_44 = uniform
     if not applicable_44:
         results.append(_na("L4.4", "hypothesis on [out(u)] not met"))
     else:
-        witness = None
-        for (u, v), c in commons.items():
-            if len(c) == 1:
-                witness = {"arc": [u, v], "common": 1}
-                break
+        arc = _arc_with_common(commons, 1)
+        witness = None if arc is None else {"arc": arc, "common": 1}
         results.append(CheckResult("L4.4", FAIL if witness else PASS, witness=witness))
 
     # L4.5: common count never r-2 for valency r >= 4.
     if valency < 4:
         results.append(_na("L4.5", "valency below 4"))
     else:
-        witness = None
-        for (u, v), c in commons.items():
-            if len(c) == valency - 2:
-                witness = {"arc": [u, v], "common": len(c), "valency": valency}
-                break
+        arc = _arc_with_common(commons, valency - 2)
+        witness = None if arc is None else {"arc": arc, "common": valency - 2, "valency": valency}
         results.append(CheckResult("L4.5", FAIL if witness else PASS, witness=witness))
 
     # L4.7: valency 5 with some common count 2 forbids 2-geodesic-transitivity.
-    if valency != 5 or not any(len(c) == 2 for c in commons.values()):
+    arc = _arc_with_common(commons, 2) if valency == 5 else None
+    if arc is None:
         results.append(_na("L4.7", "needs valency 5 and a common count of 2"))
+    elif facts.two_geodesic_transitive:
+        results.append(
+            CheckResult("L4.7", FAIL, witness={"arc": arc, "two_geodesic_transitive": True})
+        )
     else:
-        if two_geodesic_transitive:
-            arc = next(list(a) for a, c in commons.items() if len(c) == 2)
-            results.append(
-                CheckResult("L4.7", FAIL, witness={"arc": arc, "two_geodesic_transitive": True})
-            )
-        else:
-            results.append(CheckResult("L4.7", PASS))
+        results.append(CheckResult("L4.7", PASS))
     return results
 
 
@@ -237,18 +241,17 @@ def check_arc_local_constraints(g: Digraph, group: PermGroup) -> list[CheckResul
 # small valency equivalence
 
 
-def check_small_valency(g: Digraph, group: PermGroup) -> CheckResult:
+def check_small_valency(facts: InstanceFacts) -> CheckResult:
     """Valency <= 5: 2-geodesic-transitive iff 2-arc-transitive."""
-    if g.symmetry_class != DIRECTED:
+    if facts.g.symmetry_class != DIRECTED:
         return _na("T1.4i", "not a directed-class digraph")
-    symmetry.check_is_automorphism_group(g, group)
-    valency = g.valency()
+    valency = facts.valency
     if valency is None or not 1 <= valency <= 5:
         return _na("T1.4i", f"needs regular valency at most 5, got {valency}")
-    if not _is_arc_transitive(g, group):
+    if not facts.arc_transitive:
         return _na("T1.4i", "group is not arc-transitive")
-    two_gt = symmetry.is_s_geodesic_transitive(g, group, 2)
-    two_at = symmetry.is_s_arc_transitive(g, group, 2)
+    two_gt = facts.two_geodesic_transitive
+    two_at = facts.two_arc_transitive
     if two_gt == two_at:
         return CheckResult("T1.4i", PASS, notes=f"both {two_gt}")
     return CheckResult(
@@ -273,20 +276,18 @@ def _arc_inside_orbit(g: Digraph, normal: PermGroup) -> dict | None:
     return None
 
 
-def check_no_arc_in_orbit(
-    g: Digraph, group: PermGroup, normal: PermGroup | None = None
-) -> CheckResult:
+def check_no_arc_in_orbit(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
     """Orbits of an intransitive normal subgroup contain no arc.
 
-    Without ``normal``, every intransitive normal subgroup of ``group`` is
+    Without ``normal``, every intransitive normal subgroup of the group is
     checked through its block-system kernels.
     """
+    g, group = facts.g, facts.group
     if g.symmetry_class != DIRECTED:
         return _na("L3.1", "not a directed-class digraph")
-    symmetry.check_is_automorphism_group(g, group)
-    if not g.is_strongly_connected():
+    if not facts.strongly_connected:
         return _na("L3.1", "not strongly connected")
-    if not _is_arc_transitive(g, group):
+    if not facts.arc_transitive:
         return _na("L3.1", "group is not arc-transitive")
     if normal is None:
         return _merge_results(
@@ -304,26 +305,24 @@ def _no_arc_in_orbit(g: Digraph, normal: PermGroup) -> CheckResult:
     return CheckResult("L3.1", FAIL, witness=witness) if witness else CheckResult("L3.1", PASS)
 
 
-def check_two_orbit_normal(
-    g: Digraph, group: PermGroup, normal: PermGroup | None = None
-) -> CheckResult:
+def check_two_orbit_normal(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
     """A 2-orbit normal subgroup forces bipartite plus 2-arc-transitive.
 
-    Without ``normal``, every 2-orbit normal subgroup of ``group`` is
+    Without ``normal``, every 2-orbit normal subgroup of the group is
     checked through its block-system kernels.
     """
-    if g.symmetry_class != DIRECTED:
+    group = facts.group
+    if facts.g.symmetry_class != DIRECTED:
         return _na("L3.2", "not a directed-class digraph")
-    symmetry.check_is_automorphism_group(g, group)
-    if not g.is_strongly_connected():
+    if not facts.strongly_connected:
         return _na("L3.2", "not strongly connected")
-    if not symmetry.is_s_geodesic_transitive(g, group, 2):
+    if not facts.two_geodesic_transitive:
         return _na("L3.2", "not 2-geodesic-transitive")
     if normal is None:
         return _merge_results(
             "L3.2",
             [
-                _two_orbit_conclusion(g, group, N)
+                _two_orbit_conclusion(facts, N)
                 for N in group.intransitive_normal_kernels()
                 if N.orbits_count() == 2
             ],
@@ -332,14 +331,14 @@ def check_two_orbit_normal(
         return _na("L3.2", "normal subgroup must be nontrivial with exactly 2 orbits")
     if not group.is_normal(normal):
         return _na("L3.2", "subgroup is not normal")
-    return _two_orbit_conclusion(g, group, normal)
+    return _two_orbit_conclusion(facts, normal)
 
 
-def _two_orbit_conclusion(g: Digraph, group: PermGroup, normal: PermGroup) -> CheckResult:
-    witness = _arc_inside_orbit(g, normal)
+def _two_orbit_conclusion(facts: InstanceFacts, normal: PermGroup) -> CheckResult:
+    witness = _arc_inside_orbit(facts.g, normal)
     if witness:
         return CheckResult("L3.2", FAIL, witness={**witness, "reason": "not bipartite"})
-    if not symmetry.is_s_arc_transitive(g, group, 2):
+    if not facts.two_arc_transitive:
         return CheckResult("L3.2", FAIL, witness={"reason": "not 2-arc-transitive"})
     return CheckResult("L3.2", PASS)
 
@@ -359,12 +358,7 @@ def _has_larger_overgroup(N: PermGroup, groups: list[PermGroup]) -> bool:
     )
 
 
-def check_quotient_theorem(
-    g: Digraph,
-    group: PermGroup,
-    normal: PermGroup | None = None,
-    s: int | None = None,
-) -> CheckResult:
+def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
     """Quotient by a normal subgroup with >= 3 orbits: the quotient stays
     connected and geodesic-transitive at the truncated level, is directed or
     complete undirected, and for a maximal subgroup the induced action is
@@ -372,13 +366,12 @@ def check_quotient_theorem(
 
     Without ``normal``, every normal subgroup maximal subject to having
     >= 3 orbits is checked, taken from the block-system kernels."""
+    g, group = facts.g, facts.group
     if g.symmetry_class != DIRECTED:
         return _na("T1.1", "not a directed-class digraph")
-    symmetry.check_is_automorphism_group(g, group)
-    if not g.is_strongly_connected():
+    if not facts.strongly_connected:
         return _na("T1.1", "not strongly connected")
-    if s is None:
-        s = _max_geodesic_transitivity(g, group)
+    s = facts.report.max_geodesic_s
     if s < 2:
         return _na("T1.1", f"needs 2-geodesic-transitivity, best s={s}")
 
@@ -443,7 +436,7 @@ def check_quotient_theorem(
 
     # Reduction corollary: without 2-arc-transitivity, a maximal intransitive
     # normal subgroup has >= 3 orbits and induces a quasiprimitive action.
-    if not symmetry.is_s_arc_transitive(g, group, 2):
+    if not facts.two_arc_transitive:
         for N in kernels:
             if _has_larger_overgroup(N, kernels):
                 continue
@@ -469,53 +462,75 @@ def check_quotient_theorem(
 # regular normal subgroup
 
 
-def check_regular_normal(g: Digraph, group: PermGroup, normal: PermGroup) -> CheckResult:
+def check_regular_normal(facts: InstanceFacts, normal: PermGroup) -> CheckResult:
     """A regular normal subgroup under 2-geodesic-transitivity forces a circuit."""
-    if g.symmetry_class != DIRECTED:
+    if facts.g.symmetry_class != DIRECTED:
         return _na("T1.2", "not a directed-class digraph")
-    symmetry.check_is_automorphism_group(g, group)
     if normal.is_trivial() or not normal.is_regular():
         return _na("T1.2", "normal subgroup must be nontrivial and regular")
-    if not group.is_normal(normal):
+    if not facts.group.is_normal(normal):
         return _na("T1.2", "subgroup is not normal")
-    if not symmetry.is_s_geodesic_transitive(g, group, 2):
+    if not facts.two_geodesic_transitive:
         return _na("T1.2", "not 2-geodesic-transitive")
-    if g.valency() == 1 and g.is_strongly_connected():
-        return CheckResult("T1.2", PASS, notes=f"circuit of length {g.n}")
+    if facts.valency == 1 and facts.strongly_connected:
+        return CheckResult("T1.2", PASS, notes=f"circuit of length {facts.g.n}")
     return CheckResult(
         "T1.2",
         FAIL,
-        witness={"valency": g.valency(), "strongly_connected": g.is_strongly_connected()},
+        witness={"valency": facts.valency, "strongly_connected": facts.strongly_connected},
     )
+
+
+def _check_regular_normal_sources(facts: InstanceFacts) -> CheckResult:
+    """T1.2 over its named sources, merged: the group itself when it is
+    regular and, for a Cayley digraph, the right translations R(T) inside
+    the holomorph action and inside the group.
+
+    A group that is not 2-geodesic-transitive has no subgroup that is, so
+    then no source applies.  The holomorph action lies in Aut(g); skipping
+    it too is exact when the group is Aut(g), as in surveys.
+    """
+    g, group = facts.g, facts.group
+    if g.symmetry_class != DIRECTED or not facts.two_geodesic_transitive:
+        return _merge_results("T1.2", [])
+    per = []
+    if group.is_regular():
+        per.append(check_regular_normal(facts, group))
+    if facts.cayley is not None:
+        translations = construct.right_translations(facts.cayley.table)
+        holomorph = construct.cayley_holomorph_action(facts.cayley)
+        per.append(check_regular_normal(InstanceFacts(g, holomorph), translations))
+        per.append(check_regular_normal(facts, translations))
+    return _merge_results("T1.2", per)
 
 
 # ----------------------------------------------------------------------
 # soluble base case
 
 
-def check_soluble_base(g: Digraph, group: PermGroup) -> CheckResult:
+def check_soluble_base(facts: InstanceFacts) -> CheckResult:
     """Soluble quasi/bi-quasiprimitive actions only allow circuits of
     length 4 or a prime."""
+    g, group = facts.g, facts.group
     if g.symmetry_class != DIRECTED:
         return _na("P3.4", "not a directed-class digraph")
-    symmetry.check_is_automorphism_group(g, group)
-    if not g.is_strongly_connected():
+    if not facts.strongly_connected:
         return _na("P3.4", "not strongly connected")
-    if not symmetry.is_s_geodesic_transitive(g, group, 2):
+    if not facts.two_geodesic_transitive:
         return _na("P3.4", "not 2-geodesic-transitive")
     if not group.is_soluble():
         return _na("P3.4", "group is not soluble")
     quasi = group.is_quasiprimitive()
     if not quasi and not group.is_biquasiprimitive():
         return _na("P3.4", "group is neither quasiprimitive nor bi-quasiprimitive")
-    is_circuit = g.valency() == 1 and g.is_strongly_connected()
+    is_circuit = facts.valency == 1 and facts.strongly_connected
     length_ok = g.n == 4 or construct._is_prime(g.n)
     if is_circuit and length_ok:
         return CheckResult("P3.4", PASS, notes=f"circuit of length {g.n}")
     return CheckResult(
         "P3.4",
         FAIL,
-        witness={"valency": g.valency(), "vertices": g.n, "is_circuit": is_circuit},
+        witness={"valency": facts.valency, "vertices": g.n, "is_circuit": is_circuit},
     )
 
 
@@ -537,17 +552,17 @@ def hadamard_design_parameters(g: Digraph) -> tuple[int, int, int] | None:
     return (g.n, k, counts.pop())
 
 
-def check_hadamard_design(g: Digraph, group: PermGroup) -> CheckResult:
+def check_hadamard_design(facts: InstanceFacts) -> CheckResult:
     """Diameter-2 with 2-geodesic-transitivity: distance-transitive and the
     out-neighborhoods form a 2-design with parameters (4m-1, 2m-1, m-1)."""
+    g = facts.g
     if g.symmetry_class != DIRECTED:
         return _na("T1.4ii", "not a directed-class digraph")
-    symmetry.check_is_automorphism_group(g, group)
-    if not g.is_strongly_connected() or g.diameter() != 2:
+    if not facts.strongly_connected or g.diameter() != 2:
         return _na("T1.4ii", "needs diameter 2")
-    if not symmetry.is_s_geodesic_transitive(g, group, 2):
+    if not facts.two_geodesic_transitive:
         return _na("T1.4ii", "not 2-geodesic-transitive")
-    if not symmetry.is_distance_transitive(g, group):
+    if not facts.report.distance_transitive:
         return CheckResult("T1.4ii", FAIL, witness={"reason": "not distance-transitive"})
     n = g.n
     if (n + 1) % 4 != 0:
@@ -563,6 +578,69 @@ def check_hadamard_design(g: Digraph, group: PermGroup) -> CheckResult:
     if m == 1:
         notes += "; degenerate m=1"
     return CheckResult("T1.4ii", PASS, notes=notes)
+
+
+# ----------------------------------------------------------------------
+# dispatch
+
+
+def _analysis_record(facts: InstanceFacts) -> CheckResult:
+    g, report = facts.g, facts.report
+    notes = (
+        f"valency={facts.valency} diameter={g.diameter()} girth={g.girth()} "
+        f"|Aut|={facts.group.order()} max_arc_s={report.max_arc_s} "
+        f"max_geodesic_s={report.max_geodesic_s}"
+    )
+    return CheckResult("report", PASS, notes=notes)
+
+
+def _merge_results(check_id: str, results: list[CheckResult]) -> CheckResult:
+    """Aggregate per-subgroup results into a single record."""
+    applicable = [r for r in results if r.status != NOT_APPLICABLE]
+    failures = [r for r in results if r.status == FAIL]
+    if failures:
+        return CheckResult(check_id, FAIL, witness=failures[0].witness)
+    if not applicable:
+        return _na(check_id, "no applicable normal subgroup")
+    return CheckResult(check_id, PASS, notes=f"normal subgroups={len(applicable)}")
+
+
+# Check id -> check; L2.1 returns its batch of arc-local records as a list.
+_CHECKS = {
+    "report": _analysis_record,
+    "L2.1": check_arc_local_constraints,
+    "L3.1": check_no_arc_in_orbit,
+    "L3.2": check_two_orbit_normal,
+    "T1.1": check_quotient_theorem,
+    "T1.2": _check_regular_normal_sources,
+    "T1.4i": check_small_valency,
+    "T1.4ii": check_hadamard_design,
+    "P3.4": check_soluble_base,
+}
+CHECK_IDS = tuple(_CHECKS)
+
+
+def run_checks_on_instance(
+    g: Digraph,
+    group: PermGroup,
+    checks,
+    cayley: construct.CayleySpec | None = None,
+) -> list[CheckResult]:
+    """Run the selected checks with the given automorphism subgroup.
+
+    ``checks`` is consumed one id at a time, in order."""
+    facts = InstanceFacts(g, group, cayley)
+    results: list[CheckResult] = []
+    for check_id in checks:
+        check = _CHECKS.get(check_id)
+        if check is None:
+            raise BadParameter(f"unknown check {check_id!r}")
+        try:
+            outcome = check(facts)
+        except (SearchBudgetExceeded, BoundExceeded) as exc:
+            outcome = CheckResult(check_id, INCOMPLETE, notes=str(exc))
+        results.extend(outcome if isinstance(outcome, list) else [outcome])
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -683,81 +761,6 @@ def build_instance(descriptor: tuple):
     else:
         raise BadParameter(f"unknown descriptor {descriptor!r}")
     return label, construct.cayley_digraph(spec), spec
-
-
-def _analysis_record(g: Digraph, group: PermGroup) -> CheckResult:
-    report = symmetry.transitivity_report(g, group)
-    notes = (
-        f"valency={g.valency()} diameter={g.diameter()} girth={g.girth()} "
-        f"|Aut|={group.order()} max_arc_s={report.max_arc_s} "
-        f"max_geodesic_s={report.max_geodesic_s}"
-    )
-    return CheckResult("report", PASS, notes=notes)
-
-
-def _merge_results(check_id: str, results: list[CheckResult]) -> CheckResult:
-    """Aggregate per-subgroup results into a single record."""
-    applicable = [r for r in results if r.status != NOT_APPLICABLE]
-    failures = [r for r in results if r.status == FAIL]
-    if failures:
-        return CheckResult(check_id, FAIL, witness=failures[0].witness)
-    if not applicable:
-        return _na(check_id, "no applicable normal subgroup")
-    return CheckResult(check_id, PASS, notes=f"normal subgroups={len(applicable)}")
-
-
-def _regular_normal_sources(
-    g: Digraph, group: PermGroup, cayley: construct.CayleySpec | None
-) -> list[CheckResult]:
-    """T1.2 over its named sources: ``group`` itself when it is regular and,
-    for a Cayley digraph, the right translations R(T) inside the holomorph
-    action and inside ``group``."""
-    per = []
-    if group.is_regular():
-        per.append(check_regular_normal(g, group, group))
-    if cayley is not None:
-        translations = construct.right_translations(cayley.table)
-        holomorph = construct.cayley_holomorph_action(cayley)
-        per.append(check_regular_normal(g, holomorph, translations))
-        per.append(check_regular_normal(g, group, translations))
-    return per
-
-
-def run_checks_on_instance(
-    g: Digraph,
-    group: PermGroup,
-    checks,
-    cayley: construct.CayleySpec | None = None,
-) -> list[CheckResult]:
-    """Run the selected checks with the given automorphism subgroup."""
-    results: list[CheckResult] = []
-    for check_id in checks:
-        try:
-            if check_id == "report":
-                results.append(_analysis_record(g, group))
-            elif check_id == "L2.1":
-                results.extend(check_arc_local_constraints(g, group))
-            elif check_id == "T1.4i":
-                results.append(check_small_valency(g, group))
-            elif check_id == "T1.4ii":
-                results.append(check_hadamard_design(g, group))
-            elif check_id == "P3.4":
-                results.append(check_soluble_base(g, group))
-            elif check_id == "T1.1":
-                results.append(check_quotient_theorem(g, group))
-            elif check_id == "L3.1":
-                results.append(check_no_arc_in_orbit(g, group))
-            elif check_id == "L3.2":
-                results.append(check_two_orbit_normal(g, group))
-            elif check_id == "T1.2":
-                results.append(
-                    _merge_results("T1.2", _regular_normal_sources(g, group, cayley))
-                )
-            else:
-                raise BadParameter(f"unknown check {check_id!r}")
-        except (SearchBudgetExceeded, BoundExceeded) as exc:
-            results.append(CheckResult(check_id, INCOMPLETE, notes=str(exc)))
-    return results
 
 
 def _survey_worker(args) -> list[dict]:

@@ -68,6 +68,15 @@ def brute_girth(arcs, n):
     return best
 
 
+def brute_isomorphic(arcs_a, arcs_b, n):
+    """Whether some permutation of range(n) maps arcs_a onto arcs_b."""
+    arcs_a, arcs_b = set(arcs_a), set(arcs_b)
+    return len(arcs_a) == len(arcs_b) and any(
+        {(images[u], images[v]) for u, v in arcs_a} == arcs_b
+        for images in permutations(range(n))
+    )
+
+
 def brute_automorphisms(arcs, n):
     """All arc-preserving permutations, by scanning the symmetric group."""
     arcset = set(arcs)

@@ -5,6 +5,8 @@ criterion.  The circulant corpus is every connected Cay(Z_n, S) with
 S meeting -S trivially, within the stated order and valency bounds.
 """
 
+from collections import Counter
+
 import oracles
 from digsym import verify
 from digsym.construct import (
@@ -114,7 +116,7 @@ def test_criterion_4_circuit_quotients():
             rotation = Permutation([(i + d) % n for i in range(n)])
             normal = PermGroup([rotation])
             assert normal.orbits_count() == d
-            result = check_quotient_theorem(g, group, normal)
+            result = check_quotient_theorem(verify.InstanceFacts(g, group), normal)
             assert result.status == PASS, (n, d, result)
             from digsym.construct import quotient_digraph
 
@@ -304,6 +306,14 @@ def test_theorem_consistency_full_default_corpus():
     assert counts["fail"] == 0, report.failures()
     assert counts["incomplete"] == 0, "bounded heuristics were cut short"
     assert counts["pass"] > 2000
+    # The exact tally: a change to how checks are computed keeps every verdict.
+    assert len(report.records) == 31065
+    assert counts == {"pass": 2686, "fail": 0, "not_applicable": 28379, "incomplete": 0}
+    passes = Counter(r["check"] for r in report.records if r["status"] == PASS)
+    assert passes == {
+        "report": 2071, "SC": 93, "L2.1.1": 93, "L2.1.2": 93, "L4.1": 93, "T1.4i": 92,
+        "L3.1": 82, "T1.1": 42, "L3.2": 16, "L4.5": 8, "L4.7": 3,
+    }
     print(
         f"\nTHEOREM CONSISTENCY (default corpus, {counts['pass']} passing "
         f"records, 0 failures): PASS"

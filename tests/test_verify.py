@@ -1,9 +1,11 @@
 """Tests for the statement checks and the survey driver."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 import oracles
-from digsym import verify
+from digsym import symmetry, verify
 from digsym.construct import (
     cayley_digraph,
     cayley_holomorph_action,
@@ -15,15 +17,16 @@ from digsym.construct import (
     right_translations,
 )
 from digsym.digraph import build
-from digsym.errors import BadParameter
+from digsym.errors import BadParameter, NotAutomorphismGroup
 from digsym.groups import PermGroup
-from digsym.perm import parse_cycles
+from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import automorphism_group
 from digsym.verify import (
     FAIL,
     NOT_APPLICABLE,
     PASS,
     CheckResult,
+    InstanceFacts,
     SurveyConfig,
     check_arc_local_constraints,
     check_hadamard_design,
@@ -40,17 +43,84 @@ from digsym.verify import (
 
 def rotation(n, step):
     perm = [(i + step) % n for i in range(n)]
-    return PermGroup([__import__("digsym.perm", fromlist=["Permutation"]).Permutation(perm)])
+    return PermGroup([Permutation(perm)])
+
+
+def aut_facts(g):
+    return InstanceFacts(g, automorphism_group(g))
 
 
 def by_id(results, check_id):
     return next(r for r in results if r.check_id == check_id)
 
 
+class TestInstanceFacts:
+    def test_rejects_a_non_automorphism(self):
+        reflection = PermGroup([Permutation([0, 4, 3, 2, 1])])
+        with pytest.raises(NotAutomorphismGroup):
+            InstanceFacts(circuit(5), reflection)
+
+    def test_two_geodesic_test_runs_once_per_instance(self, monkeypatch):
+        spec = cayley_spec(cyclic_table(12), [1, 4, 7, 10])
+        g = cayley_digraph(spec)
+        group = automorphism_group(g)
+        own_calls = []
+        tester = symmetry.is_s_geodesic_transitive
+
+        def counting(digraph, acting, s):
+            if digraph is g and acting is group and s == 2:
+                own_calls.append(s)
+            return tester(digraph, acting, s)
+
+        monkeypatch.setattr(symmetry, "is_s_geodesic_transitive", counting)
+        results = verify.run_checks_on_instance(g, group, verify.CHECK_IDS, cayley=spec)
+        assert len(own_calls) == 1
+        assert by_id(results, "T1.4i").notes == "both True"
+        assert by_id(results, "T1.1").status == PASS
+
+
+# Weakly connected digraphs on 3-5 vertices; some pairs of equal order and
+# arc count are not isomorphic (the directed 3-cycle and the transitive
+# triangle, C4 and the 4-vertex path closed the wrong way, ...).
+SMALL_CONNECTED = [
+    build(3, [(0, 1), (1, 2), (2, 0)]),
+    build(3, [(0, 1), (1, 2), (0, 2)]),
+    build(3, [(0, 1), (1, 2)]),
+    build(3, [(0, 1), (0, 2)]),
+    build(3, [(1, 0), (2, 0)]),
+    build(3, [(2, 1), (1, 0)]),
+    build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    build(4, [(0, 2), (2, 1), (1, 3), (3, 0)]),
+    build(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    build(4, [(0, 1), (0, 2), (0, 3)]),
+    build(4, [(0, 1), (1, 2), (2, 3)]),
+    build(4, [(0, 1), (1, 2), (1, 3)]),
+    build(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+    build(4, [(0, 1), (1, 2), (2, 0), (3, 2)]),
+    build(4, [(3, 0), (0, 1), (1, 3), (2, 1)]),
+    circuit(5),
+    cayley_digraph(cayley_spec(cyclic_table(5), [1, 2])),
+    cayley_digraph(cayley_spec(cyclic_table(5), [1, 3])),
+    build(5, [(i, (i + d) % 5) for i in range(5) for d in (1, 4)]),
+]
+
+
+def test_connected_isomorphic_against_brute_force():
+    outcomes = []
+    for a, b in combinations_with_replacement(SMALL_CONNECTED, 2):
+        if a.n != b.n:
+            continue
+        expected = oracles.brute_isomorphic(a.arcs, b.arcs, a.n)
+        assert verify._connected_isomorphic(a, b) == expected, (a.arcs, b.arcs)
+        if len(a.arcs) == len(b.arcs) and a is not b:
+            outcomes.append(expected)
+    assert True in outcomes and False in outcomes
+
+
 class TestArcLocalConstraints:
     def test_paley(self):
         g = paley_tournament(7)
-        results = check_arc_local_constraints(g, automorphism_group(g))
+        results = check_arc_local_constraints(aut_facts(g))
         assert by_id(results, "SC").status == PASS
         assert by_id(results, "L2.1.1").status == PASS
         assert by_id(results, "L2.1.2").status == PASS
@@ -66,32 +136,32 @@ class TestArcLocalConstraints:
     def test_circuit_valency_one(self):
         # Common out-neighborhoods are empty and every 2-arc is a 2-geodesic.
         g = circuit(6)
-        results = check_arc_local_constraints(g, automorphism_group(g))
+        results = check_arc_local_constraints(aut_facts(g))
         assert by_id(results, "L2.1.2").status == PASS
         assert by_id(results, "L2.1.1").status == NOT_APPLICABLE
 
     def test_undirected_not_applicable(self):
         g = complete(4)
-        results = check_arc_local_constraints(g, automorphism_group(g))
+        results = check_arc_local_constraints(aut_facts(g))
         assert all(r.status == NOT_APPLICABLE for r in results)
 
     def test_non_arc_transitive_not_applicable(self):
         g = circuit(6)
         rot2 = rotation(6, 2)
-        results = check_arc_local_constraints(g, rot2)
+        results = check_arc_local_constraints(InstanceFacts(g, rot2))
         assert all(r.status == NOT_APPLICABLE for r in results)
 
 
 class TestSmallValency:
     def test_circuit_c5_trivially_both_true(self):
         g = circuit(5)
-        result = check_small_valency(g, automorphism_group(g))
+        result = check_small_valency(aut_facts(g))
         assert result.status == PASS
         assert "True" in result.notes
 
     def test_paley_pass(self):
         g = paley_tournament(7)
-        result = check_small_valency(g, automorphism_group(g))
+        result = check_small_valency(aut_facts(g))
         assert result.status == PASS
         assert "False" in result.notes
 
@@ -101,20 +171,20 @@ class TestSmallValency:
         # the equivalence itself (both False) is swept by the acceptance run.
         spec = cayley_spec(cyclic_table(11), [1, 3, 9])
         g = cayley_digraph(spec)
-        result = check_small_valency(g, automorphism_group(g))
+        result = check_small_valency(aut_facts(g))
         assert result.status == NOT_APPLICABLE
 
     def test_two_arc_transitive_blowup(self):
         # arcs i -> j iff j - i = 1 (mod 3): both testers agree at True
         spec = cayley_spec(cyclic_table(12), [1, 4, 7, 10])
         g = cayley_digraph(spec)
-        result = check_small_valency(g, automorphism_group(g))
+        result = check_small_valency(aut_facts(g))
         assert result.status == PASS
         assert "True" in result.notes
 
     def test_paley_19_excluded_by_valency(self):
         g = paley_tournament(19)
-        assert check_small_valency(g, automorphism_group(g)).status == NOT_APPLICABLE
+        assert check_small_valency(aut_facts(g)).status == NOT_APPLICABLE
 
     def test_consistent_with_transitivity_report(self):
         # A passing instance shows the same 2-level booleans in its report.
@@ -122,7 +192,7 @@ class TestSmallValency:
 
         for g in (paley_tournament(7), cayley_digraph(cayley_spec(cyclic_table(12), (1, 4, 7, 10)))):
             group = automorphism_group(g)
-            result = check_small_valency(g, group)
+            result = check_small_valency(InstanceFacts(g, group))
             assert result.status == PASS
             report = transitivity_report(g, group)
             two_at = report.max_arc_s >= 2
@@ -136,18 +206,18 @@ class TestNoArcInOrbit:
         g = circuit(6)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
-        assert check_no_arc_in_orbit(g, group, normal).status == PASS
+        assert check_no_arc_in_orbit(InstanceFacts(g, group), normal).status == PASS
 
     def test_transitive_normal_not_applicable(self):
         g = circuit(6)
         group = automorphism_group(g)
-        assert check_no_arc_in_orbit(g, group, group).status == NOT_APPLICABLE
+        assert check_no_arc_in_orbit(InstanceFacts(g, group), group).status == NOT_APPLICABLE
 
     def test_trivial_normal_not_applicable(self):
         g = circuit(6)
         group = automorphism_group(g)
         trivial = PermGroup((), degree=6)
-        assert check_no_arc_in_orbit(g, group, trivial).status == NOT_APPLICABLE
+        assert check_no_arc_in_orbit(InstanceFacts(g, group), trivial).status == NOT_APPLICABLE
 
 
 class TestTwoOrbitNormal:
@@ -155,13 +225,13 @@ class TestTwoOrbitNormal:
         g = circuit(6)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 2 4)(1 3 5)", 6)])
-        assert check_two_orbit_normal(g, group, normal).status == PASS
+        assert check_two_orbit_normal(InstanceFacts(g, group), normal).status == PASS
 
     def test_three_orbit_normal_not_applicable(self):
         g = circuit(6)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
-        assert check_two_orbit_normal(g, group, normal).status == NOT_APPLICABLE
+        assert check_two_orbit_normal(InstanceFacts(g, group), normal).status == NOT_APPLICABLE
 
 
 class TestQuotientTheorem:
@@ -169,7 +239,7 @@ class TestQuotientTheorem:
         g = circuit(12)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 4 8)(1 5 9)(2 6 10)(3 7 11)", 12)])
-        result = check_quotient_theorem(g, group, normal)
+        result = check_quotient_theorem(InstanceFacts(g, group), normal)
         assert result.status == PASS
         assert "s'=3" in result.notes
 
@@ -177,7 +247,7 @@ class TestQuotientTheorem:
         g = circuit(6)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
-        result = check_quotient_theorem(g, group, normal)
+        result = check_quotient_theorem(InstanceFacts(g, group), normal)
         assert result.status == PASS
         assert "quasiprimitive" in result.notes
 
@@ -185,16 +255,16 @@ class TestQuotientTheorem:
         g = circuit(6)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 2 4)(1 3 5)", 6)])
-        assert check_quotient_theorem(g, group, normal).status == NOT_APPLICABLE
+        assert check_quotient_theorem(InstanceFacts(g, group), normal).status == NOT_APPLICABLE
 
     def test_auto_selection(self):
         g = circuit(6)
-        result = check_quotient_theorem(g, automorphism_group(g))
+        result = check_quotient_theorem(aut_facts(g))
         assert result.status == PASS
 
     def test_not_geodesic_transitive_not_applicable(self):
         g = paley_tournament(7)
-        assert check_quotient_theorem(g, automorphism_group(g)).status == NOT_APPLICABLE
+        assert check_quotient_theorem(aut_facts(g)).status == NOT_APPLICABLE
 
 
 class TestRegularNormal:
@@ -203,13 +273,13 @@ class TestRegularNormal:
         g = cayley_digraph(spec)
         action = cayley_holomorph_action(spec)
         translations = right_translations(spec.table)
-        assert check_regular_normal(g, action, translations).status == PASS
+        assert check_regular_normal(InstanceFacts(g, action), translations).status == PASS
 
     def test_non_regular_not_applicable(self):
         g = circuit(6)
         group = automorphism_group(g)
         rot3 = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
-        assert check_regular_normal(g, group, rot3).status == NOT_APPLICABLE
+        assert check_regular_normal(InstanceFacts(g, group), rot3).status == NOT_APPLICABLE
 
     def test_named_sources_on_cayley_circuit(self):
         # Aut(C5) is regular and equals R(Z5), which is normal both in Aut
@@ -225,22 +295,23 @@ class TestRegularNormal:
         g = cayley_digraph(spec)
         action = cayley_holomorph_action(spec)
         translations = right_translations(spec.table)
-        assert check_regular_normal(g, action, translations).status == NOT_APPLICABLE
+        result = check_regular_normal(InstanceFacts(g, action), translations)
+        assert result.status == NOT_APPLICABLE
 
 
 class TestSolubleBase:
     def test_c5(self):
         g = circuit(5)
-        assert check_soluble_base(g, automorphism_group(g)).status == PASS
+        assert check_soluble_base(aut_facts(g)).status == PASS
 
     def test_c4(self):
         g = circuit(4)
-        assert check_soluble_base(g, automorphism_group(g)).status == PASS
+        assert check_soluble_base(aut_facts(g)).status == PASS
 
     def test_c6_not_applicable(self):
         # Z_6 regular is neither quasiprimitive nor bi-quasiprimitive.
         g = circuit(6)
-        assert check_soluble_base(g, automorphism_group(g)).status == NOT_APPLICABLE
+        assert check_soluble_base(aut_facts(g)).status == NOT_APPLICABLE
 
     def test_non_soluble_not_applicable(self):
         # Blowup with arcs i -> j iff j - i = 1 (mod 3): the automorphism
@@ -248,31 +319,31 @@ class TestSolubleBase:
         # not soluble, so the check bails before the conclusion.
         spec = cayley_spec(cyclic_table(15), [1, 4, 7, 10, 13])
         g = cayley_digraph(spec)
-        result = check_soluble_base(g, automorphism_group(g))
+        result = check_soluble_base(aut_facts(g))
         assert result.status == NOT_APPLICABLE
         assert "not soluble" in result.notes
 
     def test_undirected_not_applicable(self):
         g = complete(5)
-        result = check_soluble_base(g, automorphism_group(g))
+        result = check_soluble_base(aut_facts(g))
         assert result.status == NOT_APPLICABLE
 
 
 class TestHadamardDesign:
     def test_c3_degenerate(self):
         g = circuit(3)
-        result = check_hadamard_design(g, automorphism_group(g))
+        result = check_hadamard_design(aut_facts(g))
         assert result.status == PASS
         assert "degenerate" in result.notes
 
     def test_paley_not_applicable_but_design_holds(self):
         g = paley_tournament(7)
-        assert check_hadamard_design(g, automorphism_group(g)).status == NOT_APPLICABLE
+        assert check_hadamard_design(aut_facts(g)).status == NOT_APPLICABLE
         assert hadamard_design_parameters(g) == (7, 3, 1)
 
     def test_large_diameter_not_applicable(self):
         g = circuit(6)
-        assert check_hadamard_design(g, automorphism_group(g)).status == NOT_APPLICABLE
+        assert check_hadamard_design(aut_facts(g)).status == NOT_APPLICABLE
 
     def test_parameters_against_pair_counts(self):
         for q in (7, 11, 19):
