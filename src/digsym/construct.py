@@ -52,15 +52,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def paley_tournament(q: int) -> Digraph:
-    """Tournament on Z_q with x -> y iff y - x is a nonzero square mod q.
+def paley_residues(q: int) -> tuple[int, ...]:
+    """The nonzero squares mod q, sorted: the Paley connection set.
 
     Requires q prime with q = 3 (mod 4) so that the relation is antisymmetric.
     """
     if not _is_prime(q) or q % 4 != 3:
-        raise BadParameter(f"need a prime q = 3 (mod 4), got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-    return build(q, [(u, (u + d) % q) for u in range(q) for d in residues])
+        raise BadParameter(f"Paley tournaments need a prime q = 3 (mod 4), got {q}")
+    return tuple(sorted({(x * x) % q for x in range(1, q)}))
+
+
+def paley_tournament(q: int) -> Digraph:
+    """Tournament on Z_q with x -> y iff y - x is a nonzero square mod q."""
+    return build(q, [(u, (u + d) % q) for u in range(q) for d in paley_residues(q)])
 
 
 # ----------------------------------------------------------------------

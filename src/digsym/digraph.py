@@ -125,15 +125,28 @@ class Digraph:
 
     def s_arcs(self, s: int) -> list[Walk]:
         """All s-arcs in lexicographic order; vertices may repeat."""
+        return self._walks(s, S_ARC)
+
+    def s_geodesics(self, s: int) -> list[Walk]:
+        """All s-arcs whose endpoints are at directed distance exactly s."""
+        return self._walks(s, S_GEODESIC)
+
+    def _walks(self, s: int, kind: str) -> list[Walk]:
+        """Depth-first enumeration of the s-walks of ``kind`` in lexicographic
+        order; geodesics prune any prefix that is not itself a geodesic."""
         if s < 0:
             raise ValueError("s must be nonnegative")
+        dist = self._distance_matrix if kind == S_GEODESIC else None
         walks: list[Walk] = []
         stack: list[int] = []
 
         def extend(v: int) -> None:
+            # Every prefix of a geodesic is a geodesic, so prune early.
+            if dist is not None and stack and dist[stack[0]][v] != len(stack):
+                return
             stack.append(v)
             if len(stack) == s + 1:
-                walks.append(Walk(tuple(stack), S_ARC))
+                walks.append(Walk(tuple(stack), kind))
             else:
                 for w in self._out[v]:
                     extend(w)
@@ -141,35 +154,6 @@ class Digraph:
 
         for v in range(self.n):
             extend(v)
-        return walks
-
-    def s_geodesics(self, s: int) -> list[Walk]:
-        """All s-arcs whose endpoints are at directed distance exactly s."""
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        walks: list[Walk] = []
-        stack: list[int] = []
-
-        def extend(v: int) -> None:
-            # Every prefix of a geodesic is a geodesic, so prune early.
-            if self._distance_matrix[stack[0]][v] != len(stack):
-                return
-            stack.append(v)
-            if len(stack) == s + 1:
-                walks.append(Walk(tuple(stack), S_GEODESIC))
-            else:
-                for w in self._out[v]:
-                    extend(w)
-            stack.pop()
-
-        for v in range(self.n):
-            stack.append(v)
-            if s == 0:
-                walks.append(Walk((v,), S_GEODESIC))
-            else:
-                for w in self._out[v]:
-                    extend(w)
-            stack.pop()
         return walks
 
     def girth(self) -> int | None:
@@ -232,6 +216,16 @@ class Digraph:
         closure = set(self.arcs)
         closure.update((v, u) for u, v in self.arcs)
         return build(self.n, closure)
+
+    def weak_components(self) -> list[tuple[int, ...]]:
+        """The weakly connected components, each sorted, ordered by least vertex."""
+        component = [{v} for v in range(self.n)]
+        for u, v in self.arcs:
+            if component[u] is not component[v]:
+                merged = component[u] | component[v]
+                for w in merged:
+                    component[w] = merged
+        return sorted({tuple(sorted(c)) for c in component})
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

@@ -390,11 +390,6 @@ class PermGroup:
             raise DegreeMismatch(f"degree {other.degree} != {self.degree}")
         return PermGroup(self.generators + other.generators, self.degree)
 
-    def same_group_as(self, other: "PermGroup") -> bool:
-        if self.degree != other.degree or self.order() != other.order():
-            return False
-        return all(other.contains(g) for g in self.generators)
-
     def derived_subgroup(self) -> "PermGroup":
         commutators = []
         for a in self.generators:

@@ -2,8 +2,11 @@
 
 The automorphism search backtracks over vertex images, refined by in/out
 degrees and distance profiles; it is meant for desk-scale digraphs and is
-guarded by a node budget.  The transitivity testers reduce every claim to
-orbit counts on explicit tuple families.
+guarded by a node budget.  Every transitivity claim reduces to orbit counts
+on explicit tuple families, and one ``OrbitCounts`` per (digraph, group)
+computes them, counting each family at most once.  ``OrbitCounts`` trusts
+its group; the public testers and ``transitivity_report`` validate their
+input first and then read one ``OrbitCounts``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
-from .digraph import DIRECTED, Digraph, Walk
+from .digraph import DIRECTED, S_ARC, S_GEODESIC, Digraph, Walk
 from .errors import (
     BadParameter,
     NotAutomorphismGroup,
@@ -168,15 +171,7 @@ def automorphism_group(
         v = order[i]
         fixed = {order[j]: order[j] for j in range(i)}
         level_gens = [p for p in gens if all(p(order[j]) == order[j] for j in range(i))]
-        orbit = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for p in level_gens:
-                y = p(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
+        orbit = PermGroup(level_gens, n).orbit(v)
         # Feasible images of v under maps fixing the processed prefix.
         feasible = candidates[v]
         for u in fixed:
@@ -196,14 +191,7 @@ def automorphism_group(
             if perm is not None:
                 gens.append(perm)
                 level_gens.append(perm)
-                queue = deque(orbit)
-                while queue:
-                    x = queue.popleft()
-                    for p in level_gens:
-                        y = p(x)
-                        if y not in orbit:
-                            orbit.add(y)
-                            queue.append(y)
+                orbit = PermGroup(level_gens, n).orbit(v)
     return PermGroup(gens, n)
 
 
@@ -252,28 +240,6 @@ def orbits_on_tuples(group: PermGroup, tuples) -> list[list[tuple[int, ...]]]:
     return orbits
 
 
-def _single_orbit(group: PermGroup, family: list[tuple[int, ...]]) -> bool:
-    index = set(family)
-    for t in family:
-        for perm in group.generators:
-            image = tuple(perm(v) for v in t)
-            if image not in index:
-                raise SetNotInvariant(f"{t} maps to {image} outside the family")
-    if not family:
-        return True
-    start = family[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for perm in group.generators:
-            image = tuple(perm(v) for v in current)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return len(seen) == len(index)
-
-
 def _require_tester_input(g: Digraph, group: PermGroup, s: int) -> None:
     if g.symmetry_class != DIRECTED:
         raise BadParameter("transitivity testers require the directed class")
@@ -285,21 +251,13 @@ def _require_tester_input(g: Digraph, group: PermGroup, s: int) -> None:
 def is_s_arc_transitive(g: Digraph, group: PermGroup, s: int) -> bool:
     """Single orbit on the s-arcs; vacuously true when no s-arc exists."""
     _require_tester_input(g, group, s)
-    family = [w.vertices for w in g.s_arcs(s)]
-    return _single_orbit(group, family)
+    return OrbitCounts(g, group).s_arc_transitive(s)
 
 
 def is_s_geodesic_transitive(g: Digraph, group: PermGroup, s: int) -> bool:
     """Single orbit on the i-geodesics for every i <= min(s, max distance)."""
     _require_tester_input(g, group, s)
-    cap = min(s, g.max_geodesic_length())
-    if cap == 0:
-        return False  # no arcs at all
-    for i in range(1, cap + 1):
-        family = [w.vertices for w in g.s_geodesics(i)]
-        if not _single_orbit(group, family):
-            return False
-    return True
+    return OrbitCounts(g, group).s_geodesic_transitive(s)
 
 
 def is_vertex_transitive(g: Digraph, group: PermGroup) -> bool:
@@ -312,11 +270,74 @@ def is_distance_transitive(g: Digraph, group: PermGroup) -> bool:
     if not g.is_strongly_connected():
         raise NotStronglyConnected("distance-transitivity needs strong connectivity")
     check_is_automorphism_group(g, group)
-    pairs_at = {}
-    for u in range(g.n):
-        for v in range(g.n):
-            pairs_at.setdefault(g.distance(u, v), []).append((u, v))
-    return all(_single_orbit(group, family) for family in pairs_at.values())
+    return OrbitCounts(g, group).distance_transitive()
+
+
+class OrbitCounts:
+    """Orbit counts of ``group`` on the tuple families of ``g``.
+
+    Each (kind, s) family, kind ``S_ARC`` or ``S_GEODESIC``, is enumerated
+    and counted at most once, on first use.  Nothing is validated: the
+    caller vouches that ``group`` preserves the arcs of ``g``.
+    """
+
+    def __init__(self, g: Digraph, group: PermGroup):
+        self.g = g
+        self.group = group
+        self._counts: dict[tuple[str, int], int] = {}
+
+    def count(self, kind: str, s: int) -> int:
+        """Number of orbits on the s-walks of ``kind``; 0 when there are none."""
+        key = (kind, s)
+        if key not in self._counts:
+            family = self.g.s_arcs(s) if kind == S_ARC else self.g.s_geodesics(s)
+            self._counts[key] = len(orbits_on_tuples(self.group, family))
+        return self._counts[key]
+
+    def s_arc_transitive(self, s: int) -> bool:
+        return self.count(S_ARC, s) <= 1
+
+    def s_geodesic_transitive(self, s: int) -> bool:
+        cap = min(s, self.g.max_geodesic_length())
+        if cap == 0:
+            return False  # no arcs at all
+        return all(self.count(S_GEODESIC, i) == 1 for i in range(1, cap + 1))
+
+    def distance_transitive(self) -> bool:
+        g = self.g
+        pairs_at = {}
+        for u in range(g.n):
+            for v in range(g.n):
+                pairs_at.setdefault(g.distance(u, v), []).append((u, v))
+        return all(
+            len(orbits_on_tuples(self.group, family)) == 1 for family in pairs_at.values()
+        )
+
+    def report(self, name: str = "") -> TransitivityReport:
+        """The transitivity summary; needs a strongly connected digraph.
+
+        max_arc_s and max_geodesic_s are the largest s such that every level
+        1..s has a single orbit, capped at the diameter.
+        """
+        g = self.g
+        diam = g.diameter()
+        counts = {"vertices": self.count(S_ARC, 0)}
+        best = {}
+        for kind, label in ((S_ARC, "arcs"), (S_GEODESIC, "geodesics")):
+            best[kind] = 0
+            for s in range(1, diam + 1):
+                orbits = counts[f"{s}-{label}"] = self.count(kind, s)
+                if orbits == 1 and best[kind] == s - 1:
+                    best[kind] = s
+        return TransitivityReport(
+            digraph=name or repr(g),
+            group_order=self.group.order(),
+            vertex_transitive=counts["vertices"] == 1,
+            max_arc_s=best[S_ARC],
+            max_geodesic_s=best[S_GEODESIC],
+            distance_transitive=self.distance_transitive(),
+            orbit_counts=counts,
+        )
 
 
 @dataclass(frozen=True)
@@ -372,33 +393,4 @@ def transitivity_report(
         group = automorphism_group(g)
     else:
         check_is_automorphism_group(g, group)
-    diam = g.diameter()
-    counts: dict[str, int] = {}
-    vertex_orbits = len(orbits_on_tuples(group, [(v,) for v in range(g.n)]))
-    counts["vertices"] = vertex_orbits
-
-    max_arc_s = 0
-    for s in range(1, diam + 1):
-        family = [w.vertices for w in g.s_arcs(s)]
-        orbits = len(orbits_on_tuples(group, family)) if family else 0
-        counts[f"{s}-arcs"] = orbits
-        if family and orbits == 1 and max_arc_s == s - 1:
-            max_arc_s = s
-
-    max_geodesic_s = 0
-    for s in range(1, diam + 1):
-        family = [w.vertices for w in g.s_geodesics(s)]
-        orbits = len(orbits_on_tuples(group, family)) if family else 0
-        counts[f"{s}-geodesics"] = orbits
-        if family and orbits == 1 and max_geodesic_s == s - 1:
-            max_geodesic_s = s
-
-    return TransitivityReport(
-        digraph=name or repr(g),
-        group_order=group.order(),
-        vertex_transitive=vertex_orbits == 1,
-        max_arc_s=max_arc_s,
-        max_geodesic_s=max_geodesic_s,
-        distance_transitive=is_distance_transitive(g, group),
-        orbit_counts=counts,
-    )
+    return OrbitCounts(g, group).report(name)

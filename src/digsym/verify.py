@@ -1,8 +1,9 @@
 """Executable checks over digraph/group instances, plus catalog surveys.
 
 Every check reads one ``InstanceFacts`` object, which validates the group
-as a group of automorphisms once per instance and computes each shared
-fact at most once; ``run_checks_on_instance`` looks each check id up in
+as a group of automorphisms once per instance and reads every transitivity
+fact from one ``symmetry.OrbitCounts``, so each tuple family is counted at
+most once per instance; ``run_checks_on_instance`` looks each check id up in
 ``_CHECKS``.  Each check evaluates its hypothesis before its conclusion:
 inapplicable instances come back ``not_applicable`` instead of vacuously
 passing, failures carry a replayable witness, and a search budget that runs
@@ -61,9 +62,10 @@ class InstanceFacts:
 
     Building it raises ``NotAutomorphismGroup`` unless every generator of
     ``group`` preserves the arcs of ``g``.  Each fact is computed on first
-    use and kept for the life of the object.  The transitivity facts need
-    the directed class, and ``report`` also strong connectivity; checks test
-    those first.  ``cayley`` is the Cayley structure of ``g``, if known.
+    use and kept for the life of the object; the transitivity facts share
+    the orbit counts of ``orbits``.  They need the directed class, and
+    ``report`` also strong connectivity; checks test those first.
+    ``cayley`` is the Cayley structure of ``g``, if known.
     """
 
     def __init__(self, g: Digraph, group: PermGroup, cayley: construct.CayleySpec | None = None):
@@ -71,6 +73,7 @@ class InstanceFacts:
         self.g = g
         self.group = group
         self.cayley = cayley
+        self.orbits = symmetry.OrbitCounts(g, group)
 
     @cached_property
     def strongly_connected(self) -> bool:
@@ -82,38 +85,27 @@ class InstanceFacts:
 
     @cached_property
     def underlying_connected(self) -> bool:
-        return len(_weak_components(self.g)) == 1
+        return len(self.g.weak_components()) == 1
 
-    @cached_property
+    @property
     def arc_transitive(self) -> bool:
-        return symmetry.is_s_arc_transitive(self.g, self.group, 1)
+        return self.orbits.s_arc_transitive(1)
 
-    @cached_property
+    @property
     def two_arc_transitive(self) -> bool:
-        return symmetry.is_s_arc_transitive(self.g, self.group, 2)
+        return self.orbits.s_arc_transitive(2)
 
-    @cached_property
+    @property
     def two_geodesic_transitive(self) -> bool:
-        return symmetry.is_s_geodesic_transitive(self.g, self.group, 2)
+        return self.orbits.s_geodesic_transitive(2)
 
     @cached_property
     def report(self) -> symmetry.TransitivityReport:
-        return symmetry.transitivity_report(self.g, self.group)
+        return self.orbits.report()
 
 
 # ----------------------------------------------------------------------
 # arc-local constraints
-
-
-def _weak_components(g: Digraph) -> list[tuple[int, ...]]:
-    """The weakly connected components, each sorted, ordered by least vertex."""
-    component = [{v} for v in range(g.n)]
-    for u, v in g.arcs:
-        if component[u] is not component[v]:
-            merged = component[u] | component[v]
-            for w in merged:
-                component[w] = merged
-    return sorted({tuple(sorted(c)) for c in component})
 
 
 def _connected_isomorphic(a: Digraph, b: Digraph) -> bool:
@@ -171,13 +163,18 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
 
     # L2.1.2: empty common out-neighborhoods iff every 2-arc is a 2-geodesic.
     # Well-defined (and trivially true) for circuits, so valency 1 stays in.
+    # The witness is the first 2-arc, in lexicographic order, that is not a
+    # 2-geodesic; scanning arc by arc leaves the 2-arc family to the orbit counts.
     all_empty = all(not c for c in commons.values())
-    bad_two_arc = None
-    for walk in g.s_arcs(2):
-        a, b, c = walk.vertices
-        if g.distance(a, c) != 2:
-            bad_two_arc = [a, b, c]
-            break
+    bad_two_arc = next(
+        (
+            [a, b, c]
+            for a, b in arcs
+            for c in sorted(g.out_neighbors(b))
+            if g.distance(a, c) != 2
+        ),
+        None,
+    )
     all_geodesic = bad_two_arc is None
     if all_empty == all_geodesic:
         results.append(CheckResult("L2.1.2", PASS))
@@ -203,7 +200,7 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     applicable_44 = facts.two_geodesic_transitive and valency >= 3
     if applicable_44:
         sub, _ = g.induced(g.out_neighbors(0))
-        comps = _weak_components(sub)
+        comps = sub.weak_components()
         pieces = [sub.induced(c)[0] for c in comps]
         uniform = all(len(c) >= 3 for c in comps) and all(
             _connected_isomorphic(pieces[0], p) for p in pieces[1:]
@@ -406,7 +403,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
             failures.append({**here, "reason": "quotient not strongly connected"})
         elif quotient.symmetry_class == DIRECTED:
             s_prime = min(s, quotient.diameter())
-            if not symmetry.is_s_geodesic_transitive(quotient, image, s_prime):
+            if not symmetry.OrbitCounts(quotient, image).s_geodesic_transitive(s_prime):
                 failures.append(
                     {**here, "reason": "quotient not geodesic-transitive", "s_prime": s_prime}
                 )
@@ -415,7 +412,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
             # Complete undirected quotient: the induced action must be
             # arc-transitive, i.e. transitive on ordered block pairs.
             pairs = [(a, b) for a in range(quotient.n) for b in range(quotient.n) if a != b]
-            if not symmetry._single_orbit(image, pairs):
+            if len(symmetry.orbits_on_tuples(image, pairs)) != 1:
                 failures.append(
                     {**here, "reason": "induced action not arc-transitive on complete quotient"}
                 )
@@ -668,6 +665,8 @@ class SurveyConfig:
             raise BadParameter("valency bounds must be positive and ordered")
         if self.max_vertices < 1 or self.parallelism < 1:
             raise BadParameter("vertex bound and parallelism must be positive")
+        for q in self.paley_primes:
+            construct.paley_residues(q)
         unknown = set(self.checks) - set(CHECK_IDS)
         if unknown:
             raise BadParameter(f"unknown checks: {sorted(unknown)}")
@@ -755,8 +754,7 @@ def build_instance(descriptor: tuple):
         label = f"cayley:{group_text}:S={','.join(map(str, conn))}"
     elif kind == "paley":
         _, q = descriptor
-        residues = tuple(sorted({(x * x) % q for x in range(1, q)}))
-        spec = construct.cayley_spec(construct.cyclic_table(q), residues)
+        spec = construct.cayley_spec(construct.cyclic_table(q), construct.paley_residues(q))
         label = f"paley:{q}"
     else:
         raise BadParameter(f"unknown descriptor {descriptor!r}")

@@ -15,6 +15,7 @@ from digsym.construct import (
     cayley_spec,
     circuit,
     cyclic_table,
+    paley_residues,
     paley_tournament,
     right_translations,
 )
@@ -22,8 +23,10 @@ from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import (
     automorphism_group,
+    is_distance_transitive,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
+    transitivity_report,
 )
 from digsym.verify import PASS, check_quotient_theorem
 
@@ -218,6 +221,56 @@ def test_criterion_7_tester_cross_validation():
             assert is_s_geodesic_transitive(g, group, s) == brute, (g, s)
     assert validated > 50
     print(f"\nACCEPTANCE 7 (tester cross-validation, {validated} instances): PASS")
+
+
+def _brute_geodesic_transitive(elements, g, s):
+    cap = min(s, g.max_geodesic_length())
+    return cap > 0 and all(
+        oracles.brute_single_orbit(elements, [w.vertices for w in g.s_geodesics(i)])
+        for i in range(1, cap + 1)
+    )
+
+
+def test_proper_subgroup_cross_validation():
+    """The testers and the report's orbit counts equal the brute orbits over
+    explicit elements for proper subgroups of Aut too: the right
+    translations R(T) and the holomorph action, on the criterion-7
+    circulants and Paley 7."""
+    specs = [spec for n, conn, spec in circulant_specs(range(4, 10), 1, 5)]
+    specs.append(cayley_spec(cyclic_table(7), paley_residues(7)))
+    checked = 0
+    for spec in specs:
+        g = cayley_digraph(spec)
+        pairs_at = {}
+        for u in range(g.n):
+            for v in range(g.n):
+                pairs_at.setdefault(oracles.brute_distance(g.arcs, g.n, u, v), []).append((u, v))
+        for group in (right_translations(spec.table), cayley_holomorph_action(spec)):
+            checked += 1
+            elements = [p.images for p in group.elements()]
+            for s in (1, 2):
+                arcs = [w.vertices for w in g.s_arcs(s)]
+                assert is_s_arc_transitive(g, group, s) == oracles.brute_single_orbit(
+                    elements, arcs
+                ), (g, s)
+                assert is_s_geodesic_transitive(g, group, s) == _brute_geodesic_transitive(
+                    elements, g, s
+                ), (g, s)
+            assert is_distance_transitive(g, group) == all(
+                oracles.brute_single_orbit(elements, family) for family in pairs_at.values()
+            ), g
+            counts = transitivity_report(g, group).orbit_counts
+            for key, count in counts.items():
+                level, _, kind = key.partition("-")
+                if key == "vertices":
+                    family = [(v,) for v in range(g.n)]
+                elif kind == "arcs":
+                    family = [w.vertices for w in g.s_arcs(int(level))]
+                else:
+                    family = [w.vertices for w in g.s_geodesics(int(level))]
+                assert count == len(oracles.orbits_of_tuples(elements, family)), (g, key)
+    assert checked == 2 * len(specs)
+    print(f"\nPROPER SUBGROUPS (R(T) and holomorph, {checked} pairs): PASS")
 
 
 def criterion_8_groups():

@@ -180,6 +180,13 @@ class TestSurvey:
         path.write_text(json.dumps({"checks": ["report"]}))
         assert main(["survey", "--config", str(path)]) == 2
 
+    def test_bad_paley_entry_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"paley_primes": [7, 9]}))
+        assert main(["survey", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Paley" in err and "got 9" in err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

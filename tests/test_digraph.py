@@ -214,6 +214,14 @@ class TestInducedAndUnderlying:
         g = complete_undirected(4)
         assert g.underlying_undirected().arcs == g.arcs
 
+    def test_weak_components(self):
+        # Arcs in either direction join; vertex 5 is isolated.
+        g = build(7, [(0, 3), (6, 3), (1, 2), (4, 2)])
+        assert g.weak_components() == [(0, 3, 6), (1, 2, 4), (5,)]
+
+    def test_circuit_is_one_weak_component(self):
+        assert circuit(6).weak_components() == [tuple(range(6))]
+
 
 class TestTextFormat:
     def test_round_trip(self):

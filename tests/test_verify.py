@@ -1,5 +1,6 @@
 """Tests for the statement checks and the survey driver."""
 
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,7 +17,7 @@ from digsym.construct import (
     paley_tournament,
     right_translations,
 )
-from digsym.digraph import build
+from digsym.digraph import S_ARC, S_GEODESIC, Digraph, build
 from digsym.errors import BadParameter, NotAutomorphismGroup
 from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
@@ -60,21 +61,26 @@ class TestInstanceFacts:
         with pytest.raises(NotAutomorphismGroup):
             InstanceFacts(circuit(5), reflection)
 
-    def test_two_geodesic_test_runs_once_per_instance(self, monkeypatch):
-        spec = cayley_spec(cyclic_table(12), [1, 4, 7, 10])
-        g = cayley_digraph(spec)
+    def test_each_tuple_family_enumerated_once_per_instance(self, monkeypatch):
+        # Without a Cayley spec T1.2 builds no holomorph facts, so every
+        # s-arc and s-geodesic family of g comes from the one OrbitCounts.
+        g = cayley_digraph(cayley_spec(cyclic_table(12), [1, 4, 7, 10]))
         group = automorphism_group(g)
-        own_calls = []
-        tester = symmetry.is_s_geodesic_transitive
+        enumerated = Counter()
 
-        def counting(digraph, acting, s):
-            if digraph is g and acting is group and s == 2:
-                own_calls.append(s)
-            return tester(digraph, acting, s)
+        def counting(method, kind):
+            def wrapper(self, s):
+                if self is g:
+                    enumerated[kind, s] += 1
+                return method(self, s)
 
-        monkeypatch.setattr(symmetry, "is_s_geodesic_transitive", counting)
-        results = verify.run_checks_on_instance(g, group, verify.CHECK_IDS, cayley=spec)
-        assert len(own_calls) == 1
+            return wrapper
+
+        monkeypatch.setattr(Digraph, "s_arcs", counting(Digraph.s_arcs, S_ARC))
+        monkeypatch.setattr(Digraph, "s_geodesics", counting(Digraph.s_geodesics, S_GEODESIC))
+        results = verify.run_checks_on_instance(g, group, verify.CHECK_IDS)
+        assert (S_GEODESIC, 2) in enumerated and (S_ARC, 1) in enumerated
+        assert max(enumerated.values()) == 1, enumerated
         assert by_id(results, "T1.4i").notes == "both True"
         assert by_id(results, "T1.1").status == PASS
 
@@ -378,6 +384,11 @@ class TestSurvey:
             self.small_config(min_valency=0).validate()
         with pytest.raises(BadParameter):
             self.small_config(checks=("bogus",)).validate()
+
+    @pytest.mark.parametrize("q", [5, 9, 13])
+    def test_paley_entry_must_be_prime_3_mod_4(self, q):
+        with pytest.raises(BadParameter, match=f"got {q}$"):
+            SurveyConfig.from_dict({"paley_primes": [7, q]})
 
     def test_zero_failures_on_small_corpus(self):
         report = run_survey(self.small_config())
