@@ -13,7 +13,7 @@ import sys
 
 from . import construct, symmetry, verify
 from .digraph import from_text, to_text
-from .errors import DigsymError, NotStronglyConnected, ParseError
+from .errors import BadParameter, DigsymError, NotStronglyConnected, ParseError
 from .groups import PermGroup
 from .perm import read_permutations
 
@@ -77,7 +77,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_cayley(args) -> int:
     table = construct.parse_group_spec(args.group)
-    conn = [int(p) for p in args.conn.replace(",", " ").split()]
+    conn = []
+    for part in args.conn.replace(",", " ").split():
+        try:
+            conn.append(int(part))
+        except ValueError:
+            raise BadParameter(f"connection element {part!r} is not an integer") from None
     spec = construct.cayley_spec(table, conn)
     g = construct.cayley_digraph(spec)
     if args.analyze:

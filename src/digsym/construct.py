@@ -113,16 +113,18 @@ def parse_group_spec(spec: str, read_file=None) -> GroupTable:
     kind, _, arg = spec.partition(":")
     if not arg:
         raise BadParameter(f"malformed group spec {spec!r}")
-    if kind == "cyclic":
-        return cyclic_table(int(arg))
+    if kind in ("cyclic", "dihedral"):
+        try:
+            n = int(arg)
+        except ValueError:
+            raise BadParameter(f"group spec {spec!r} needs an integer argument") from None
+        return cyclic_table(n) if kind == "cyclic" else dihedral_table(n)
     if kind == "abelian":
         try:
             factors = [int(p) for p in arg.split("x")]
         except ValueError:
             raise BadParameter(f"malformed abelian factors {arg!r}") from None
         return abelian_table(factors)
-    if kind == "dihedral":
-        return dihedral_table(int(arg))
     if kind == "table":
         if read_file is None:
             with open(arg, "r", encoding="utf-8") as fh:

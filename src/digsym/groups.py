@@ -569,20 +569,26 @@ class GroupTable:
         return r
 
     def generated_subset(self, seeds) -> frozenset[int]:
-        """Closure of a subset under multiplication (subgroup generated)."""
+        """Subgroup generated by ``seeds``: a BFS from the identity that
+        multiplies on the right by the seeds only, O(|H|·|seeds|) lookups.
+
+        In a finite group the monoid the seeds generate is the subgroup they
+        generate, so this is exact.  Light's test in the constructor stays
+        exact on a table not yet known to be associative: the closure holds
+        only products of the seeds, so a set whose closure is the whole table
+        generates the table under products, and the elements passing the
+        test are closed under products.
+        """
+        seeds = tuple(seeds)
         closure = {self.identity}
-        queue = deque()
-        for s in seeds:
-            if s not in closure:
-                closure.add(s)
-                queue.append(s)
+        queue = deque(closure)
         while queue:
-            x = queue.popleft()
-            for s in list(closure):
-                for product in (self.mul_table[x][s], self.mul_table[s][x]):
-                    if product not in closure:
-                        closure.add(product)
-                        queue.append(product)
+            row = self.mul_table[queue.popleft()]
+            for s in seeds:
+                product = row[s]
+                if product not in closure:
+                    closure.add(product)
+                    queue.append(product)
         return frozenset(closure)
 
     def generating_set(self) -> list[int]:

@@ -17,8 +17,7 @@ transitive.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
 
@@ -389,7 +388,9 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
     failures = []
     notes = [f"maximal normal subgroups={len(targets)}"] if normal is None else []
     for N, n_is_maximal in targets:
-        result = construct.quotient_digraph(g, group=group, normal=N)
+        # The facts validated the group, and N is a kernel or was tested for
+        # normality above, so quotient by its orbits without checking again.
+        result = construct.quotient_digraph(g, N.orbit_partition(), group=group)
         quotient, image = result.quotient, result.image_group
         here = {"normal_order": N.order()}
         if result.internal_arcs:
@@ -443,7 +444,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
                     {**here, "reason": "corollary: maximal intransitive subgroup has only 2 orbits"}
                 )
             elif not construct.quotient_digraph(
-                g, group=group, normal=N
+                g, N.orbit_partition(), group=group
             ).image_group.is_quasiprimitive():
                 failures.append({**here, "reason": "corollary: induced action not quasiprimitive"})
             else:
@@ -676,9 +677,16 @@ class SurveyConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurveyConfig":
+        if not isinstance(data, dict):
+            raise BadParameter("survey config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise BadParameter(f"unknown survey config keys {unknown}")
         kwargs = dict(data)
         for key in ("circulant_orders", "cayley_groups", "paley_primes", "checks"):
             if key in kwargs:
+                if not isinstance(kwargs[key], list):
+                    raise BadParameter(f"survey config key {key!r} must be a list")
                 kwargs[key] = tuple(kwargs[key])
         config = cls(**kwargs)
         config.validate()
@@ -708,15 +716,17 @@ def connection_sets(table, min_valency: int, max_valency: int):
             continue  # involutions can never satisfy antisymmetry
         seen.update({x, inv})
         inverse_pairs.append((x, inv))
-    everything = frozenset(range(table.order))
     for k in range(min_valency, max_valency + 1):
         for chosen in combinations(inverse_pairs, k):
+            # <x> = <x^-1>, so all 2^k choices of one element per pair
+            # generate the same subgroup: test it once.
+            if len(table.generated_subset(pair[0] for pair in chosen)) < table.order:
+                continue
             for mask in range(1 << k):
                 conn = tuple(
                     pair[(mask >> i) & 1] for i, pair in enumerate(chosen)
                 )
-                if table.generated_subset(conn) == everything:
-                    yield tuple(sorted(conn))
+                yield tuple(sorted(conn))
 
 
 def generate_descriptors(config: SurveyConfig) -> list[tuple]:
@@ -837,6 +847,9 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     descriptors = generate_descriptors(config)
     jobs = [(d, config.checks) for d in descriptors]
     if config.parallelism > 1 and len(jobs) > 1:
+        # Imported here so that serial runs and `import digsym` skip its cost.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             batches = list(pool.map(_survey_worker, jobs, chunksize=8))
     else:

@@ -6,7 +6,7 @@ on the package's stabilizer chains or pruned searches.
 """
 
 from collections import deque
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 
 def brute_distance(arcs, n, source, target):
@@ -118,6 +118,44 @@ def brute_closure(gens, degree):
 def brute_subgroup_closure(elements, degree):
     """Subgroup generated by arbitrary elements (tuples), as a frozenset."""
     return frozenset(brute_closure(list(elements), degree))
+
+
+def brute_generated_subset(table, seeds):
+    """Closure of a subset of a GroupTable under two-sided products,
+    rescanning the whole closure for each element popped."""
+    closure = {table.identity}
+    queue = deque()
+    for s in seeds:
+        if s not in closure:
+            closure.add(s)
+            queue.append(s)
+    while queue:
+        x = queue.popleft()
+        for s in list(closure):
+            for product in (table.mul_table[x][s], table.mul_table[s][x]):
+                if product not in closure:
+                    closure.add(product)
+                    queue.append(product)
+    return frozenset(closure)
+
+
+def brute_connection_sets(table, min_valency, max_valency):
+    """Antisymmetric generating connection sets: every choice of one element
+    from each of k inverse pairs, each tested with the two-sided closure."""
+    pairs = []
+    for x in range(table.order):
+        inv_x = table.inverse(x)
+        if x != table.identity and inv_x != x and all(x not in p for p in pairs):
+            pairs.append((x, inv_x))
+    everything = frozenset(range(table.order))
+    found = []
+    for k in range(min_valency, max_valency + 1):
+        for chosen in combinations(pairs, k):
+            for mask in range(1 << k):
+                conn = tuple(pair[(mask >> i) & 1] for i, pair in enumerate(chosen))
+                if brute_generated_subset(table, conn) == everything:
+                    found.append(tuple(sorted(conn)))
+    return found
 
 
 def brute_conjugacy_classes(group_elements, degree):

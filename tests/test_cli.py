@@ -82,6 +82,14 @@ class TestCayley:
     def test_antisymmetry_violation(self, capsys):
         assert main(["cayley", "--group", "cyclic:5", "--conn", "1,4"]) == 2
 
+    def test_non_integer_group_argument_named(self, capsys):
+        assert main(["cayley", "--group", "dihedral:y", "--conn", "1"]) == 2
+        assert "dihedral:y" in capsys.readouterr().err
+
+    def test_non_integer_connection_element_named(self, capsys):
+        assert main(["cayley", "--group", "cyclic:7", "--conn", "1,a"]) == 2
+        assert "'a'" in capsys.readouterr().err
+
 
 class TestQuotient:
     def test_c6_mod_rot3(self, circuit_file, tmp_path, capsys):
@@ -186,6 +194,21 @@ class TestSurvey:
         assert main(["survey", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "Paley" in err and "got 9" in err
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ({"circulant_ordrs": [5]}, "circulant_ordrs"),
+            ({"circulant_orders": 5}, "circulant_orders"),
+            ({"cayley_groups": ["cyclic:x"]}, "cyclic:x"),
+            ([{"circulant_orders": [5]}], "JSON object"),
+        ],
+    )
+    def test_malformed_config_named(self, tmp_path, capsys, data, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["survey", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"

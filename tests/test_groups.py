@@ -1,6 +1,7 @@
 """Tests for permutation groups (stabilizer chains) and group tables."""
 
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,17 @@ def group(*cycle_texts, degree):
 
 def s4():
     return group("(0 1)", "(0 1 2 3)", degree=4)
+
+
+def closure_tables():
+    """Cyclic, abelian and (non-abelian) dihedral tables of order <= 12."""
+    from digsym.construct import abelian_table, cyclic_table, dihedral_table
+
+    return (
+        [cyclic_table(n) for n in range(1, 13)]
+        + [abelian_table(f) for f in ((2, 2, 2), (2, 6), (3, 3))]
+        + [dihedral_table(n) for n in range(3, 7)]
+    )
 
 
 def a5():
@@ -345,6 +357,22 @@ class TestGroupTable:
         z6 = cyclic_table(6)
         assert z6.generated_subset([2]) == {0, 2, 4}
         assert z6.generated_subset([2, 3]) == set(range(6))
+
+    def test_generated_subset_matches_two_sided_closure(self):
+        for table in closure_tables():
+            for size in range(4):
+                for seeds in combinations(range(table.order), size):
+                    assert table.generated_subset(seeds) == oracles.brute_generated_subset(
+                        table, seeds
+                    ), (table, seeds)
+
+    def test_connection_sets_match_per_mask_closure(self):
+        from digsym.verify import connection_sets
+
+        for table in closure_tables():
+            assert list(connection_sets(table, 1, 5)) == oracles.brute_connection_sets(
+                table, 1, 5
+            ), table
 
     def test_generating_set(self):
         from digsym.construct import cyclic_table

@@ -1,5 +1,8 @@
 """Tests for the statement checks and the survey driver."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -406,6 +409,19 @@ class TestSurvey:
         parallel_config = self.small_config(checks=("report", "T1.4i"), parallelism=3)
         parallel = run_survey(parallel_config)
         assert serial.records == parallel.records
+
+    def test_import_loads_no_process_pool(self):
+        # Only a pooled survey needs the process pool; importing the package
+        # must not pay for it.
+        code = (
+            "import sys, digsym; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_circuit_family_reports(self):
         config = SurveyConfig(
