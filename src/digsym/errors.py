@@ -45,10 +45,6 @@ class PartitionNotInvariant(DigsymError):
     pass
 
 
-class BudgetExceeded(DigsymError):
-    pass
-
-
 class SearchBudgetExceeded(DigsymError):
     pass
 

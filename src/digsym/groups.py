@@ -15,7 +15,6 @@ from collections import deque
 from typing import Iterable
 
 from .errors import (
-    BudgetExceeded,
     DegreeMismatch,
     NotSubgroupElement,
     NotTransitive,
@@ -288,10 +287,8 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         return self.contains(g)
 
-    def elements(self, limit: int | None = None) -> list[Permutation]:
+    def elements(self) -> list[Permutation]:
         """All group elements, deterministically ordered by the chain."""
-        if limit is not None and self.order() > limit:
-            raise BudgetExceeded(f"order {self.order()} exceeds element limit {limit}")
         return self.chain.elements()
 
     # ------------------------------------------------------------------

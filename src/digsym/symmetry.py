@@ -1,7 +1,9 @@
 """Automorphism groups of digraphs and the transitivity predicates.
 
-The automorphism search backtracks over vertex images, refined by in/out
-degrees and distance profiles; it is meant for desk-scale digraphs and is
+The automorphism search backtracks over vertex images from color classes
+refined by in/out degrees and distance profiles.  One step, ``_restrict``,
+narrows the candidate images once a vertex is mapped: it keeps the
+per-level prefix domains and prunes every node of the search, which is
 guarded by a node budget.  Every transitivity claim reduces to orbit counts
 on explicit tuple families, and one ``OrbitCounts`` per (digraph, group)
 computes them, counting each family at most once.  ``OrbitCounts`` trusts
@@ -70,16 +72,42 @@ def _refine_colors(g: Digraph) -> list[int]:
         colors = new_colors
 
 
-def automorphism_group(
-    g: Digraph, node_budget: int | None = None, known=()
-) -> PermGroup:
+def _restrict(domains, v: int, w: int, arcs):
+    """Candidate images of every vertex but v once v maps to w.
+
+    x stays a candidate for u iff x != w and the arcs between v and u, in
+    both directions, match those between w and x.  Returns None as soon as
+    one candidate tuple empties.  Tuples keep their increasing order.
+    """
+    restricted = {}
+    for u, cands in domains.items():
+        if u == v:
+            continue
+        v_to_u = (v, u) in arcs
+        u_to_v = (u, v) in arcs
+        kept = tuple(
+            x
+            for x in cands
+            if x != w and ((w, x) in arcs) == v_to_u and ((x, w) in arcs) == u_to_v
+        )
+        if not kept:
+            return None
+        restricted[u] = kept
+    return restricted
+
+
+def automorphism_group(g: Digraph, node_budget: int | None = None) -> PermGroup:
     """The full group of arc-preserving vertex bijections of g.
 
-    Vertices are processed in a fixed order; for each level the search hunts
-    one automorphism per point outside the current orbit of the level's
-    pointwise stabilizer, so generators are found without enumerating the
-    whole group.  ``known`` may seed automorphisms discovered elsewhere
-    (e.g. translations of a Cayley digraph) to prune the search.
+    Vertices are processed in a fixed order, smallest color class first.
+    Level v fixes the earlier vertices and hunts one automorphism per image
+    of v outside v's orbit under the generators found so far that fix them,
+    so generators are found without enumerating the whole group.  The
+    candidate domains under the fixed prefix are kept incrementally with
+    ``_restrict``, and each image w of v starts a backtracking search from
+    ``_restrict(domains, v, w)``.  Each image tried inside that search is one
+    node; past ``node_budget`` nodes (default ``DIGSYM_SEARCH_BUDGET``, else
+    ``DEFAULT_NODE_BUDGET``) SearchBudgetExceeded is raised.
     """
     budget = default_node_budget() if node_budget is None else node_budget
     n = g.n
@@ -87,111 +115,43 @@ def automorphism_group(
         return PermGroup((), 0)
     colors = _refine_colors(g)
     arcs = g.arcs
-    candidates = [
-        frozenset(w for w in range(n) if colors[w] == colors[v]) for v in range(n)
-    ]
-    # Fixed assignment order: most constrained color classes first.
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    domains = {v: tuple(w for w in range(n) if colors[w] == colors[v]) for v in range(n)}
+    order = sorted(range(n), key=lambda v: (len(domains[v]), v))
     position = {v: i for i, v in enumerate(order)}
-
     nodes = 0
 
-    def complete(start_map: dict[int, int]) -> Permutation | None:
-        """Extend a consistent partial map to a full automorphism, if any."""
+    def search(remaining):
+        """Images for the vertices of ``remaining``; None if none fit or it is None."""
         nonlocal nodes
-        remaining: dict[int, frozenset[int]] = {}
-        used = set(start_map.values())
-        for v in range(n):
-            if v in start_map:
-                continue
-            cand = candidates[v]
-            for u, w in start_map.items():
-                v_from_u = (u, v) in arcs
-                v_to_u = (v, u) in arcs
-                cand = frozenset(
-                    x
-                    for x in cand
-                    if x not in used
-                    and ((w, x) in arcs) == v_from_u
-                    and ((x, w) in arcs) == v_to_u
-                )
-                if not cand:
-                    return None
-            remaining[v] = cand
-
-        def search(assigned, remaining):
-            nonlocal nodes
-            if not remaining:
-                return dict(assigned)
-            v = min(remaining, key=lambda u: (len(remaining[u]), position[u]))
-            for w in sorted(remaining[v]):
-                nodes += 1
-                if nodes > budget:
-                    raise SearchBudgetExceeded(
-                        f"automorphism search exceeded {budget} nodes"
-                    )
-                new_remaining = {}
-                feasible = True
-                for u, cand in remaining.items():
-                    if u == v:
-                        continue
-                    v_to_u = (v, u) in arcs
-                    u_to_v = (u, v) in arcs
-                    filtered = frozenset(
-                        x
-                        for x in cand
-                        if x != w
-                        and ((w, x) in arcs) == v_to_u
-                        and ((x, w) in arcs) == u_to_v
-                    )
-                    if not filtered:
-                        feasible = False
-                        break
-                    new_remaining[u] = filtered
-                if feasible:
-                    assigned[v] = w
-                    result = search(assigned, new_remaining)
-                    if result is not None:
-                        return result
-                    del assigned[v]
-            return None
-
-        full = search(dict(start_map), remaining)
-        if full is None:
-            return None
-        return Permutation(tuple(full[v] for v in range(n)))
+        if not remaining:
+            return None if remaining is None else {}
+        v = min(remaining, key=lambda u: (len(remaining[u]), position[u]))
+        for w in remaining[v]:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(f"automorphism search exceeded {budget} nodes")
+            found = search(_restrict(remaining, v, w, arcs))
+            if found is not None:
+                found[v] = w
+                return found
+        return None
 
     gens: list[Permutation] = []
-    for p in known:
-        if p.degree != n or any((p(u), p(v)) not in arcs for u, v in arcs):
-            raise NotAutomorphismGroup(f"known permutation {p} is not an automorphism")
-        gens.append(p)
-
-    for i in range(n):
-        v = order[i]
-        fixed = {order[j]: order[j] for j in range(i)}
-        level_gens = [p for p in gens if all(p(order[j]) == order[j] for j in range(i))]
+    level_gens: list[Permutation] = []  # the generators fixing the prefix
+    for v in order:
         orbit = PermGroup(level_gens, n).orbit(v)
-        # Feasible images of v under maps fixing the processed prefix.
-        feasible = candidates[v]
-        for u in fixed:
-            u_to_v = (u, v) in arcs
-            v_to_u = (v, u) in arcs
-            feasible = frozenset(
-                x
-                for x in feasible
-                if x not in fixed
-                and ((u, x) in arcs) == u_to_v
-                and ((x, u) in arcs) == v_to_u
-            )
-        for w in sorted(feasible):
+        for w in domains[v]:
             if w in orbit:
                 continue
-            perm = complete({**fixed, v: w})
-            if perm is not None:
+            found = search(_restrict(domains, v, w, arcs))
+            if found is not None:
+                found[v] = w  # the processed prefix stays fixed
+                perm = Permutation(tuple(found.get(u, u) for u in range(n)))
                 gens.append(perm)
                 level_gens.append(perm)
                 orbit = PermGroup(level_gens, n).orbit(v)
+        level_gens = [p for p in level_gens if p(v) == v]
+        domains = _restrict(domains, v, v, arcs)
     return PermGroup(gens, n)
 
 

@@ -645,6 +645,11 @@ def run_checks_on_instance(
 # survey configuration and corpus generation
 
 
+def _is_a(value, kind: type) -> bool:
+    """isinstance, except that a JSON boolean is no integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SurveyConfig:
     """Corpus families, bounds and check selection for a survey run."""
@@ -683,10 +688,18 @@ class SurveyConfig:
         if unknown:
             raise BadParameter(f"unknown survey config keys {unknown}")
         kwargs = dict(data)
+        for key in ("min_valency", "max_valency", "max_vertices", "parallelism", "seed"):
+            if key in kwargs and not _is_a(kwargs[key], int):
+                raise BadParameter(f"survey config key {key!r} must be an integer")
         for key in ("circulant_orders", "cayley_groups", "paley_primes", "checks"):
             if key in kwargs:
                 if not isinstance(kwargs[key], list):
                     raise BadParameter(f"survey config key {key!r} must be a list")
+                kind = str if key in ("cayley_groups", "checks") else int
+                if not all(_is_a(x, kind) for x in kwargs[key]):
+                    raise BadParameter(
+                        f"survey config key {key!r} must list {kind.__name__} values"
+                    )
                 kwargs[key] = tuple(kwargs[key])
         config = cls(**kwargs)
         config.validate()

@@ -2,11 +2,18 @@
 
 Everything here is deliberately naive and self-contained: plain tuple
 arithmetic, exhaustive scans and breadth-first closures, with no reliance
-on the package's stabilizer chains or pruned searches.
+on the package's stabilizer chains or pruned searches.  The one exception is
+``reference_automorphism_group``, the earlier form of the automorphism
+search, kept to pin the current search's generators and node counts.
 """
 
 from collections import deque
 from itertools import combinations, permutations, product
+
+from digsym import symmetry
+from digsym.errors import SearchBudgetExceeded
+from digsym.groups import PermGroup
+from digsym.perm import Permutation
 
 
 def brute_distance(arcs, n, source, target):
@@ -85,6 +92,125 @@ def brute_automorphisms(arcs, n):
         for images in permutations(range(n))
         if all((images[u], images[v]) in arcset for u, v in arcset)
     ]
+
+
+def reference_automorphism_group(g, node_budget=None):
+    """The automorphism search as it stood before ``symmetry._restrict``.
+
+    It filters candidates separately in ``complete()``, in ``search()`` and
+    in a per-level prefix scan.  ``symmetry.automorphism_group`` must return
+    the same generator list and spend the same search nodes; this reference
+    reuses the package's color refinement and groups, so it is not an
+    independent oracle of Aut itself (``brute_automorphisms`` is).
+    """
+    budget = symmetry.default_node_budget() if node_budget is None else node_budget
+    n = g.n
+    if n == 0:
+        return PermGroup((), 0)
+    colors = symmetry._refine_colors(g)
+    arcs = g.arcs
+    candidates = [
+        frozenset(w for w in range(n) if colors[w] == colors[v]) for v in range(n)
+    ]
+    # Fixed assignment order: most constrained color classes first.
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    position = {v: i for i, v in enumerate(order)}
+
+    nodes = 0
+
+    def complete(start_map: dict[int, int]) -> Permutation | None:
+        """Extend a consistent partial map to a full automorphism, if any."""
+        nonlocal nodes
+        remaining: dict[int, frozenset[int]] = {}
+        used = set(start_map.values())
+        for v in range(n):
+            if v in start_map:
+                continue
+            cand = candidates[v]
+            for u, w in start_map.items():
+                v_from_u = (u, v) in arcs
+                v_to_u = (v, u) in arcs
+                cand = frozenset(
+                    x
+                    for x in cand
+                    if x not in used
+                    and ((w, x) in arcs) == v_from_u
+                    and ((x, w) in arcs) == v_to_u
+                )
+                if not cand:
+                    return None
+            remaining[v] = cand
+
+        def search(assigned, remaining):
+            nonlocal nodes
+            if not remaining:
+                return dict(assigned)
+            v = min(remaining, key=lambda u: (len(remaining[u]), position[u]))
+            for w in sorted(remaining[v]):
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(
+                        f"automorphism search exceeded {budget} nodes"
+                    )
+                new_remaining = {}
+                feasible = True
+                for u, cand in remaining.items():
+                    if u == v:
+                        continue
+                    v_to_u = (v, u) in arcs
+                    u_to_v = (u, v) in arcs
+                    filtered = frozenset(
+                        x
+                        for x in cand
+                        if x != w
+                        and ((w, x) in arcs) == v_to_u
+                        and ((x, w) in arcs) == u_to_v
+                    )
+                    if not filtered:
+                        feasible = False
+                        break
+                    new_remaining[u] = filtered
+                if feasible:
+                    assigned[v] = w
+                    result = search(assigned, new_remaining)
+                    if result is not None:
+                        return result
+                    del assigned[v]
+            return None
+
+        full = search(dict(start_map), remaining)
+        if full is None:
+            return None
+        return Permutation(tuple(full[v] for v in range(n)))
+
+    gens: list[Permutation] = []
+
+    for i in range(n):
+        v = order[i]
+        fixed = {order[j]: order[j] for j in range(i)}
+        level_gens = [p for p in gens if all(p(order[j]) == order[j] for j in range(i))]
+        orbit = PermGroup(level_gens, n).orbit(v)
+        # Feasible images of v under maps fixing the processed prefix.
+        feasible = candidates[v]
+        for u in fixed:
+            u_to_v = (u, v) in arcs
+            v_to_u = (v, u) in arcs
+            feasible = frozenset(
+                x
+                for x in feasible
+                if x not in fixed
+                and ((u, x) in arcs) == u_to_v
+                and ((x, u) in arcs) == v_to_u
+            )
+        for w in sorted(feasible):
+            if w in orbit:
+                continue
+            perm = complete({**fixed, v: w})
+            if perm is not None:
+                gens.append(perm)
+                level_gens.append(perm)
+                orbit = PermGroup(level_gens, n).orbit(v)
+    return PermGroup(gens, n)
 
 
 def mult(a, b):

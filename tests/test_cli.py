@@ -202,6 +202,11 @@ class TestSurvey:
             ({"circulant_orders": 5}, "circulant_orders"),
             ({"cayley_groups": ["cyclic:x"]}, "cyclic:x"),
             ([{"circulant_orders": [5]}], "JSON object"),
+            ({"circulant_orders": [5], "min_valency": "2"}, "min_valency"),
+            ({"circulant_orders": ["5"]}, "circulant_orders"),
+            ({"cayley_groups": [5]}, "cayley_groups"),
+            ({"circulant_orders": [5], "parallelism": 1.5}, "parallelism"),
+            ({"circulant_orders": [5], "seed": True}, "seed"),
         ],
     )
     def test_malformed_config_named(self, tmp_path, capsys, data, named):
@@ -209,6 +214,11 @@ class TestSurvey:
         path.write_text(json.dumps(data))
         assert main(["survey", "--config", str(path)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_bad_search_budget_env_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "abc")
+        assert main(["survey", "--config", self.config_file(tmp_path)]) == 2
+        assert "DIGSYM_SEARCH_BUDGET" in capsys.readouterr().err
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from digsym.errors import (
-    BudgetExceeded,
     DegreeMismatch,
     NotSubgroupElement,
     NotTransitive,
@@ -81,10 +80,6 @@ class TestOrderAndMembership:
         g = s4()
         elements = {p.images for p in g.elements()}
         assert elements == oracles.brute_closure([p.images for p in g.generators], 4)
-
-    def test_elements_budget(self):
-        with pytest.raises(BudgetExceeded):
-            group("(0 1)", "(0 1 2 3 4 5 6)", degree=7).elements(limit=100)
 
     @settings(max_examples=60, deadline=None)
     @given(generator_sets())

@@ -23,6 +23,7 @@ from digsym.symmetry import (
     orbits_on_tuples,
     transitivity_report,
 )
+from digsym.verify import build_instance, default_config, generate_descriptors
 
 SMALL_CORPUS = [
     circuit(3),
@@ -64,12 +65,50 @@ class TestAutomorphismGroup:
         with pytest.raises(SearchBudgetExceeded):
             automorphism_group(complete(8), node_budget=3)
 
-    def test_known_seeds(self):
-        g = circuit(8)
-        rot = parse_cycles("(0 1 2 3 4 5 6 7)", 8)
-        assert automorphism_group(g, known=[rot]).order() == 8
-        with pytest.raises(NotAutomorphismGroup):
-            automorphism_group(g, known=[parse_cycles("(0 1)", 8)])
+
+def _budget_threshold(search, g):
+    """The fewest search nodes with which ``search`` completes on g."""
+    low, high = 0, 1
+    while True:
+        try:
+            search(g, node_budget=high)
+            break
+        except SearchBudgetExceeded:
+            low, high = high + 1, 2 * high
+    while low < high:  # the threshold lies in [low, high]
+        mid = (low + high) // 2
+        try:
+            search(g, node_budget=mid)
+            high = mid
+        except SearchBudgetExceeded:
+            low = mid + 1
+    return low
+
+
+class TestAgainstReferenceSearch:
+    """The single-restriction search matches the earlier three-filter search."""
+
+    @staticmethod
+    def corpus():
+        descriptors = generate_descriptors(default_config())[::4]
+        graphs = [build_instance(d)[1] for d in descriptors]
+        graphs += [paley_tournament(23), paley_tournament(31)]
+        return graphs + [complete(k) for k in range(2, 7)]
+
+    def test_same_generators(self):
+        for g in self.corpus():
+            found = automorphism_group(g).generators
+            reference = oracles.reference_automorphism_group(g).generators
+            assert found == reference, g
+
+    def test_same_budget_threshold(self):
+        circulant = build_instance(("circulant", 12, (1, 4, 5)))[1]
+        for g in (complete(5), complete(6), paley_tournament(19), circulant):
+            nodes = _budget_threshold(oracles.reference_automorphism_group, g)
+            assert nodes > 1, g
+            automorphism_group(g, node_budget=nodes)
+            with pytest.raises(SearchBudgetExceeded):
+                automorphism_group(g, node_budget=nodes - 1)
 
 
 class TestOrbitsOnTuples:

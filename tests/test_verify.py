@@ -21,7 +21,7 @@ from digsym.construct import (
     right_translations,
 )
 from digsym.digraph import S_ARC, S_GEODESIC, Digraph, build
-from digsym.errors import BadParameter, NotAutomorphismGroup
+from digsym.errors import BadParameter, NotAutomorphismGroup, SearchBudgetExceeded
 from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import automorphism_group
@@ -409,6 +409,29 @@ class TestSurvey:
         parallel_config = self.small_config(checks=("report", "T1.4i"), parallelism=3)
         parallel = run_survey(parallel_config)
         assert serial.records == parallel.records
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_search_budget_gives_incomplete_records(self, monkeypatch, parallelism):
+        config = SurveyConfig(
+            circulant_orders=(5, 6, 7), min_valency=2, max_valency=2, parallelism=parallelism
+        )
+        unbudgeted = run_survey(config).records
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
+        expected = []
+        for descriptor in verify.generate_descriptors(config):
+            label, g, _ = verify.build_instance(descriptor)
+            try:
+                automorphism_group(g)
+                expected += [r for r in unbudgeted if r["instance"] == label]
+            except SearchBudgetExceeded as exc:
+                assert str(exc) == "automorphism search exceeded 1 nodes"
+                expected += [
+                    {"instance": label, "check": cid, "status": verify.INCOMPLETE,
+                     "witness": None, "notes": str(exc)}
+                    for cid in config.checks
+                ]
+        assert any(r["status"] == verify.INCOMPLETE for r in expected)
+        assert run_survey(config).records == expected
 
     def test_import_loads_no_process_pool(self):
         # Only a pooled survey needs the process pool; importing the package
