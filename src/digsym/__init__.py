@@ -5,7 +5,7 @@ quotient constructions, and a verification harness that sweeps statement
 checks over exhaustive small catalogs.
 """
 
-from .digraph import CIRCUIT, DIRECTED, MIXED, S_ARC, S_GEODESIC, UNDIRECTED, Digraph, Walk, build
+from .digraph import DIRECTED, MIXED, S_ARC, S_GEODESIC, UNDIRECTED, Digraph, build
 from .groups import GroupTable, PermGroup
 from .perm import Permutation, format_cycles, parse_cycles
 from .symmetry import (
@@ -36,7 +36,6 @@ from .construct import (
 from .verify import CheckResult, SurveyConfig, default_config, run_survey
 
 __all__ = [
-    "CIRCUIT",
     "DIRECTED",
     "MIXED",
     "S_ARC",
@@ -51,7 +50,6 @@ __all__ = [
     "QuotientResult",
     "SurveyConfig",
     "TransitivityReport",
-    "Walk",
     "abelian_table",
     "automorphism_group",
     "build",

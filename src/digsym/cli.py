@@ -1,8 +1,8 @@
 """Command-line front end: analyze digraphs, build Cayley/quotient digraphs,
 run single checks, run surveys.
 
-Exit codes: 0 = all pass or not applicable, 1 = some check failed,
-2 = usage or file-format problem.
+Exit codes: 0 = all pass or not applicable, 1 = some check failed or is
+incomplete, 2 = usage or file-format problem.
 """
 
 from __future__ import annotations
@@ -36,8 +36,13 @@ def _load_group(path: str) -> PermGroup:
     return PermGroup(perms, degree)
 
 
+def _exit_code(statuses) -> int:
+    """EXIT_FAIL when any result failed or is incomplete, else EXIT_OK."""
+    bad = (verify.FAIL, verify.INCOMPLETE)
+    return EXIT_FAIL if any(status in bad for status in statuses) else EXIT_OK
+
+
 def _print_check_results(results) -> int:
-    failed = False
     for r in results:
         line = f"{r.check_id}: {r.status}"
         if r.witness is not None:
@@ -45,8 +50,7 @@ def _print_check_results(results) -> int:
         if r.notes:
             line += f" ({r.notes})"
         print(line)
-        failed = failed or r.status == verify.FAIL
-    return EXIT_FAIL if failed else EXIT_OK
+    return _exit_code(r.status for r in results)
 
 
 def cmd_analyze(args) -> int:
@@ -156,7 +160,7 @@ def cmd_survey(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     sys.stdout.write(report.summary_text())
-    return EXIT_FAIL if report.failures() else EXIT_OK
+    return _exit_code(r["status"] for r in report.records)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,30 +21,6 @@ MIXED = "mixed"
 
 S_ARC = "s_arc"
 S_GEODESIC = "s_geodesic"
-CIRCUIT = "circuit"
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A vertex sequence whose consecutive pairs are arcs."""
-
-    vertices: tuple[int, ...]
-    kind: str = S_ARC
-
-    def __len__(self) -> int:
-        return len(self.vertices) - 1
-
-    def check(self, g: "Digraph") -> None:
-        """Raise ValueError if the walk violates its kind's invariants in g."""
-        vs = self.vertices
-        for a, b in zip(vs, vs[1:]):
-            if (a, b) not in g.arcs:
-                raise ValueError(f"({a},{b}) is not an arc")
-        if self.kind == S_GEODESIC and g.distance(vs[0], vs[-1]) != len(self):
-            raise ValueError("endpoints are closer than the walk length")
-        if self.kind == CIRCUIT:
-            if len(self) < 3 or vs[0] != vs[-1] or len(set(vs[:-1])) != len(vs) - 1:
-                raise ValueError("not a circuit")
 
 
 @dataclass(frozen=True)
@@ -123,37 +99,32 @@ class Digraph:
         finite = [d for row in self._distance_matrix for d in row if d is not None]
         return max(finite) if finite else 0
 
-    def s_arcs(self, s: int) -> list[Walk]:
-        """All s-arcs in lexicographic order; vertices may repeat."""
+    def s_arcs(self, s: int) -> list[tuple[int, ...]]:
+        """All s-arcs as vertex tuples in lexicographic order; vertices may repeat."""
         return self._walks(s, S_ARC)
 
-    def s_geodesics(self, s: int) -> list[Walk]:
+    def s_geodesics(self, s: int) -> list[tuple[int, ...]]:
         """All s-arcs whose endpoints are at directed distance exactly s."""
         return self._walks(s, S_GEODESIC)
 
-    def _walks(self, s: int, kind: str) -> list[Walk]:
-        """Depth-first enumeration of the s-walks of ``kind`` in lexicographic
-        order; geodesics prune any prefix that is not itself a geodesic."""
+    def _walks(self, s: int, kind: str) -> list[tuple[int, ...]]:
+        """The s-walks of ``kind``, extended one level at a time.
+
+        Out-neighbours are sorted, so each level stays in lexicographic order.
+        Every prefix of a geodesic is a geodesic, so geodesics keep only the
+        extensions whose endpoint is at distance exactly the new length.
+        """
         if s < 0:
             raise ValueError("s must be nonnegative")
         dist = self._distance_matrix if kind == S_GEODESIC else None
-        walks: list[Walk] = []
-        stack: list[int] = []
-
-        def extend(v: int) -> None:
-            # Every prefix of a geodesic is a geodesic, so prune early.
-            if dist is not None and stack and dist[stack[0]][v] != len(stack):
-                return
-            stack.append(v)
-            if len(stack) == s + 1:
-                walks.append(Walk(tuple(stack), kind))
-            else:
-                for w in self._out[v]:
-                    extend(w)
-            stack.pop()
-
-        for v in range(self.n):
-            extend(v)
+        walks = [(v,) for v in range(self.n)]
+        for length in range(1, s + 1):
+            walks = [
+                w + (x,)
+                for w in walks
+                for x in self._out[w[-1]]
+                if dist is None or dist[w[0]][x] == length
+            ]
         return walks
 
     def girth(self) -> int | None:
@@ -162,11 +133,11 @@ class Digraph:
         Returns None when the digraph has no circuit.  Two-vertex digons never
         count, in any symmetry class.
         """
-        walk = self.minimal_circuit()
-        return len(walk) if walk is not None else None
+        circuit = self.minimal_circuit()
+        return len(circuit) - 1 if circuit is not None else None
 
-    def minimal_circuit(self) -> Walk | None:
-        """A shortest circuit as a witness walk, or None."""
+    def minimal_circuit(self) -> tuple[int, ...] | None:
+        """A shortest circuit as a closed vertex tuple (first == last), or None."""
         best: tuple[int, tuple[int, ...]] | None = None
         for x, y in sorted(self.arcs):
             # Shortest y->x path avoiding the single arc (y,x) closes a
@@ -177,9 +148,7 @@ class Digraph:
             cand = (len(path), tuple(path) + (y,))
             if best is None or cand < best:
                 best = cand
-        if best is None:
-            return None
-        return Walk(best[1], CIRCUIT)
+        return None if best is None else best[1]
 
     def _shortest_path(self, source: int, target: int, banned) -> list[int] | None:
         prev: dict[int, int] = {source: source}

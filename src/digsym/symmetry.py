@@ -17,7 +17,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
-from .digraph import DIRECTED, S_ARC, S_GEODESIC, Digraph, Walk
+from .digraph import DIRECTED, S_ARC, S_GEODESIC, Digraph
 from .errors import (
     BadParameter,
     NotAutomorphismGroup,
@@ -34,12 +34,15 @@ _BUDGET_ENV = "DIGSYM_SEARCH_BUDGET"
 
 def default_node_budget() -> int:
     value = os.environ.get(_BUDGET_ENV)
-    if value:
-        try:
-            return int(value)
-        except ValueError:
-            raise BadParameter(f"{_BUDGET_ENV} must be an integer, got {value!r}") from None
-    return DEFAULT_NODE_BUDGET
+    if not value:
+        return DEFAULT_NODE_BUDGET
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0  # not an integer: rejected below with the same message
+    if budget < 1:
+        raise BadParameter(f"{_BUDGET_ENV} must be a positive integer, got {value!r}")
+    return budget
 
 
 def _distance_profiles(g: Digraph):
@@ -165,13 +168,9 @@ def check_is_automorphism_group(g: Digraph, group: PermGroup) -> None:
                 raise NotAutomorphismGroup(f"{perm} maps arc ({u},{v}) off the arc set")
 
 
-def _as_tuple(t) -> tuple[int, ...]:
-    return t.vertices if isinstance(t, Walk) else tuple(t)
-
-
 def orbits_on_tuples(group: PermGroup, tuples) -> list[list[tuple[int, ...]]]:
-    """Orbit partition of a G-invariant tuple family under the diagonal action."""
-    family = [_as_tuple(t) for t in tuples]
+    """Orbit partition of a G-invariant vertex-tuple family, diagonal action."""
+    family = list(tuples)
     index = {t: i for i, t in enumerate(family)}
     if len(index) != len(family):
         raise ValueError("tuple family contains duplicates")

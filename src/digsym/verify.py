@@ -409,11 +409,10 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
                     {**here, "reason": "quotient not geodesic-transitive", "s_prime": s_prime}
                 )
             notes.append(f"s'={s_prime}")
-        else:
-            # Complete undirected quotient: the induced action must be
-            # arc-transitive, i.e. transitive on ordered block pairs.
-            pairs = [(a, b) for a in range(quotient.n) for b in range(quotient.n) if a != b]
-            if len(symmetry.orbits_on_tuples(image, pairs)) != 1:
+        elif _is_complete_undirected(quotient):
+            # The induced action must be arc-transitive; the arcs of K_m are
+            # its ordered block pairs.
+            if not symmetry.OrbitCounts(quotient, image).s_arc_transitive(1):
                 failures.append(
                     {**here, "reason": "induced action not arc-transitive on complete quotient"}
                 )

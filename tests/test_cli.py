@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from digsym import verify
 from digsym.cli import main
 from digsym.construct import circuit, paley_tournament
 from digsym.digraph import from_text, to_text
+from digsym.errors import SearchBudgetExceeded
 from digsym.perm import parse_cycles, write_permutations
 
 
@@ -149,6 +151,14 @@ class TestCheck:
         assert main(["check", "--id", "T1.2", circuit_file]) == 0
         assert "T1.2: pass" in capsys.readouterr().out
 
+    def test_incomplete_check_exits_1(self, paley_file, capsys, monkeypatch):
+        def over_budget(facts):
+            raise SearchBudgetExceeded("automorphism search exceeded 1 nodes")
+
+        monkeypatch.setitem(verify._CHECKS, "T1.4i", over_budget)
+        assert main(["check", "--id", "T1.4i", paley_file]) == 1
+        assert "T1.4i: incomplete" in capsys.readouterr().out
+
     def test_unknown_id(self, paley_file, capsys):
         assert main(["check", "--id", "T9.9", paley_file]) == 2
 
@@ -216,9 +226,21 @@ class TestSurvey:
         assert named in capsys.readouterr().err
 
     def test_bad_search_budget_env_named(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "abc")
-        assert main(["survey", "--config", self.config_file(tmp_path)]) == 2
-        assert "DIGSYM_SEARCH_BUDGET" in capsys.readouterr().err
+        for value in ("abc", "0", "-3"):
+            monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", value)
+            assert main(["survey", "--config", self.config_file(tmp_path)]) == 2, value
+            assert "DIGSYM_SEARCH_BUDGET" in capsys.readouterr().err, value
+
+    def test_incomplete_records_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
+        config = self.config_file(
+            tmp_path, circulant_orders=[5, 6, 7], min_valency=2, max_valency=2,
+            max_vertices=7,
+        )
+        out_path = tmp_path / "report.json"
+        assert main(["survey", "--config", config, "--out", str(out_path)]) == 1
+        summary = json.loads(out_path.read_text())["summary"]
+        assert summary["fail"] == 0 and summary["incomplete"] > 0
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -137,7 +137,7 @@ class TestOrbitsOnTuples:
     def test_matches_brute_orbits(self):
         g = paley_tournament(7)
         group = automorphism_group(g)
-        family = [w.vertices for w in g.s_arcs(2)]
+        family = g.s_arcs(2)
         lib = sorted(sorted(o) for o in orbits_on_tuples(group, family))
         elements = [p.images for p in group.elements()]
         brute = sorted(sorted(o) for o in oracles.orbits_of_tuples(elements, family))
@@ -205,7 +205,7 @@ class TestTransitivityTesters:
             group = automorphism_group(g)
             elements = [p.images for p in group.elements()]
             for s in (1, 2):
-                family = [w.vertices for w in g.s_arcs(s)]
+                family = g.s_arcs(s)
                 assert is_s_arc_transitive(g, group, s) == oracles.brute_single_orbit(
                     elements, family
                 )

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from digsym import symmetry, verify
 from digsym.construct import (
+    QuotientResult,
     cayley_digraph,
     cayley_holomorph_action,
     cayley_spec,
@@ -270,6 +271,37 @@ class TestQuotientTheorem:
         g = circuit(6)
         result = check_quotient_theorem(aut_facts(g))
         assert result.status == PASS
+
+    @pytest.mark.parametrize(
+        "quotient, image_cycles, reasons, complete_note",
+        [
+            (complete(3), ["(0 1 2)", "(0 1)"], [], True),
+            (complete(3), ["(0 1 2)"],
+             ["induced action not arc-transitive on complete quotient"], True),
+            (circuit(4).underlying_undirected(), ["(0 1 2 3)", "(1 3)"],
+             ["quotient neither directed nor complete undirected"], False),
+            (build(5, [(u, (u + d) % 5) for u in range(5) for d in (1, 2, 3)]),
+             ["(0 1 2 3 4)"],
+             ["quotient neither directed nor complete undirected"], False),
+        ],
+    )
+    def test_undirected_and_mixed_quotients(
+        self, monkeypatch, quotient, image_cycles, reasons, complete_note
+    ):
+        # No corpus instance reaches these branches (the theorem rules out
+        # all but the first), so substitute each quotient for that of C6 by
+        # its rotation of order 2; the check reads only the quotient, the
+        # image group and the internal-arc flag.
+        image = PermGroup([parse_cycles(c, quotient.n) for c in image_cycles], quotient.n)
+        fake = QuotientResult(quotient, (), image, None, False)
+        monkeypatch.setattr(verify.construct, "quotient_digraph", lambda *a, **k: fake)
+        g = circuit(6)
+        normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
+        result = check_quotient_theorem(InstanceFacts(g, automorphism_group(g)), normal)
+        failures = (result.witness or {}).get("failures", [])
+        assert [f["reason"] for f in failures] == reasons
+        assert result.status == (FAIL if reasons else PASS)
+        assert ("quotient is complete undirected" in result.notes) == complete_note
 
     def test_not_geodesic_transitive_not_applicable(self):
         g = paley_tournament(7)
