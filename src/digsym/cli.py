@@ -13,7 +13,14 @@ import sys
 
 from . import construct, symmetry, verify
 from .digraph import from_text, to_text
-from .errors import BadParameter, DigsymError, NotStronglyConnected, ParseError
+from .errors import (
+    BadParameter,
+    DigsymError,
+    NotNormal,
+    NotStronglyConnected,
+    ParseError,
+    SearchBudgetExceeded,
+)
 from .groups import PermGroup
 from .perm import read_permutations
 
@@ -97,11 +104,11 @@ def cmd_cayley(args) -> int:
         sys.stdout.write(report.to_text())
         return EXIT_OK
     text = to_text(g)
-    if args.emit and args.emit != "-":
+    if args.emit in (None, "-"):
+        sys.stdout.write(text)
+    else:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -109,7 +116,10 @@ def cmd_quotient(args) -> int:
     g = _load_digraph(args.digraph)
     group = _load_group(args.group)
     normal = _load_group(args.normal)
-    result = construct.quotient_digraph(g, group=group, normal=normal)
+    symmetry.check_is_automorphism_group(g, group)
+    if not group.is_normal(normal):
+        raise NotNormal("subgroup is not normal in the given group")
+    result = construct.quotient_digraph(g, normal.orbit_partition())
     prefix = args.out_prefix or args.digraph
     quotient_path = f"{prefix}.quotient"
     blocks_path = f"{prefix}.blocks"
@@ -125,23 +135,33 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
+# The checks that take one given subgroup through ``check --normal``.
+_NORMAL_CHECKS = {
+    "L3.1": verify.check_no_arc_in_orbit,
+    "L3.2": verify.check_two_orbit_normal,
+    "T1.1": verify.check_quotient_theorem,
+    "T1.2": verify.check_regular_normal,
+}
+
+
 def cmd_check(args) -> int:
-    g = _load_digraph(args.digraph)
-    group = _load_group(args.group) if args.group else symmetry.automorphism_group(g)
-    normal = _load_group(args.normal) if args.normal else None
     check_id = args.id
     parent = "L2.1" if check_id in verify.ARC_LOCAL_IDS else check_id
     if parent not in verify.CHECK_IDS:
         print(f"unknown check id {check_id!r}", file=sys.stderr)
         return EXIT_USAGE
-    if normal is not None and parent in ("L3.1", "L3.2", "T1.1", "T1.2"):
-        fn = {
-            "L3.1": verify.check_no_arc_in_orbit,
-            "L3.2": verify.check_two_orbit_normal,
-            "T1.1": verify.check_quotient_theorem,
-            "T1.2": verify.check_regular_normal,
-        }[parent]
-        results = [fn(verify.InstanceFacts(g, group), normal)]
+    if args.normal and parent not in _NORMAL_CHECKS:
+        print(f"--normal applies only to {', '.join(_NORMAL_CHECKS)}", file=sys.stderr)
+        return EXIT_USAGE
+    g = _load_digraph(args.digraph)
+    try:
+        group = _load_group(args.group) if args.group else symmetry.automorphism_group(g)
+    except SearchBudgetExceeded as exc:
+        incomplete = verify.CheckResult(check_id, verify.INCOMPLETE, notes=str(exc))
+        return _print_check_results([incomplete])
+    if args.normal:
+        facts = verify.InstanceFacts(g, group)
+        results = [_NORMAL_CHECKS[parent](facts, _load_group(args.normal))]
     else:
         results = verify.run_checks_on_instance(g, group, [parent])
     if check_id != parent:
@@ -177,8 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cayley", help="build a Cayley digraph")
     p.add_argument("--group", required=True, help="cyclic:N | abelian:AxB | dihedral:N | table:FILE")
     p.add_argument("--conn", required=True, help="comma-separated connection elements")
-    p.add_argument("--emit", nargs="?", const="-", default=None, help="write digraph file (default stdout)")
-    p.add_argument("--analyze", action="store_true", help="analyze instead of emitting")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--emit", metavar="FILE", help="digraph file to write (- for stdout)")
+    mode.add_argument("--analyze", action="store_true", help="analyze instead of emitting")
     p.set_defaults(fn=cmd_cayley)
 
     p = sub.add_parser("quotient", help="quotient a digraph by a normal subgroup")
@@ -192,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="e.g. T1.4i, L2.1, L3.1, T1.1")
     p.add_argument("digraph")
     p.add_argument("--group", default=None, help="permutation file (default: full Aut)")
-    p.add_argument("--normal", default=None, help="permutation file for a normal subgroup")
+    p.add_argument("--normal", help=f"normal subgroup file ({', '.join(_NORMAL_CHECKS)} only)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("survey", help="run a corpus survey")
@@ -208,13 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotStronglyConnected as exc:
+    except (ParseError, FileNotFoundError, NotStronglyConnected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DigsymError as exc:

@@ -17,7 +17,6 @@ from .errors import (
     BoundExceeded,
     IdentityInConnectionSet,
     NotAntisymmetric,
-    NotNormal,
     ParseError,
     TranslationNotInG,
 )
@@ -108,7 +107,7 @@ def dihedral_table(n: int) -> GroupTable:
     return GroupTable([[mul(a, b) for b in range(m)] for a in range(m)])
 
 
-def parse_group_spec(spec: str, read_file=None) -> GroupTable:
+def parse_group_spec(spec: str) -> GroupTable:
     """Parse ``cyclic:7``, ``abelian:2x4``, ``dihedral:4`` or ``table:<path>``."""
     kind, _, arg = spec.partition(":")
     if not arg:
@@ -126,12 +125,8 @@ def parse_group_spec(spec: str, read_file=None) -> GroupTable:
             raise BadParameter(f"malformed abelian factors {arg!r}") from None
         return abelian_table(factors)
     if kind == "table":
-        if read_file is None:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = read_file(arg)
-        return table_from_text(text)
+        with open(arg, "r", encoding="utf-8") as fh:
+            return table_from_text(fh.read())
     raise BadParameter(f"unknown group kind {kind!r}")
 
 
@@ -146,10 +141,6 @@ class CayleySpec:
     table: GroupTable
     conn: frozenset[int]
     generates: bool
-
-    @property
-    def valency(self) -> int:
-        return len(self.conn)
 
 
 def cayley_spec(table: GroupTable, conn) -> CayleySpec:
@@ -182,10 +173,12 @@ def right_translations(table: GroupTable) -> PermGroup:
     return PermGroup(gens, table.order)
 
 
-def table_automorphisms(table: GroupTable, bound: int = AUT_TABLE_BOUND) -> list[Permutation]:
+def table_automorphisms(table: GroupTable) -> list[Permutation]:
     """All automorphisms of the abstract group, by generator-image backtracking."""
-    if table.order > bound:
-        raise BoundExceeded(f"group order {table.order} exceeds automorphism bound {bound}")
+    if table.order > AUT_TABLE_BOUND:
+        raise BoundExceeded(
+            f"group order {table.order} exceeds automorphism bound {AUT_TABLE_BOUND}"
+        )
     m = table.order
     gens = table.generating_set()
     if not gens:
@@ -236,20 +229,20 @@ def table_automorphisms(table: GroupTable, bound: int = AUT_TABLE_BOUND) -> list
     return found
 
 
-def aut_preserving_conn(spec: CayleySpec, bound: int = AUT_TABLE_BOUND) -> list[Permutation]:
+def aut_preserving_conn(spec: CayleySpec) -> list[Permutation]:
     """Automorphisms of the group that fix the connection set setwise."""
     return [
         alpha
-        for alpha in table_automorphisms(spec.table, bound)
+        for alpha in table_automorphisms(spec.table)
         if {alpha(x) for x in spec.conn} == set(spec.conn)
     ]
 
 
-def cayley_holomorph_action(spec: CayleySpec, bound: int = AUT_TABLE_BOUND) -> PermGroup:
+def cayley_holomorph_action(spec: CayleySpec) -> PermGroup:
     """The group generated by right translations and connection-preserving
     group automorphisms, acting on the Cayley digraph's vertices."""
     translations = right_translations(spec.table)
-    auts = aut_preserving_conn(spec, bound)
+    auts = aut_preserving_conn(spec)
     return PermGroup(list(translations.generators) + auts, spec.table.order)
 
 
@@ -268,12 +261,11 @@ def is_normal_cayley(spec: CayleySpec, group: PermGroup) -> bool:
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """Quotient digraph on block indices plus the acting groups."""
+    """Quotient digraph on block indices plus the induced group action."""
 
     quotient: Digraph
     block_map: tuple[int, ...]
     image_group: PermGroup | None
-    kernel: PermGroup | None
     internal_arcs: bool
 
     @property
@@ -281,31 +273,15 @@ class QuotientResult:
         return self.quotient.n
 
 
-def quotient_digraph(
-    g: Digraph,
-    partition=None,
-    group: PermGroup | None = None,
-    normal: PermGroup | None = None,
-) -> QuotientResult:
-    """Quotient of g by an invariant partition, or by the orbits of a normal
-    subgroup when ``group`` and ``normal`` are given.
+def quotient_digraph(g: Digraph, partition, group: PermGroup | None = None) -> QuotientResult:
+    """Quotient of g by a partition of its vertices, such as the orbits of a
+    normal subgroup.
 
-    Arcs inside a block are dropped and flagged via ``internal_arcs``; the
-    quotient may land in any symmetry class.
+    When ``group`` is given, the partition must be invariant under it and
+    ``image_group`` is its action on the blocks.  Arcs inside a block are
+    dropped and flagged via ``internal_arcs``; the quotient may land in any
+    symmetry class.
     """
-    if normal is not None:
-        if group is None:
-            raise BadParameter("a normal subgroup needs the ambient group")
-        from .symmetry import check_is_automorphism_group
-
-        check_is_automorphism_group(g, group)
-        if not group.is_normal(normal):
-            raise NotNormal("subgroup is not normal in the given group")
-        if partition is not None:
-            raise BadParameter("give either a partition or a normal subgroup")
-        partition = normal.orbit_partition()
-    if partition is None:
-        raise BadParameter("a partition or normal subgroup is required")
     blocks = validate_partition(g.n, partition)
     block_of = {}
     for i, b in enumerate(blocks):
@@ -319,17 +295,15 @@ def quotient_digraph(
         else:
             arcs.add((block_of[u], block_of[v]))
     quotient = build(len(blocks), arcs)
-    image = kernel = None
-    if group is not None:
-        image, kernel = group.induced_block_action(blocks)
-    return QuotientResult(quotient, tuple(block_of[v] for v in range(g.n)), image, kernel, internal)
+    image = group.induced_block_action(blocks)[0] if group is not None else None
+    return QuotientResult(quotient, tuple(block_of[v] for v in range(g.n)), image, internal)
 
 
 # ----------------------------------------------------------------------
 # CayleySpec text format
 
 
-def cayley_spec_from_text(text: str, read_file=None) -> CayleySpec:
+def cayley_spec_from_text(text: str) -> CayleySpec:
     """Parse lines ``group <spec>`` and ``conn <i,j,...>``."""
     table = None
     conn = None
@@ -341,7 +315,7 @@ def cayley_spec_from_text(text: str, read_file=None) -> CayleySpec:
         rest = rest.strip()
         if key == "group":
             try:
-                table = parse_group_spec(rest, read_file=read_file)
+                table = parse_group_spec(rest)
             except (BadParameter, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
         elif key == "conn":

@@ -90,9 +90,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def moved_points(self):
-        return [i for i, j in enumerate(self.images) if i != j]
-
     def cycles(self):
         """Nontrivial cycles, each starting at its minimum point."""
         seen = set()

@@ -123,7 +123,8 @@ def test_criterion_4_circuit_quotients():
             assert result.status == PASS, (n, d, result)
             from digsym.construct import quotient_digraph
 
-            quotient = quotient_digraph(g, group=group, normal=normal)
+            assert group.is_normal(normal)
+            quotient = quotient_digraph(g, normal.orbit_partition(), group=group)
             assert quotient.quotient.arcs == circuit(d).arcs, (n, d)
             assert quotient.quotient.symmetry_class == "directed"
             s_prime = min(n - 1, d - 1)

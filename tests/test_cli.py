@@ -6,10 +6,11 @@ import pytest
 
 from digsym import verify
 from digsym.cli import main
-from digsym.construct import circuit, paley_tournament
+from digsym.construct import circuit, complete, paley_tournament
 from digsym.digraph import from_text, to_text
 from digsym.errors import SearchBudgetExceeded
 from digsym.perm import parse_cycles, write_permutations
+from digsym.symmetry import automorphism_group
 
 
 @pytest.fixture
@@ -73,9 +74,20 @@ class TestCayley:
         assert g.arcs == circuit(5).arcs
 
     def test_emit_to_stdout(self, capsys):
-        assert main(["cayley", "--group", "cyclic:5", "--conn", "1"]) == 0
-        g = from_text(capsys.readouterr().out)
-        assert g.arcs == circuit(5).arcs
+        for emit in ([], ["--emit", "-"]):
+            assert main(["cayley", "--group", "cyclic:5", "--conn", "1", *emit]) == 0
+            g = from_text(capsys.readouterr().out)
+            assert g.arcs == circuit(5).arcs, emit
+
+    @pytest.mark.parametrize("flags", [["--emit"], ["--analyze", "--emit", "c5.dg"]])
+    def test_emit_usage_errors(self, tmp_path, monkeypatch, capsys, flags):
+        # --emit takes a file, and --analyze writes none.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["cayley", "--group", "cyclic:5", "--conn", "1", *flags])
+        assert exc.value.code == 2
+        assert "--emit" in capsys.readouterr().err
+        assert not (tmp_path / "c5.dg").exists()
 
     def test_identity_in_connection_set(self, capsys):
         assert main(["cayley", "--group", "cyclic:5", "--conn", "0"]) == 2
@@ -118,6 +130,30 @@ class TestQuotient:
         bad.write_text(write_permutations(6, [parse_cycles("(0 1)", 6)]))
         assert main(["quotient", circuit_file, str(group_file), str(bad)]) == 2
 
+    def test_subgroup_not_normal_rejected(self, tmp_path, capsys):
+        # (0 1) lies in S4 = Aut(K4) but is not normal there.
+        k4 = tmp_path / "k4.dg"
+        k4.write_text(to_text(complete(4)))
+        group = automorphism_group(complete(4))
+        transposition = parse_cycles("(0 1)", 4)
+        assert group.order() == 24 and group.contains(transposition)
+        group_file = tmp_path / "s4.perm"
+        group_file.write_text(write_permutations(4, group.generators))
+        normal_file = tmp_path / "t.perm"
+        normal_file.write_text(write_permutations(4, [transposition]))
+        assert main(["quotient", str(k4), str(group_file), str(normal_file),
+                     "--out-prefix", str(tmp_path / "out")]) == 2
+        assert "NotNormal" in capsys.readouterr().err
+        assert not (tmp_path / "out.quotient").exists()
+
+    def test_group_must_be_automorphisms(self, circuit_file, tmp_path, capsys):
+        group_file = tmp_path / "group.perm"
+        group_file.write_text(write_permutations(6, [parse_cycles("(0 1)", 6)]))
+        normal_file = tmp_path / "normal.perm"
+        normal_file.write_text(write_permutations(6, [parse_cycles("(0 1)", 6)]))
+        assert main(["quotient", circuit_file, str(group_file), str(normal_file)]) == 2
+        assert "NotAutomorphismGroup" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_small_valency_on_paley(self, paley_file, capsys):
@@ -146,6 +182,13 @@ class TestCheck:
         assert main(["check", "--id", "L3.1", circuit_file, "--normal", str(normal_file)]) == 0
         assert "not_applicable" in capsys.readouterr().out
 
+    def test_normal_with_other_id_is_usage_error(self, circuit_file, tmp_path, capsys):
+        normal_file = tmp_path / "normal.perm"
+        normal_file.write_text(write_permutations(6, [parse_cycles("(0 2 4)(1 3 5)", 6)]))
+        assert main(["check", "--id", "T1.4i", circuit_file, "--normal", str(normal_file)]) == 2
+        captured = capsys.readouterr()
+        assert "--normal" in captured.err and "T1.4i:" not in captured.out
+
     def test_regular_automorphism_group_of_circuit(self, circuit_file, capsys):
         # Aut of a circuit is regular, so T1.2 has a source without a Cayley spec.
         assert main(["check", "--id", "T1.2", circuit_file]) == 0
@@ -158,6 +201,13 @@ class TestCheck:
         monkeypatch.setitem(verify._CHECKS, "T1.4i", over_budget)
         assert main(["check", "--id", "T1.4i", paley_file]) == 1
         assert "T1.4i: incomplete" in capsys.readouterr().out
+
+    def test_exhausted_search_budget_incomplete(self, paley_file, capsys, monkeypatch):
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
+        assert main(["check", "--id", "T1.4i", paley_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "T1.4i: incomplete (automorphism search exceeded 1 nodes)\n"
+        assert captured.err == ""
 
     def test_unknown_id(self, paley_file, capsys):
         assert main(["check", "--id", "T9.9", paley_file]) == 2

@@ -28,7 +28,6 @@ from digsym.errors import (
     BoundExceeded,
     IdentityInConnectionSet,
     NotAntisymmetric,
-    NotNormal,
     ParseError,
     PartitionInvalid,
     TranslationNotInG,
@@ -260,7 +259,7 @@ class TestQuotient:
         g = circuit(6)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
-        result = quotient_digraph(g, group=group, normal=normal)
+        result = quotient_digraph(g, normal.orbit_partition(), group=group)
         assert result.quotient.arcs == circuit(3).arcs
         assert result.image_group.order() == 3
         assert not result.internal_arcs
@@ -270,7 +269,7 @@ class TestQuotient:
         g = circuit(4)
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 2)(1 3)", 4)])
-        result = quotient_digraph(g, group=group, normal=normal)
+        result = quotient_digraph(g, normal.orbit_partition(), group=group)
         assert result.num_blocks == 2
         assert result.quotient.symmetry_class == UNDIRECTED
 
@@ -286,13 +285,6 @@ class TestQuotient:
         assert result.internal_arcs
         assert result.quotient.arcs == frozenset({(0, 1)})
 
-    def test_non_normal_rejected(self):
-        g = complete(4).underlying_undirected()
-        group = automorphism_group(complete(4))
-        transposition = PermGroup([parse_cycles("(0 1)", 4)])
-        with pytest.raises(NotNormal):
-            quotient_digraph(complete(4), group=group, normal=transposition)
-
     def test_bad_partition(self):
         with pytest.raises(PartitionInvalid):
             quotient_digraph(circuit(4), partition=[(0, 1), (1, 2, 3)])
@@ -306,5 +298,5 @@ class TestQuotient:
                         for i in range(d)),
                 n,
             )
-            result = quotient_digraph(g, group=group, normal=PermGroup([rot]))
+            result = quotient_digraph(g, PermGroup([rot]).orbit_partition(), group=group)
             assert result.quotient.is_strongly_connected()

@@ -293,7 +293,7 @@ class TestQuotientTheorem:
         # its rotation of order 2; the check reads only the quotient, the
         # image group and the internal-arc flag.
         image = PermGroup([parse_cycles(c, quotient.n) for c in image_cycles], quotient.n)
-        fake = QuotientResult(quotient, (), image, None, False)
+        fake = QuotientResult(quotient, (), image, False)
         monkeypatch.setattr(verify.construct, "quotient_digraph", lambda *a, **k: fake)
         g = circuit(6)
         normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
