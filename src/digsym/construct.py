@@ -295,7 +295,7 @@ def quotient_digraph(g: Digraph, partition, group: PermGroup | None = None) -> Q
         else:
             arcs.add((block_of[u], block_of[v]))
     quotient = build(len(blocks), arcs)
-    image = group.induced_block_action(blocks)[0] if group is not None else None
+    image = group.induced_block_action(blocks) if group is not None else None
     return QuotientResult(quotient, tuple(block_of[v] for v in range(g.n)), image, internal)
 
 

@@ -99,6 +99,28 @@ class Digraph:
         finite = [d for row in self._distance_matrix for d in row if d is not None]
         return max(finite) if finite else 0
 
+    @cached_property
+    def _arc_geodesic_depth(self) -> int:
+        """Largest s such that, at every level t <= s, each t-arc is a t-geodesic.
+
+        R_t(u), the ends of the t-arcs from u, grows one level at a time from
+        R_0(u) = {u}; the depth stops before the first t at which some
+        x in R_t(u) has d(u, x) != t.  Once every R_t is empty, no longer arc
+        exists, the two families agree (empty) at every later level, and
+        that t is returned.  Geodesics are arcs, so equal ends mean equal
+        families.
+        """
+        dist = self._distance_matrix
+        reach = [{u} for u in range(self.n)]
+        t = 0
+        while True:
+            t += 1
+            reach = [{x for y in ends for x in self._out[y]} for ends in reach]
+            if any(dist[u][x] != t for u, ends in enumerate(reach) for x in ends):
+                return t - 1
+            if not any(reach):
+                return t
+
     def s_arcs(self, s: int) -> list[tuple[int, ...]]:
         """All s-arcs as vertex tuples in lexicographic order; vertices may repeat."""
         return self._walks(s, S_ARC)
@@ -133,22 +155,43 @@ class Digraph:
         Returns None when the digraph has no circuit.  Two-vertex digons never
         count, in any symmetry class.
         """
-        circuit = self.minimal_circuit()
-        return len(circuit) - 1 if circuit is not None else None
+        return min(self._circuit_lengths.values(), default=None)
 
     def minimal_circuit(self) -> tuple[int, ...] | None:
-        """A shortest circuit as a closed vertex tuple (first == last), or None."""
-        best: tuple[int, tuple[int, ...]] | None = None
-        for x, y in sorted(self.arcs):
-            # Shortest y->x path avoiding the single arc (y,x) closes a
-            # circuit of length >= 3 through (x,y).
-            path = self._shortest_path(y, x, banned=(y, x))
-            if path is None:
-                continue
-            cand = (len(path), tuple(path) + (y,))
-            if best is None or cand < best:
-                best = cand
-        return None if best is None else best[1]
+        """A shortest circuit as a closed vertex tuple (first == last), or None.
+
+        Each arc (x, y) on a shortest circuit gives the closed tuple
+        (y, ..., x, y) of its breadth-first y->x path; the least one is
+        returned.
+        """
+        girth = self.girth()
+        if girth is None:
+            return None
+        return min(
+            tuple(self._shortest_path(y, x, banned=(y, x))) + (y,)
+            for (x, y), length in self._circuit_lengths.items()
+            if length == girth
+        )
+
+    @cached_property
+    def _circuit_lengths(self) -> dict[tuple[int, int], int]:
+        """Length of a shortest circuit through each arc that lies on one.
+
+        A shortest y->x path avoiding the single arc (y, x) closes a circuit
+        of length >= 3 through (x, y).  When (y, x) is no arc, that path is
+        any shortest y->x path, read from the distance matrix; only digon
+        arcs need the banned-arc search.
+        """
+        dist = self._distance_matrix
+        lengths = {}
+        for x, y in self.arcs:
+            if (y, x) in self.arcs:
+                path = self._shortest_path(y, x, banned=(y, x))
+                if path is not None:
+                    lengths[x, y] = len(path)
+            elif dist[y][x] is not None:
+                lengths[x, y] = dist[y][x] + 1
+        return lengths
 
     def _shortest_path(self, source: int, target: int, banned) -> list[int] | None:
         prev: dict[int, int] = {source: source}

@@ -420,8 +420,9 @@ class PermGroup:
     # ------------------------------------------------------------------
     # block systems and their kernels
 
-    def induced_block_action(self, partition) -> tuple["PermGroup", "PermGroup"]:
-        """Action on the blocks of an invariant partition plus its kernel."""
+    def _block_images(self, partition) -> tuple[int, list[Permutation]]:
+        """The number of blocks of an invariant partition and each
+        generator's permutation of them."""
         blocks = validate_partition(self.degree, partition)
         block_of = {}
         for i, b in enumerate(blocks):
@@ -437,19 +438,28 @@ class PermGroup:
                     raise PartitionNotInvariant(f"generator {g} breaks block {b}")
                 images.append(target)
             image_gens.append(Permutation(images))
-        image = PermGroup(image_gens, len(blocks))
-        # The kernel is the stabilizer of every block point in the combined
-        # action on points plus blocks.
-        m = len(blocks)
-        combined = []
-        for g, img in zip(self.generators, image_gens):
-            combined.append(
-                Permutation(tuple(g.images) + tuple(self.degree + i for i in img.images))
-            )
+        return len(blocks), image_gens
+
+    def induced_block_action(self, partition) -> "PermGroup":
+        """The action on the blocks of an invariant partition."""
+        m, image_gens = self._block_images(partition)
+        return PermGroup(image_gens, m)
+
+    def block_action_kernel(self, partition) -> "PermGroup":
+        """The kernel of the action on the blocks of an invariant partition.
+
+        It is the stabilizer of every block point in the combined action on
+        points plus blocks.
+        """
+        m, image_gens = self._block_images(partition)
+        combined = [
+            Permutation(tuple(g.images) + tuple(self.degree + i for i in img.images))
+            for g, img in zip(self.generators, image_gens)
+        ]
         combined_group = PermGroup(combined, self.degree + m)
         stab = combined_group.tuple_stabilizer(range(self.degree, self.degree + m))
         kernel_gens = [Permutation(g.images[: self.degree]) for g in stab.generators]
-        return image, PermGroup(kernel_gens, self.degree)
+        return PermGroup(kernel_gens, self.degree)
 
     def block_systems(self) -> list[tuple[tuple[int, ...], ...]]:
         """Every block system other than the singletons and the whole set.
@@ -484,7 +494,7 @@ class PermGroup:
         if self._kernels is None:
             kernels = []
             for system in self.block_systems():
-                _, kernel = self.induced_block_action(system)
+                kernel = self.block_action_kernel(system)
                 if not kernel.is_trivial() and tuple(kernel.orbit_partition()) == system:
                     kernels.append(kernel)
             self._kernels = kernels

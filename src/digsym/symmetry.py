@@ -6,9 +6,12 @@ narrows the candidate images once a vertex is mapped: it keeps the
 per-level prefix domains and prunes every node of the search, which is
 guarded by a node budget.  Every transitivity claim reduces to orbit counts
 on explicit tuple families, and one ``OrbitCounts`` per (digraph, group)
-computes them, counting each family at most once.  ``OrbitCounts`` trusts
-its group; the public testers and ``transitivity_report`` validate their
-input first and then read one ``OrbitCounts``.
+computes them, counting each distinct family at most once: where every
+s-arc is an s-geodesic the two kinds share one count, and the pairs at a
+distance are not counted again once the geodesics there have one orbit.
+``OrbitCounts`` trusts its group; the public testers and
+``transitivity_report`` validate their input first and then read one
+``OrbitCounts``.
 """
 
 from __future__ import annotations
@@ -235,9 +238,11 @@ def is_distance_transitive(g: Digraph, group: PermGroup) -> bool:
 class OrbitCounts:
     """Orbit counts of ``group`` on the tuple families of ``g``.
 
-    Each (kind, s) family, kind ``S_ARC`` or ``S_GEODESIC``, is enumerated
-    and counted at most once, on first use.  Nothing is validated: the
-    caller vouches that ``group`` preserves the arcs of ``g``.
+    Each distinct family is enumerated and counted at most once, on first
+    use.  The families are the s-arcs (kind ``S_ARC``) and the s-geodesics
+    (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every s-arc is an
+    s-geodesic, so there both kinds read the one s-arc count.  Nothing is
+    validated: the caller vouches that ``group`` preserves the arcs of ``g``.
     """
 
     def __init__(self, g: Digraph, group: PermGroup):
@@ -245,11 +250,17 @@ class OrbitCounts:
         self.group = group
         self._counts: dict[tuple[str, int], int] = {}
 
+    def _key(self, kind: str, s: int) -> tuple[str, int]:
+        """The key of the family that the s-walks of ``kind`` are."""
+        if kind == S_GEODESIC and s <= self.g._arc_geodesic_depth:
+            return S_ARC, s
+        return kind, s
+
     def count(self, kind: str, s: int) -> int:
         """Number of orbits on the s-walks of ``kind``; 0 when there are none."""
-        key = (kind, s)
+        key = self._key(kind, s)
         if key not in self._counts:
-            family = self.g.s_arcs(s) if kind == S_ARC else self.g.s_geodesics(s)
+            family = self.g.s_arcs(s) if key[0] == S_ARC else self.g.s_geodesics(s)
             self._counts[key] = len(orbits_on_tuples(self.group, family))
         return self._counts[key]
 
@@ -263,13 +274,21 @@ class OrbitCounts:
         return all(self.count(S_GEODESIC, i) == 1 for i in range(1, cap + 1))
 
     def distance_transitive(self) -> bool:
+        """Single orbit on the ordered pairs at each distance.
+
+        The pairs at distance d are the end pairs of the d-geodesics (d = 0:
+        the vertices), so a d-geodesic count of 1 already counted settles
+        distance d; the pairs are counted only where no such count is known.
+        """
         g = self.g
         pairs_at = {}
         for u in range(g.n):
             for v in range(g.n):
                 pairs_at.setdefault(g.distance(u, v), []).append((u, v))
         return all(
-            len(orbits_on_tuples(self.group, family)) == 1 for family in pairs_at.values()
+            (d is not None and self._counts.get(self._key(S_GEODESIC, d)) == 1)
+            or len(orbits_on_tuples(self.group, family)) == 1
+            for d, family in pairs_at.items()
         )
 
     def report(self, name: str = "") -> TransitivityReport:

@@ -52,6 +52,22 @@ def brute_s_geodesics(arcs, n, s):
     ]
 
 
+def brute_arc_geodesic_depth(arcs, n):
+    """Largest s such that the t-arcs equal the t-geodesics at every t <= s.
+
+    The first level with no t-arc ends the scan: every later level is empty
+    in both families, and that level is returned.
+    """
+    t = 1
+    while True:
+        arcs_t = brute_s_arcs(arcs, n, t)
+        if set(brute_s_geodesics(arcs, n, t)) != set(arcs_t):
+            return t - 1
+        if not arcs_t:
+            return t
+        t += 1
+
+
 def brute_girth(arcs, n):
     """Minimum length of a closed simple path on >= 3 distinct vertices."""
     out = {v: [] for v in range(n)}

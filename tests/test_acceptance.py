@@ -231,10 +231,10 @@ def _brute_geodesic_transitive(elements, g, s):
 
 
 def test_proper_subgroup_cross_validation():
-    """The testers and the report's orbit counts equal the brute orbits over
-    explicit elements for proper subgroups of Aut too: the right
-    translations R(T) and the holomorph action, on the criterion-7
-    circulants and Paley 7."""
+    """The testers, the report's orbit counts and its distance-transitivity
+    equal the brute orbits over explicit elements for proper subgroups of
+    Aut too: the right translations R(T) and the holomorph action, on the
+    criterion-7 circulants and Paley 7."""
     specs = [spec for n, conn, spec in circulant_specs(range(4, 10), 1, 5)]
     specs.append(cayley_spec(cyclic_table(7), paley_residues(7)))
     checked = 0
@@ -255,11 +255,13 @@ def test_proper_subgroup_cross_validation():
                 assert is_s_geodesic_transitive(g, group, s) == _brute_geodesic_transitive(
                     elements, g, s
                 ), (g, s)
-            assert is_distance_transitive(g, group) == all(
+            distance_transitive = all(
                 oracles.brute_single_orbit(elements, family) for family in pairs_at.values()
-            ), g
-            counts = transitivity_report(g, group).orbit_counts
-            for key, count in counts.items():
+            )
+            assert is_distance_transitive(g, group) == distance_transitive, g
+            report = transitivity_report(g, group)
+            assert report.distance_transitive == distance_transitive, g
+            for key, count in report.orbit_counts.items():
                 level, _, kind = key.partition("-")
                 if key == "vertices":
                     family = [(v,) for v in range(g.n)]

@@ -146,6 +146,13 @@ class TestWalkEnumeration:
         assert len(circuit(3).s_geodesics(3)) == 0
         assert len(circuit(6).s_geodesics(5)) == 6
 
+    def test_arc_geodesic_depth(self):
+        assert circuit(6)._arc_geodesic_depth == 5
+        assert paley7()._arc_geodesic_depth == 1
+        assert build(2, [(0, 1), (1, 0)])._arc_geodesic_depth == 1
+        # The 2-arc 0->1->2 is a geodesic and no 3-arc exists.
+        assert build(3, [(0, 1), (1, 2)])._arc_geodesic_depth == 3
+
     def test_dropped_family_leaves_no_cyclic_garbage(self):
         # A family must be freed by reference counting alone as soon as it
         # is dropped, not kept alive until the cyclic collector runs.
@@ -267,6 +274,11 @@ class TestProperties:
                     duv, dvw, duw = g.distance(u, v), g.distance(v, w), g.distance(u, w)
                     if duv is not None and dvw is not None:
                         assert duw is not None and duw <= duv + dvw
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs())
+    def test_arc_geodesic_depth_matches_brute_levels(self, g):
+        assert g._arc_geodesic_depth == oracles.brute_arc_geodesic_depth(g.arcs, g.n)
 
     @settings(max_examples=40, deadline=None)
     @given(digraphs())

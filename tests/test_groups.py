@@ -249,28 +249,35 @@ class TestSolubility:
 class TestBlockAction:
     def test_c6_on_three_blocks(self):
         g = group("(0 1 2 3 4 5)", degree=6)
-        image, kernel = g.induced_block_action([(0, 3), (1, 4), (2, 5)])
+        blocks = [(0, 3), (1, 4), (2, 5)]
+        image, kernel = g.induced_block_action(blocks), g.block_action_kernel(blocks)
         assert image.order() == 3 and kernel.order() == 2
         assert image.order() * kernel.order() == g.order()
 
     def test_singleton_blocks(self):
         g = s4()
-        image, kernel = g.induced_block_action([(i,) for i in range(4)])
+        blocks = [(i,) for i in range(4)]
+        image, kernel = g.induced_block_action(blocks), g.block_action_kernel(blocks)
         assert image.order() == 24 and kernel.order() == 1
 
     def test_dihedral_subgroup_on_two_blocks(self):
         g = group("(0 1)", "(2 3)", "(0 2)(1 3)", degree=4)
-        image, kernel = g.induced_block_action([(0, 1), (2, 3)])
+        blocks = [(0, 1), (2, 3)]
+        image, kernel = g.induced_block_action(blocks), g.block_action_kernel(blocks)
         assert image.order() == 2
         assert image.order() * kernel.order() == g.order()
 
     def test_invalid_partition(self):
         with pytest.raises(PartitionInvalid):
             s4().induced_block_action([(0, 1), (1, 2, 3)])
+        with pytest.raises(PartitionInvalid):
+            s4().block_action_kernel([(0, 1), (1, 2, 3)])
 
     def test_non_invariant_partition(self):
         with pytest.raises(PartitionNotInvariant):
             s4().induced_block_action([(0, 1), (2, 3)])
+        with pytest.raises(PartitionNotInvariant):
+            s4().block_action_kernel([(0, 1), (2, 3)])
 
 
 class TestNormalKernels:

@@ -3,8 +3,9 @@
 import pytest
 
 import oracles
+from digsym import symmetry
 from digsym.construct import circuit, complete, paley_tournament
-from digsym.digraph import build
+from digsym.digraph import Digraph, build
 from digsym.errors import (
     BadParameter,
     NotAutomorphismGroup,
@@ -257,6 +258,39 @@ class TestTransitivityReport:
         for s in range(1, report.max_geodesic_s + 1):
             assert is_s_geodesic_transitive(g, group, s)
 
+    def test_circuit_counts_only_arc_families(self, monkeypatch):
+        # Every s-arc of C6 with s <= 5 is an s-geodesic and Aut is regular,
+        # so each geodesic level reads its arc count, every distance has one
+        # geodesic orbit, and no pair family is counted.
+        g = circuit(6)
+        assert g._arc_geodesic_depth == 5
+        arc_families = []
+        counted = []
+        s_arcs = Digraph.s_arcs
+        count_orbits = symmetry.orbits_on_tuples
+
+        def recording_s_arcs(self, s):
+            arc_families.append(s_arcs(self, s))
+            return arc_families[-1]
+
+        def no_geodesics(self, s):
+            raise AssertionError(f"{s}-geodesics enumerated")
+
+        def recording_count(group, family):
+            counted.append(family)
+            return count_orbits(group, family)
+
+        monkeypatch.setattr(Digraph, "s_arcs", recording_s_arcs)
+        monkeypatch.setattr(Digraph, "s_geodesics", no_geodesics)
+        monkeypatch.setattr(symmetry, "orbits_on_tuples", recording_count)
+        report = transitivity_report(g)
+        assert report.group_order == 6 and report.max_geodesic_s == 5
+        assert report.distance_transitive
+        assert len(arc_families) == 6
+        assert all(any(f is a for a in arc_families) for f in counted)
+        # The standalone tester counts the pairs and enumerates no geodesics.
+        assert is_distance_transitive(g, automorphism_group(g))
+
     def test_text_and_dict(self):
         report = transitivity_report(circuit(4), name="C4")
         text = report.to_text()
@@ -266,6 +300,10 @@ class TestTransitivityReport:
 
 
 class TestCorpusInvariants:
+    def test_arc_geodesic_depth_matches_brute_levels(self):
+        for g in SMALL_CORPUS:
+            assert g._arc_geodesic_depth == oracles.brute_arc_geodesic_depth(g.arcs, g.n), g
+
     def test_arc_transitive_implies_geodesic_transitive(self):
         for g in SMALL_CORPUS:
             if g.symmetry_class != "directed" or not g.is_strongly_connected():
