@@ -1,8 +1,8 @@
 """Command-line front end: analyze digraphs, build Cayley/quotient digraphs,
 run single checks, run surveys.
 
-Exit codes: 0 = all pass or not applicable, 1 = some check failed or is
-incomplete, 2 = usage or file-format problem.
+Exit codes: 0 = all pass or not applicable, 1 = some check failed, is
+incomplete or (in a survey) raised an error, 2 = usage or file-format problem.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def _load_group(path: str) -> PermGroup:
 
 
 def _exit_code(statuses) -> int:
-    """EXIT_FAIL when any result failed or is incomplete, else EXIT_OK."""
-    bad = (verify.FAIL, verify.INCOMPLETE)
+    """EXIT_FAIL when any result failed, is incomplete or is an error, else EXIT_OK."""
+    bad = (verify.FAIL, verify.INCOMPLETE, verify.ERROR)
     return EXIT_FAIL if any(status in bad for status in statuses) else EXIT_OK
 
 

@@ -17,7 +17,6 @@ from .errors import (
     BoundExceeded,
     IdentityInConnectionSet,
     NotAntisymmetric,
-    ParseError,
     TranslationNotInG,
 )
 from .groups import GroupTable, PermGroup, table_from_text, validate_partition
@@ -297,39 +296,3 @@ def quotient_digraph(g: Digraph, partition, group: PermGroup | None = None) -> Q
     quotient = build(len(blocks), arcs)
     image = group.induced_block_action(blocks) if group is not None else None
     return QuotientResult(quotient, tuple(block_of[v] for v in range(g.n)), image, internal)
-
-
-# ----------------------------------------------------------------------
-# CayleySpec text format
-
-
-def cayley_spec_from_text(text: str) -> CayleySpec:
-    """Parse lines ``group <spec>`` and ``conn <i,j,...>``."""
-    table = None
-    conn = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "group":
-            try:
-                table = parse_group_spec(rest)
-            except (BadParameter, ValueError) as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-        elif key == "conn":
-            try:
-                conn = [int(p) for p in rest.replace(",", " ").split()]
-            except ValueError:
-                raise ParseError(f"bad connection set {rest!r}", line=lineno) from None
-        else:
-            raise ParseError(f"unknown key {key!r}", line=lineno)
-    if table is None or conn is None:
-        raise ParseError("spec needs both 'group' and 'conn' lines")
-    return cayley_spec(table, conn)
-
-
-def cayley_spec_to_text(spec: CayleySpec, group_spec: str) -> str:
-    conn = ",".join(map(str, sorted(spec.conn)))
-    return f"group {group_spec}\nconn {conn}\n"

@@ -277,6 +277,20 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return not self.generators
 
+    def reduced(self) -> "PermGroup":
+        """The same group on the generators that each enlarge the group
+        generated by the ones before them.
+
+        One incremental chain sifts the generators in order and keeps those
+        that are not yet members; the result carries that chain, so its
+        ``order()`` costs nothing more.  A strong generating set, such as the
+        automorphism search returns, usually shrinks to a few generators.
+        """
+        chain = _Chain([], self.degree)
+        group = PermGroup([g for g in self.generators if chain.extend_with(g)], self.degree)
+        group._chain = chain
+        return group
+
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise DegreeMismatch(f"element degree {g.degree} != {self.degree}")
@@ -336,10 +350,6 @@ class PermGroup:
 
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order() == self.degree
-
-    def is_semiregular(self) -> bool:
-        order = self.order()
-        return all(len(o) == order for o in self.orbit_partition())
 
     def is_normal(self, sub: "PermGroup") -> bool:
         """Whether sub (with generators inside self) is normal in self."""
@@ -609,13 +619,6 @@ class GroupTable:
                 if len(closure) == self.order:
                     break
         return gens
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul_table[a][b] == self.mul_table[b][a]
-            for a in range(self.order)
-            for b in range(self.order)
-        )
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order})"

@@ -12,8 +12,8 @@ _CYCLE_RE = re.compile(r"\(([\d\s,]*)\)")
 class Permutation:
     """An immutable bijection of {0..n-1}, stored as a tuple of images.
 
-    Composition is left-to-right: ``(a * b)(x) == b(a(x))``, so ``x ** g``
-    style right actions read in application order.
+    Composition is left-to-right: ``(a * b)(x) == b(a(x))``, so right actions
+    ``x^g`` read in application order.
     """
 
     __slots__ = ("images",)
@@ -74,18 +74,6 @@ class Permutation:
         return Permutation._unchecked(tuple(inv))
 
     __invert__ = inverse
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

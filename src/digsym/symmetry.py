@@ -9,6 +9,9 @@ on explicit tuple families, and one ``OrbitCounts`` per (digraph, group)
 computes them, counting each distinct family at most once: where every
 s-arc is an s-geodesic the two kinds share one count, and the pairs at a
 distance are not counted again once the geodesics there have one orbit.
+It walks the group's reduced generators (``PermGroup.reduced``): the search
+returns a strong generating set, one generator per new orbit point at each
+level, and few of those are needed to generate the group.
 ``OrbitCounts`` trusts its group; the public testers and
 ``transitivity_report`` validate their input first and then read one
 ``OrbitCounts``.
@@ -241,13 +244,15 @@ class OrbitCounts:
     Each distinct family is enumerated and counted at most once, on first
     use.  The families are the s-arcs (kind ``S_ARC``) and the s-geodesics
     (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every s-arc is an
-    s-geodesic, so there both kinds read the one s-arc count.  Nothing is
+    s-geodesic, so there both kinds read the one s-arc count.  ``group`` is
+    kept as ``group.reduced()``, the same group on fewer generators, since
+    every orbit count costs one image per tuple and generator.  Nothing is
     validated: the caller vouches that ``group`` preserves the arcs of ``g``.
     """
 
     def __init__(self, g: Digraph, group: PermGroup):
         self.g = g
-        self.group = group
+        self.group = group.reduced()
         self._counts: dict[tuple[str, int], int] = {}
 
     def _key(self, kind: str, s: int) -> tuple[str, int]:

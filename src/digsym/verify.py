@@ -7,11 +7,12 @@ most once per instance; ``run_checks_on_instance`` looks each check id up in
 ``_CHECKS``.  Each check evaluates its hypothesis before its conclusion:
 inapplicable instances come back ``not_applicable`` instead of vacuously
 passing, failures carry a replayable witness, and a search budget that runs
-out degrades to ``incomplete``.  Checks that quantify over intransitive
-normal subgroups take them from the group's block-system kernels
-(``PermGroup.intransitive_normal_kernels``), one per orbit partition, which
-is exhaustive; they test their own hypotheses first, which make the group
-transitive.
+out degrades to ``incomplete``; in a survey, an instance that raises any
+other exception gives ``error`` records instead of aborting it.  Checks
+that quantify over intransitive normal subgroups take them from the group's
+block-system kernels (``PermGroup.intransitive_normal_kernels``), one per
+orbit partition, which is exhaustive; they test their own hypotheses first,
+which make the group transitive.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 INCOMPLETE = "incomplete"
+ERROR = "error"
 
 ARC_LOCAL_IDS = ("SC", "L2.1.1", "L2.1.2", "L4.1", "L4.4", "L4.5", "L4.7")
 
@@ -585,7 +587,7 @@ def _analysis_record(facts: InstanceFacts) -> CheckResult:
     g, report = facts.g, facts.report
     notes = (
         f"valency={facts.valency} diameter={g.diameter()} girth={g.girth()} "
-        f"|Aut|={facts.group.order()} max_arc_s={report.max_arc_s} "
+        f"|Aut|={report.group_order} max_arc_s={report.max_arc_s} "
         f"max_geodesic_s={report.max_geodesic_s}"
     )
     return CheckResult("report", PASS, notes=notes)
@@ -784,22 +786,29 @@ def build_instance(descriptor: tuple):
 
 
 def _survey_worker(args) -> list[dict]:
+    """The records of one instance.
+
+    An exhausted search budget gives one ``incomplete`` record per requested
+    check, and any other exception one ``error`` record per requested check
+    noting its type and message, so one instance cannot abort a survey.  An
+    instance that could not be built is labelled by its descriptor.
+    """
     descriptor, checks = args
-    label, g, spec = build_instance(descriptor)
-    records = []
+    label = repr(descriptor)
     try:
+        label, g, spec = build_instance(descriptor)
         group = symmetry.automorphism_group(g)
+        results = run_checks_on_instance(g, group, checks, cayley=spec)
     except SearchBudgetExceeded as exc:
-        return [
-            {"instance": label, "check": cid, "status": INCOMPLETE, "witness": None,
-             "notes": str(exc)}
-            for cid in checks
-        ]
-    for result in run_checks_on_instance(g, group, checks, cayley=spec):
-        record = result.to_dict()
-        record["instance"] = label
-        records.append(record)
-    return records
+        status, notes = INCOMPLETE, str(exc)
+    except Exception as exc:
+        status, notes = ERROR, f"{type(exc).__name__}: {exc}"
+    else:
+        return [{**result.to_dict(), "instance": label} for result in results]
+    return [
+        {"instance": label, "check": cid, "status": status, "witness": None, "notes": notes}
+        for cid in checks
+    ]
 
 
 @dataclass
@@ -808,9 +817,10 @@ class SurveyReport:
     records: list[dict] = field(default_factory=list)
 
     def counts(self) -> dict[str, int]:
+        """Records per status; ``error`` is listed only when some record has it."""
         tally = {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0, INCOMPLETE: 0}
         for record in self.records:
-            tally[record["status"]] += 1
+            tally[record["status"]] = tally.get(record["status"], 0) + 1
         return tally
 
     def failures(self) -> list[dict]:
@@ -825,27 +835,33 @@ class SurveyReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def summary_text(self) -> str:
+        """Per-check status tally, then one line per failure and per error;
+        the ``error`` column appears only when some record has that status."""
         per_check: dict[str, dict[str, int]] = {}
         instances = set()
         for record in self.records:
             instances.add(record["instance"])
             row = per_check.setdefault(
-                record["check"], {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0, INCOMPLETE: 0}
+                record["check"], {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0, INCOMPLETE: 0, ERROR: 0}
             )
             row[record["status"]] += 1
+        errors = [r for r in self.records if r["status"] == ERROR]
         lines = [f"instances: {len(instances)}"]
         header = f"{'check':10} {'pass':>6} {'fail':>6} {'n/a':>6} {'incomplete':>10}"
-        lines.append(header)
+        lines.append(header + (f" {'error':>6}" if errors else ""))
         for check_id in sorted(per_check):
             row = per_check[check_id]
             lines.append(
                 f"{check_id:10} {row[PASS]:>6} {row[FAIL]:>6} "
                 f"{row[NOT_APPLICABLE]:>6} {row[INCOMPLETE]:>10}"
+                + (f" {row[ERROR]:>6}" if errors else "")
             )
         for failure in self.failures():
             lines.append(
                 f"FAIL {failure['instance']} {failure['check']}: {failure['witness']}"
             )
+        for error in errors:
+            lines.append(f"ERROR {error['instance']} {error['check']}: {error['notes']}")
         return "\n".join(lines) + "\n"
 
 
@@ -856,6 +872,8 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     wall-clock time, never record order or content.
     """
     config.validate()
+    # A bad budget is the survey's error, not an instance's: raise it here.
+    symmetry.default_node_budget()
     descriptors = generate_descriptors(config)
     jobs = [(d, config.checks) for d in descriptors]
     if config.parallelism > 1 and len(jobs) > 1:
@@ -867,6 +885,12 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     else:
         batches = [_survey_worker(job) for job in jobs]
     report = SurveyReport(config=config)
+    # A record from the pool carries its own copy of each string, and most
+    # notes repeat across records: keep one object per distinct value.
+    shared: dict[str, str] = {}
     for batch in batches:
+        for record in batch:
+            for key in ("check", "status", "notes"):
+                record[key] = shared.setdefault(record[key], record[key])
         report.records.extend(batch)
     return report

@@ -241,6 +241,12 @@ def inv(a):
     return tuple(out)
 
 
+def is_abelian_table(table):
+    """Whether every pair of elements of a multiplication table commutes."""
+    rows = table.mul_table
+    return all(rows[a][b] == rows[b][a] for a in range(len(rows)) for b in range(len(rows)))
+
+
 def brute_closure(gens, degree):
     """All elements of the generated group as image tuples."""
     identity = tuple(range(degree))

@@ -292,6 +292,18 @@ class TestSurvey:
         summary = json.loads(out_path.read_text())["summary"]
         assert summary["fail"] == 0 and summary["incomplete"] > 0
 
+    def test_error_records_exit_1(self, tmp_path, capsys, monkeypatch):
+        generate = verify.generate_descriptors
+        monkeypatch.setattr(
+            verify, "generate_descriptors", lambda c: generate(c) + [("circulant", 6, (1, 5))]
+        )
+        config = self.config_file(tmp_path, circulant_orders=[5], min_valency=2, max_valency=2)
+        out_path = tmp_path / "report.json"
+        assert main(["survey", "--config", config, "--out", str(out_path)]) == 1
+        summary = json.loads(out_path.read_text())["summary"]
+        assert summary["fail"] == summary["incomplete"] == 0 and summary["error"] > 0
+        assert "ERROR ('circulant', 6, (1, 5))" in capsys.readouterr().out
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

@@ -9,8 +9,6 @@ from digsym.construct import (
     cayley_digraph,
     cayley_holomorph_action,
     cayley_spec,
-    cayley_spec_from_text,
-    cayley_spec_to_text,
     circuit,
     complete,
     cyclic_table,
@@ -28,7 +26,6 @@ from digsym.errors import (
     BoundExceeded,
     IdentityInConnectionSet,
     NotAntisymmetric,
-    ParseError,
     PartitionInvalid,
     TranslationNotInG,
 )
@@ -71,17 +68,17 @@ class TestFamilies:
 class TestTables:
     def test_cyclic(self):
         z5 = cyclic_table(5)
-        assert z5.order == 5 and z5.is_abelian()
+        assert z5.order == 5 and oracles.is_abelian_table(z5)
 
     def test_abelian_factors(self):
         t = abelian_table([2, 4])
-        assert t.order == 8 and t.is_abelian()
+        assert t.order == 8 and oracles.is_abelian_table(t)
         orders = sorted(t.order_of(x) for x in range(8))
         assert orders == [1, 2, 2, 2, 4, 4, 4, 4]
 
     def test_dihedral(self):
         d4 = dihedral_table(4)
-        assert d4.order == 8 and not d4.is_abelian()
+        assert d4.order == 8 and not oracles.is_abelian_table(d4)
         assert sorted(d4.order_of(x) for x in range(8)) == [1, 2, 2, 2, 2, 2, 4, 4]
 
     def test_parse_group_spec(self):
@@ -107,7 +104,7 @@ class TestTables:
         path = tmp_path / "d4.tbl"
         path.write_text(table_to_text(dihedral_table(4)))
         table = parse_group_spec(f"table:{path}")
-        assert table.order == 8 and not table.is_abelian()
+        assert table.order == 8 and not oracles.is_abelian_table(table)
 
 
 class TestCayleySpec:
@@ -126,18 +123,6 @@ class TestCayleySpec:
     def test_generates_flag(self):
         assert cayley_spec(cyclic_table(6), [1, 2]).generates
         assert not cayley_spec(cyclic_table(6), [2]).generates
-
-    def test_text_round_trip(self):
-        spec = cayley_spec(cyclic_table(7), [1, 2, 4])
-        text = cayley_spec_to_text(spec, "cyclic:7")
-        back = cayley_spec_from_text(text)
-        assert back.conn == spec.conn and back.table.order == 7
-
-    def test_text_errors(self):
-        with pytest.raises(ParseError):
-            cayley_spec_from_text("group cyclic:7\n")
-        with pytest.raises(ParseError):
-            cayley_spec_from_text("group nope:7\nconn 1\n")
 
 
 class TestCayleyDigraph:

@@ -190,14 +190,15 @@ class TestNormalClosure:
 class TestTransitivityPredicates:
     def test_rotation_group(self):
         g = group("(0 1 2 3 4 5)", degree=6)
-        assert g.is_transitive() and g.is_regular() and g.is_semiregular()
+        assert g.is_transitive() and g.is_regular()
 
     def test_s4_not_regular(self):
         assert s4().is_transitive() and not s4().is_regular()
 
     def test_semiregular_not_transitive(self):
         g = group("(0 1)(2 3)(4 5)", degree=6)
-        assert g.is_semiregular() and not g.is_transitive()
+        assert all(len(o) == g.order() for o in g.orbit_partition())
+        assert not g.is_transitive()
 
 
 class TestQuasiprimitivity:

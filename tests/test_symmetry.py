@@ -67,6 +67,61 @@ class TestAutomorphismGroup:
             automorphism_group(complete(8), node_budget=3)
 
 
+def _closure(perms, degree):
+    return oracles.brute_closure([p.images for p in perms], degree)
+
+
+class TestReducedGenerators:
+    def groups(self):
+        yield from (automorphism_group(g) for g in SMALL_CORPUS)
+        yield PermGroup((), 5)
+        yield PermGroup((), 0)
+
+    def test_same_group(self):
+        for group in self.groups():
+            reduced = group.reduced()
+            elements = _closure(reduced.generators, group.degree)
+            assert reduced.order() == len(elements) == group.order(), group
+            assert all(p.images in elements for p in group.generators), group
+
+    def test_each_kept_generator_enlarges(self):
+        for group in self.groups():
+            kept = group.reduced().generators
+            for i, p in enumerate(kept):
+                assert p.images not in _closure(kept[:i], group.degree), (group, i)
+            assert len(_closure(kept, group.degree)) == group.order(), group
+
+    @pytest.mark.parametrize(
+        "descriptor, before, after",
+        [
+            (("circulant", 20, (1, 11)), 11, 2),
+            (("circulant", 12, (1, 4, 7, 10)), 19, 4),
+            (("paley", 43), 3, 3),
+        ],
+    )
+    def test_pinned_counts(self, descriptor, before, after):
+        _, g, _ = build_instance(descriptor)
+        group = automorphism_group(g)
+        reduced = group.reduced()
+        assert (len(group.generators), len(reduced.generators)) == (before, after)
+        assert reduced.order() == group.order()
+
+    def test_report_counts_orbits_with_reduced_generators(self, monkeypatch):
+        # Cay(Z20, {1, 11}): the search returns 11 generators, 2 generate.
+        _, g, _ = build_instance(("circulant", 20, (1, 11)))
+        sizes = []
+        count_orbits = symmetry.orbits_on_tuples
+
+        def recording_count(group, family):
+            sizes.append(len(group.generators))
+            return count_orbits(group, family)
+
+        monkeypatch.setattr(symmetry, "orbits_on_tuples", recording_count)
+        report = transitivity_report(g)
+        assert report.group_order == 10240
+        assert sizes and set(sizes) == {2}
+
+
 def _budget_threshold(search, g):
     """The fewest search nodes with which ``search`` completes on g."""
     low, high = 0, 1

@@ -468,6 +468,36 @@ class TestSurvey:
         assert any(r["status"] == verify.INCOMPLETE for r in expected)
         assert run_survey(config).records == expected
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_crashing_instance_gives_error_records(self, monkeypatch, parallelism):
+        config = SurveyConfig(
+            circulant_orders=(5, 7), min_valency=2, max_valency=2, parallelism=parallelism,
+            checks=("report", "T1.4i"),
+        )
+        clean = run_survey(config)
+        assert verify.ERROR not in clean.counts()
+        assert "error" not in clean.summary_text()
+        bad = ("circulant", 6, (1, 5))  # meets its inverses: NotAntisymmetric
+        generate = verify.generate_descriptors
+        monkeypatch.setattr(verify, "generate_descriptors", lambda c: generate(c) + [bad])
+        report = run_survey(config)
+        notes = "NotAntisymmetric: connection set meets its inverses: [1, 5]"
+        assert report.records == clean.records + [
+            {"instance": repr(bad), "check": cid, "status": verify.ERROR,
+             "witness": None, "notes": notes}
+            for cid in config.checks
+        ]
+        assert report.counts() == {**clean.counts(), verify.ERROR: 2}
+        summary = report.summary_text()
+        assert "error" in summary.splitlines()[1]
+        assert f"ERROR {bad!r} T1.4i: {notes}" in summary
+
+    def test_pooled_records_share_strings(self):
+        config = self.small_config(checks=("report", "T1.4i", "L2.1"), parallelism=2)
+        records = run_survey(config).records
+        for key in ("check", "status", "notes"):
+            assert len({id(r[key]) for r in records}) == len({r[key] for r in records}), key
+
     def test_import_loads_no_process_pool(self):
         # Only a pooled survey needs the process pool; importing the package
         # must not pay for it.
