@@ -15,7 +15,6 @@ from .symmetry import (
     is_s_arc_transitive,
     is_s_geodesic_transitive,
     is_vertex_transitive,
-    orbits_on_tuples,
     transitivity_report,
 )
 from .construct import (
@@ -67,7 +66,6 @@ __all__ = [
     "is_s_arc_transitive",
     "is_s_geodesic_transitive",
     "is_vertex_transitive",
-    "orbits_on_tuples",
     "parse_cycles",
     "paley_tournament",
     "quotient_digraph",

@@ -29,17 +29,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_digraph(path: str):
-    return from_text(_read(path))
+    return from_text(construct.read_text(path))
 
 
 def _load_group(path: str) -> PermGroup:
-    degree, perms = read_permutations(_read(path))
+    degree, perms = read_permutations(construct.read_text(path))
     return PermGroup(perms, degree)
 
 
@@ -173,7 +168,7 @@ def cmd_survey(args) -> int:
     if args.config == "default":
         config = verify.default_config()
     else:
-        data = json.loads(_read(args.config))
+        data = json.loads(construct.read_text(args.config))
         config = verify.SurveyConfig.from_dict(data)
     report = verify.run_survey(config)
     if args.out:

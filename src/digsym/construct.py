@@ -17,12 +17,28 @@ from .errors import (
     BoundExceeded,
     IdentityInConnectionSet,
     NotAntisymmetric,
+    ParseError,
     TranslationNotInG,
 )
 from .groups import GroupTable, PermGroup, table_from_text, validate_partition
 from .perm import Permutation
 
 AUT_TABLE_BOUND = 64
+
+
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file.
+
+    A file that cannot be opened or read (missing, a directory, no
+    permission) or is not UTF-8 raises ParseError naming the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def circuit(n: int) -> Digraph:
@@ -124,8 +140,7 @@ def parse_group_spec(spec: str) -> GroupTable:
             raise BadParameter(f"malformed abelian factors {arg!r}") from None
         return abelian_table(factors)
     if kind == "table":
-        with open(arg, "r", encoding="utf-8") as fh:
-            return table_from_text(fh.read())
+        return table_from_text(read_text(arg))
     raise BadParameter(f"unknown group kind {kind!r}")
 
 

@@ -130,23 +130,30 @@ class Digraph:
         return self._walks(s, S_GEODESIC)
 
     def _walks(self, s: int, kind: str) -> list[tuple[int, ...]]:
-        """The s-walks of ``kind``, extended one level at a time.
+        """The s-walks of ``kind``, grown one start vertex at a time.
 
-        Out-neighbours are sorted, so each level stays in lexicographic order.
+        The walks from v are extended one level at a time, so only v's
+        shorter walks live beside the result.  Start vertices are taken in
+        order and out-neighbours are sorted, so the result is lexicographic.
         Every prefix of a geodesic is a geodesic, so geodesics keep only the
-        extensions whose endpoint is at distance exactly the new length.
+        extensions whose endpoint is at distance exactly the new length,
+        read from v's distance row.
         """
         if s < 0:
             raise ValueError("s must be nonnegative")
-        dist = self._distance_matrix if kind == S_GEODESIC else None
-        walks = [(v,) for v in range(self.n)]
-        for length in range(1, s + 1):
-            walks = [
-                w + (x,)
-                for w in walks
-                for x in self._out[w[-1]]
-                if dist is None or dist[w[0]][x] == length
-            ]
+        out = self._out
+        walks = []
+        for v in range(self.n):
+            row = self._distance_matrix[v] if kind == S_GEODESIC else None
+            level = [(v,)]
+            for length in range(1, s + 1):
+                level = [
+                    w + (x,)
+                    for w in level
+                    for x in out[w[-1]]
+                    if row is None or row[x] == length
+                ]
+            walks.extend(level)
         return walks
 
     def girth(self) -> int | None:

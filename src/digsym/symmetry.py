@@ -9,6 +9,8 @@ on explicit tuple families, and one ``OrbitCounts`` per (digraph, group)
 computes them, counting each distinct family at most once: where every
 s-arc is an s-geodesic the two kinds share one count, and the pairs at a
 distance are not counted again once the geodesics there have one orbit.
+Each count (``_count_orbits``) searches over positions in the family, so it
+holds no second copy of the tuples and lists no orbit.
 It walks the group's reduced generators (``PermGroup.reduced``): the search
 returns a strong generating set, one generator per new orbit point at each
 level, and few of those are needed to generate the group.
@@ -20,7 +22,6 @@ level, and few of those are needed to generate the group.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 
 from .digraph import DIRECTED, S_ARC, S_GEODESIC, Digraph
@@ -174,34 +175,40 @@ def check_is_automorphism_group(g: Digraph, group: PermGroup) -> None:
                 raise NotAutomorphismGroup(f"{perm} maps arc ({u},{v}) off the arc set")
 
 
-def orbits_on_tuples(group: PermGroup, tuples) -> list[list[tuple[int, ...]]]:
-    """Orbit partition of a G-invariant vertex-tuple family, diagonal action."""
-    family = list(tuples)
+def _count_orbits(group: PermGroup, family) -> int:
+    """Number of orbits of ``group`` on a G-invariant list of vertex tuples.
+
+    The action is diagonal.  A duplicate tuple raises ValueError, and a
+    family that is not invariant raises SetNotInvariant naming its first
+    tuple, in family order, with an image outside the family.  The orbits
+    are then searched over positions in the family: a dict from tuple to
+    position, one mark per position and a stack of positions, so no image
+    outlives its lookup and no orbit is listed.
+    """
     index = {t: i for i, t in enumerate(family)}
     if len(index) != len(family):
         raise ValueError("tuple family contains duplicates")
+    gens = group.generators
     for t in family:
-        for perm in group.generators:
+        for perm in gens:
             image = tuple(perm(v) for v in t)
             if image not in index:
                 raise SetNotInvariant(f"{t} maps to {image} outside the family")
-    seen = set()
-    orbits = []
-    for t in family:
-        if t in seen:
+    seen = bytearray(len(family))
+    orbits = 0
+    for start in range(len(family)):
+        if seen[start]:
             continue
-        orbit = [t]
-        seen.add(t)
-        queue = deque([t])
-        while queue:
-            current = queue.popleft()
-            for perm in group.generators:
-                image = tuple(perm(v) for v in current)
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-                    queue.append(image)
-        orbits.append(sorted(orbit))
+        orbits += 1
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            t = family[stack.pop()]
+            for perm in gens:
+                i = index[tuple(perm(v) for v in t)]
+                if not seen[i]:
+                    seen[i] = 1
+                    stack.append(i)
     return orbits
 
 
@@ -266,7 +273,7 @@ class OrbitCounts:
         key = self._key(kind, s)
         if key not in self._counts:
             family = self.g.s_arcs(s) if key[0] == S_ARC else self.g.s_geodesics(s)
-            self._counts[key] = len(orbits_on_tuples(self.group, family))
+            self._counts[key] = _count_orbits(self.group, family)
         return self._counts[key]
 
     def s_arc_transitive(self, s: int) -> bool:
@@ -292,7 +299,7 @@ class OrbitCounts:
                 pairs_at.setdefault(g.distance(u, v), []).append((u, v))
         return all(
             (d is not None and self._counts.get(self._key(S_GEODESIC, d)) == 1)
-            or len(orbits_on_tuples(self.group, family)) == 1
+            or _count_orbits(self.group, family) == 1
             for d, family in pairs_at.items()
         )
 

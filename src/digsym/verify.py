@@ -835,9 +835,12 @@ class SurveyReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def summary_text(self) -> str:
-        """Per-check status tally, then one line per failure and per error;
-        the ``error`` column appears only when some record has that status."""
+        """Per-check status tally; one ``n/a`` line per (check, note) with its
+        count, then the checks that were never exercised (every record
+        ``not_applicable``); then one line per failure and per error.  The
+        ``error`` column appears only when some record has that status."""
         per_check: dict[str, dict[str, int]] = {}
+        not_applicable: dict[tuple[str, str], int] = {}
         instances = set()
         for record in self.records:
             instances.add(record["instance"])
@@ -845,6 +848,9 @@ class SurveyReport:
                 record["check"], {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0, INCOMPLETE: 0, ERROR: 0}
             )
             row[record["status"]] += 1
+            if record["status"] == NOT_APPLICABLE:
+                key = (record["check"], record["notes"])
+                not_applicable[key] = not_applicable.get(key, 0) + 1
         errors = [r for r in self.records if r["status"] == ERROR]
         lines = [f"instances: {len(instances)}"]
         header = f"{'check':10} {'pass':>6} {'fail':>6} {'n/a':>6} {'incomplete':>10}"
@@ -856,6 +862,13 @@ class SurveyReport:
                 f"{row[NOT_APPLICABLE]:>6} {row[INCOMPLETE]:>10}"
                 + (f" {row[ERROR]:>6}" if errors else "")
             )
+        for (check_id, notes), count in sorted(not_applicable.items()):
+            lines.append(f"n/a {check_id:10} {count:>6}  {notes}")
+        never = [
+            c for c, row in sorted(per_check.items()) if row[NOT_APPLICABLE] == sum(row.values())
+        ]
+        if never:
+            lines.append(f"never exercised: {', '.join(never)}")
         for failure in self.failures():
             lines.append(
                 f"FAIL {failure['instance']} {failure['check']}: {failure['witness']}"

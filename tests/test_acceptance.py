@@ -5,6 +5,8 @@ criterion.  The circulant corpus is every connected Cay(Z_n, S) with
 S meeting -S trivially, within the stated order and valency bounds.
 """
 
+import hashlib
+import json
 from collections import Counter
 
 import oracles
@@ -368,6 +370,12 @@ def test_theorem_consistency_full_default_corpus():
         "report": 2071, "SC": 93, "L2.1.1": 93, "L2.1.2": 93, "L4.1": 93, "T1.4i": 92,
         "L3.1": 82, "T1.1": 42, "L3.2": 16, "L4.5": 8, "L4.7": 3,
     }
+    # Every record, byte for byte; the same digest serially and at parallelism 2.
+    digest = hashlib.sha256(json.dumps(report.records, sort_keys=True).encode()).hexdigest()
+    assert digest == "dc92e0173bbc7a352201baa0eaaf566ae1984af00b9a64952bd638c13dbbfa09"
+    summary = report.summary_text().splitlines()
+    assert sum(line.startswith("n/a ") for line in summary) == 23
+    assert "never exercised: L4.4, P3.4, T1.2, T1.4ii" in summary
     print(
         f"\nTHEOREM CONSISTENCY (default corpus, {counts['pass']} passing "
         f"records, 0 failures): PASS"

@@ -310,6 +310,38 @@ class TestSurvey:
         assert main(["survey", "--config", str(path)]) == 2
 
 
+class TestUnreadableInput:
+    """A directory or a non-UTF-8 file is a file problem: exit 2, path named."""
+
+    @staticmethod
+    def unreadable(tmp_path, kind):
+        if kind == "directory":
+            return str(tmp_path)
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe")
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{}"],
+            ["survey", "--config", "{}"],
+            ["cayley", "--group", "table:{}", "--conn", "1"],
+        ],
+        ids=["analyze", "survey_config", "cayley_table"],
+    )
+    def test_exit_2_names_path(self, tmp_path, capsys, argv, kind):
+        path = self.unreadable(tmp_path, kind)
+        assert main([arg.format(path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
+
+    def test_missing_file_named(self, capsys):
+        assert main(["check", "--id", "T1.4i", "/nonexistent/file.dg"]) == 2
+        assert "/nonexistent/file.dg" in capsys.readouterr().err
+
+
 class TestRoundTrips:
     def test_digraph_file_round_trip(self, tmp_path):
         g = paley_tournament(11)

@@ -1,5 +1,8 @@
 """Tests for automorphism search and the transitivity testers."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 import oracles
@@ -16,12 +19,12 @@ from digsym.errors import (
 from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import (
+    _count_orbits,
     automorphism_group,
     is_distance_transitive,
     is_s_arc_transitive,
     is_s_geodesic_transitive,
     is_vertex_transitive,
-    orbits_on_tuples,
     transitivity_report,
 )
 from digsym.verify import build_instance, default_config, generate_descriptors
@@ -110,13 +113,13 @@ class TestReducedGenerators:
         # Cay(Z20, {1, 11}): the search returns 11 generators, 2 generate.
         _, g, _ = build_instance(("circulant", 20, (1, 11)))
         sizes = []
-        count_orbits = symmetry.orbits_on_tuples
+        count_orbits = symmetry._count_orbits
 
         def recording_count(group, family):
             sizes.append(len(group.generators))
             return count_orbits(group, family)
 
-        monkeypatch.setattr(symmetry, "orbits_on_tuples", recording_count)
+        monkeypatch.setattr(symmetry, "_count_orbits", recording_count)
         report = transitivity_report(g)
         assert report.group_order == 10240
         assert sizes and set(sizes) == {2}
@@ -167,37 +170,71 @@ class TestAgainstReferenceSearch:
                 automorphism_group(g, node_budget=nodes - 1)
 
 
-class TestOrbitsOnTuples:
+class TestCountOrbits:
     def test_arcs_single_orbit(self):
         g = circuit(6)
         group = automorphism_group(g)
-        orbits = orbits_on_tuples(group, sorted(g.arcs))
-        assert len(orbits) == 1 and len(orbits[0]) == 6
+        assert _count_orbits(group, sorted(g.arcs)) == 1
 
     def test_paley_two_geodesic_orbits(self):
         g = paley_tournament(7)
-        orbits = orbits_on_tuples(automorphism_group(g), g.s_geodesics(2))
-        assert sorted(len(o) for o in orbits) == [21, 21]
+        family = g.s_geodesics(2)
+        assert len(family) == 42
+        assert _count_orbits(automorphism_group(g), family) == 2
 
     def test_trivial_group_gives_singletons(self):
         g = circuit(5)
         trivial = PermGroup((), degree=5)
-        orbits = orbits_on_tuples(trivial, sorted(g.arcs))
-        assert len(orbits) == 5
+        assert _count_orbits(trivial, sorted(g.arcs)) == 5
 
     def test_invariance_validated(self):
         group = PermGroup([parse_cycles("(0 1 2 3 4 5)", 6)])
         with pytest.raises(SetNotInvariant):
-            orbits_on_tuples(group, [(0, 1)])
+            _count_orbits(group, [(0, 1)])
 
     def test_matches_brute_orbits(self):
         g = paley_tournament(7)
         group = automorphism_group(g)
         family = g.s_arcs(2)
-        lib = sorted(sorted(o) for o in orbits_on_tuples(group, family))
         elements = [p.images for p in group.elements()]
-        brute = sorted(sorted(o) for o in oracles.orbits_of_tuples(elements, family))
-        assert lib == brute
+        assert _count_orbits(group, family) == len(oracles.orbits_of_tuples(elements, family))
+
+    def test_matches_brute_orbits_on_small_corpus(self):
+        for g in SMALL_CORPUS:
+            for group in (automorphism_group(g), PermGroup((), degree=g.n)):
+                elements = [p.images for p in group.elements()]
+                for s in range(4):
+                    for family in (g.s_arcs(s), g.s_geodesics(s)):
+                        brute = oracles.orbits_of_tuples(elements, family)
+                        assert _count_orbits(group, family) == len(brute), (g, s)
+
+    def test_duplicates_rejected(self):
+        group = automorphism_group(circuit(3))
+        with pytest.raises(ValueError, match="duplicates"):
+            _count_orbits(group, [(0, 1), (1, 2), (2, 0), (1, 2)])
+
+    def test_first_offender_named(self):
+        # (0 1 2) maps (3, 0) to (3, 1) and (1, 2) to (2, 0), both outside the
+        # family; a search from (0, 1) would meet (1, 2) first.
+        group = PermGroup([parse_cycles("(0 1 2)", 4)])
+        family = [(0, 1), (3, 0), (1, 2)]
+        with pytest.raises(SetNotInvariant, match=r"^\(3, 0\) maps to \(3, 1\) outside"):
+            _count_orbits(group, family)
+
+    def test_peak_memory_below_family_size(self):
+        # Cay(Z20, {1, 11}): 20,480 10-arcs.  The count keeps positions, not
+        # a second copy of the tuples or a list per orbit.
+        _, g, _ = build_instance(("circulant", 20, (1, 11)))
+        group = automorphism_group(g).reduced()
+        family = g.s_arcs(10)
+        family_bytes = sum(map(sys.getsizeof, family))
+        tracemalloc.start()
+        try:
+            assert _count_orbits(group, family) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < family_bytes, (peak, family_bytes)
 
 
 class TestTransitivityTesters:
@@ -322,7 +359,7 @@ class TestTransitivityReport:
         arc_families = []
         counted = []
         s_arcs = Digraph.s_arcs
-        count_orbits = symmetry.orbits_on_tuples
+        count_orbits = symmetry._count_orbits
 
         def recording_s_arcs(self, s):
             arc_families.append(s_arcs(self, s))
@@ -337,11 +374,12 @@ class TestTransitivityReport:
 
         monkeypatch.setattr(Digraph, "s_arcs", recording_s_arcs)
         monkeypatch.setattr(Digraph, "s_geodesics", no_geodesics)
-        monkeypatch.setattr(symmetry, "orbits_on_tuples", recording_count)
+        monkeypatch.setattr(symmetry, "_count_orbits", recording_count)
         report = transitivity_report(g)
         assert report.group_order == 6 and report.max_geodesic_s == 5
         assert report.distance_transitive
         assert len(arc_families) == 6
+        assert len(counted) == 6
         assert all(any(f is a for a in arc_families) for f in counted)
         # The standalone tester counts the pairs and enumerates no geodesics.
         assert is_distance_transitive(g, automorphism_group(g))

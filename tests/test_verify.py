@@ -525,6 +525,24 @@ class TestSurvey:
             assert f"max_geodesic_s={n - 1}" in record["notes"]
             assert record["status"] == PASS
 
+    def test_summary_tallies_not_applicable_notes(self):
+        config = SurveyConfig(
+            circulant_orders=(5, 7), min_valency=2, max_valency=3,
+            checks=("report", "T1.4i", "T1.4ii", "T1.2"),
+        )
+        lines = run_survey(config).summary_text().splitlines()
+        assert lines[2:6] == ["T1.2            0      0     24          0",
+                              "T1.4i           2      0     22          0",
+                              "T1.4ii          0      0     24          0",
+                              "report         24      0      0          0"]
+        assert lines[6:] == [
+            "n/a T1.2           24  no applicable normal subgroup",
+            "n/a T1.4i          22  group is not arc-transitive",
+            "n/a T1.4ii         12  needs diameter 2",
+            "n/a T1.4ii         12  not 2-geodesic-transitive",
+            "never exercised: T1.2, T1.4ii",
+        ]
+
     def test_summary_mentions_failures(self):
         report = run_survey(self.small_config(checks=("T1.4i",)))
         text = report.summary_text()
