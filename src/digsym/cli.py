@@ -2,7 +2,8 @@
 run single checks, run surveys.
 
 Exit codes: 0 = all pass or not applicable, 1 = some check failed, is
-incomplete or (in a survey) raised an error, 2 = usage or file-format problem.
+incomplete or (in a survey) raised an error, or an analysis ran out of
+search budget, 2 = usage or file-format problem.
 """
 
 from __future__ import annotations
@@ -224,6 +225,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except SearchBudgetExceeded as exc:
+        # Only an analysis gets here: checks and surveys record it themselves.
+        print(f"incomplete ({exc})")
+        return EXIT_FAIL
     except (ParseError, FileNotFoundError, NotStronglyConnected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

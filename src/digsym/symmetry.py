@@ -5,25 +5,27 @@ refined by in/out degrees and distance profiles.  One step, ``_restrict``,
 narrows the candidate images once a vertex is mapped: it keeps the
 per-level prefix domains and prunes every node of the search, which is
 guarded by a node budget.  Every transitivity claim reduces to orbit counts
-on explicit tuple families, and one ``OrbitCounts`` per (digraph, group)
-computes them, counting each distinct family at most once: where every
-s-arc is an s-geodesic the two kinds share one count, and the pairs at a
-distance are not counted again once the geodesics there have one orbit.
-Each count (``_count_orbits``) searches over positions in the family, so it
-holds no second copy of the tuples and lists no orbit.
-It walks the group's reduced generators (``PermGroup.reduced``): the search
-returns a strong generating set, one generator per new orbit point at each
-level, and few of those are needed to generate the group.
-``OrbitCounts`` trusts its group; the public testers and
-``transitivity_report`` validate their input first and then read one
-``OrbitCounts``.
+on explicit tuple families, and one ``InstanceFacts`` per (digraph, group)
+validates the group once and computes them, counting each distinct family
+at most once: where every s-arc is an s-geodesic the two kinds share one
+count, and the pairs at a distance are not counted again once the
+geodesics there have one orbit.  It keeps the group on its reduced
+generators (``PermGroup.reduced``): the search returns a strong generating
+set, one generator per new orbit point at each level, and few of those are
+needed to generate the group.  The orbit counts and the group-theoretic
+tests of ``verify``'s checks read that one group and its one stabilizer
+chain.  Each count (``_count_orbits``) searches over positions in the
+family, so it holds no second copy of the tuples and lists no orbit.  The
+public testers and ``transitivity_report`` each build one ``InstanceFacts``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
+from .construct import CayleySpec
 from .digraph import DIRECTED, S_ARC, S_GEODESIC, Digraph
 from .errors import (
     BadParameter,
@@ -212,24 +214,23 @@ def _count_orbits(group: PermGroup, family) -> int:
     return orbits
 
 
-def _require_tester_input(g: Digraph, group: PermGroup, s: int) -> None:
+def _require_tester_input(g: Digraph, s: int) -> None:
     if g.symmetry_class != DIRECTED:
         raise BadParameter("transitivity testers require the directed class")
     if s < 1:
         raise BadParameter("s must be at least 1")
-    check_is_automorphism_group(g, group)
 
 
 def is_s_arc_transitive(g: Digraph, group: PermGroup, s: int) -> bool:
     """Single orbit on the s-arcs; vacuously true when no s-arc exists."""
-    _require_tester_input(g, group, s)
-    return OrbitCounts(g, group).s_arc_transitive(s)
+    _require_tester_input(g, s)
+    return InstanceFacts(g, group).s_arc_transitive(s)
 
 
 def is_s_geodesic_transitive(g: Digraph, group: PermGroup, s: int) -> bool:
     """Single orbit on the i-geodesics for every i <= min(s, max distance)."""
-    _require_tester_input(g, group, s)
-    return OrbitCounts(g, group).s_geodesic_transitive(s)
+    _require_tester_input(g, s)
+    return InstanceFacts(g, group).s_geodesic_transitive(s)
 
 
 def is_vertex_transitive(g: Digraph, group: PermGroup) -> bool:
@@ -241,26 +242,45 @@ def is_distance_transitive(g: Digraph, group: PermGroup) -> bool:
     """Single orbit on ordered pairs at distance i, for every i <= diameter."""
     if not g.is_strongly_connected():
         raise NotStronglyConnected("distance-transitivity needs strong connectivity")
-    check_is_automorphism_group(g, group)
-    return OrbitCounts(g, group).distance_transitive()
+    return InstanceFacts(g, group).distance_transitive()
 
 
-class OrbitCounts:
-    """Orbit counts of ``group`` on the tuple families of ``g``.
+class InstanceFacts:
+    """The facts about one pair (g, group) that the testers and checks share.
 
-    Each distinct family is enumerated and counted at most once, on first
-    use.  The families are the s-arcs (kind ``S_ARC``) and the s-geodesics
-    (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every s-arc is an
-    s-geodesic, so there both kinds read the one s-arc count.  ``group`` is
-    kept as ``group.reduced()``, the same group on fewer generators, since
-    every orbit count costs one image per tuple and generator.  Nothing is
-    validated: the caller vouches that ``group`` preserves the arcs of ``g``.
+    Building it raises ``NotAutomorphismGroup`` unless every generator of
+    ``group`` preserves the arcs of ``g``.  ``self.group`` is then
+    ``group.reduced()``, the same group on fewer generators: every orbit
+    count costs one image per tuple and generator, and the kernels,
+    solubility and normality tests of the checks all read this one group and
+    its one stabilizer chain.  Each fact is computed on first use and kept
+    for the life of the object.  Each distinct tuple family is enumerated
+    and counted at most once: the s-arcs (kind ``S_ARC``) and the
+    s-geodesics (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every
+    s-arc is an s-geodesic, so there both kinds read the one s-arc count.
+    The transitivity facts need the directed class, and ``report`` also
+    strong connectivity; callers test those first.  ``cayley`` is the
+    Cayley structure of ``g``, if known.
     """
 
-    def __init__(self, g: Digraph, group: PermGroup):
+    def __init__(self, g: Digraph, group: PermGroup, cayley: CayleySpec | None = None):
+        check_is_automorphism_group(g, group)
         self.g = g
         self.group = group.reduced()
+        self.cayley = cayley
         self._counts: dict[tuple[str, int], int] = {}
+
+    @cached_property
+    def strongly_connected(self) -> bool:
+        return self.g.is_strongly_connected()
+
+    @cached_property
+    def valency(self) -> int | None:
+        return self.g.valency()
+
+    @cached_property
+    def underlying_connected(self) -> bool:
+        return len(self.g.weak_components()) == 1
 
     def _key(self, kind: str, s: int) -> tuple[str, int]:
         """The key of the family that the s-walks of ``kind`` are."""
@@ -303,8 +323,9 @@ class OrbitCounts:
             for d, family in pairs_at.items()
         )
 
-    def report(self, name: str = "") -> TransitivityReport:
-        """The transitivity summary; needs a strongly connected digraph.
+    @cached_property
+    def report(self) -> TransitivityReport:
+        """The transitivity summary of ``g``, named by its repr.
 
         max_arc_s and max_geodesic_s are the largest s such that every level
         1..s has a single orbit, capped at the diameter.
@@ -320,7 +341,7 @@ class OrbitCounts:
                 if orbits == 1 and best[kind] == s - 1:
                     best[kind] = s
         return TransitivityReport(
-            digraph=name or repr(g),
+            digraph=repr(g),
             group_order=self.group.order(),
             vertex_transitive=counts["vertices"] == 1,
             max_arc_s=best[S_ARC],
@@ -381,6 +402,5 @@ def transitivity_report(
         raise NotStronglyConnected("transitivity reports need strong connectivity")
     if group is None:
         group = automorphism_group(g)
-    else:
-        check_is_automorphism_group(g, group)
-    return OrbitCounts(g, group).report(name)
+    report = InstanceFacts(g, group).report
+    return replace(report, digraph=name) if name else report

@@ -1,31 +1,32 @@
 """Executable checks over digraph/group instances, plus catalog surveys.
 
-Every check reads one ``InstanceFacts`` object, which validates the group
-as a group of automorphisms once per instance and reads every transitivity
-fact from one ``symmetry.OrbitCounts``, so each tuple family is counted at
-most once per instance; ``run_checks_on_instance`` looks each check id up in
-``_CHECKS``.  Each check evaluates its hypothesis before its conclusion:
-inapplicable instances come back ``not_applicable`` instead of vacuously
-passing, failures carry a replayable witness, and a search budget that runs
-out degrades to ``incomplete``; in a survey, an instance that raises any
-other exception gives ``error`` records instead of aborting it.  Checks
-that quantify over intransitive normal subgroups take them from the group's
-block-system kernels (``PermGroup.intransitive_normal_kernels``), one per
-orbit partition, which is exhaustive; they test their own hypotheses first,
-which make the group transitive.
+Every check reads one ``symmetry.InstanceFacts`` object, which validates
+the group as a group of automorphisms once per instance, keeps it on its
+reduced generators and computes every transitivity fact from there, so each
+tuple family is counted at most once per instance and the group-theoretic
+tests share one stabilizer chain.  ``run_checks_on_instance`` looks each
+check id up in ``_CHECKS``.  Each check evaluates its hypothesis before its
+conclusion: inapplicable instances come back ``not_applicable`` instead of
+vacuously passing, failures carry a replayable witness, and a search budget
+that runs out degrades to ``incomplete``; in a survey, an instance that
+raises any other exception gives ``error`` records instead of aborting it.
+Checks that quantify over intransitive normal subgroups take them from the
+group's block-system kernels (``PermGroup.intransitive_normal_kernels``),
+one per orbit partition, which is exhaustive; they test their own
+hypotheses first, which make the group transitive.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 from itertools import combinations
 
 from . import construct, symmetry
 from .digraph import DIRECTED, UNDIRECTED, Digraph, build
 from .errors import BadParameter, BoundExceeded, SearchBudgetExceeded
 from .groups import PermGroup
+from .symmetry import InstanceFacts
 
 PASS = "pass"
 FAIL = "fail"
@@ -58,53 +59,6 @@ def _na(check_id: str, notes: str = "") -> CheckResult:
     return CheckResult(check_id, NOT_APPLICABLE, notes=notes)
 
 
-class InstanceFacts:
-    """The facts about one pair (g, group) that the checks share.
-
-    Building it raises ``NotAutomorphismGroup`` unless every generator of
-    ``group`` preserves the arcs of ``g``.  Each fact is computed on first
-    use and kept for the life of the object; the transitivity facts share
-    the orbit counts of ``orbits``.  They need the directed class, and
-    ``report`` also strong connectivity; checks test those first.
-    ``cayley`` is the Cayley structure of ``g``, if known.
-    """
-
-    def __init__(self, g: Digraph, group: PermGroup, cayley: construct.CayleySpec | None = None):
-        symmetry.check_is_automorphism_group(g, group)
-        self.g = g
-        self.group = group
-        self.cayley = cayley
-        self.orbits = symmetry.OrbitCounts(g, group)
-
-    @cached_property
-    def strongly_connected(self) -> bool:
-        return self.g.is_strongly_connected()
-
-    @cached_property
-    def valency(self) -> int | None:
-        return self.g.valency()
-
-    @cached_property
-    def underlying_connected(self) -> bool:
-        return len(self.g.weak_components()) == 1
-
-    @property
-    def arc_transitive(self) -> bool:
-        return self.orbits.s_arc_transitive(1)
-
-    @property
-    def two_arc_transitive(self) -> bool:
-        return self.orbits.s_arc_transitive(2)
-
-    @property
-    def two_geodesic_transitive(self) -> bool:
-        return self.orbits.s_geodesic_transitive(2)
-
-    @cached_property
-    def report(self) -> symmetry.TransitivityReport:
-        return self.orbits.report()
-
-
 # ----------------------------------------------------------------------
 # arc-local constraints
 
@@ -134,7 +88,7 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     valency = facts.valency
     if valency is None or valency < 1 or not facts.underlying_connected:
         return [_na(cid, "needs a connected regular digraph") for cid in ARC_LOCAL_IDS]
-    if not facts.arc_transitive:
+    if not facts.s_arc_transitive(1):
         return [_na(cid, "group is not arc-transitive") for cid in ARC_LOCAL_IDS]
 
     results = []
@@ -198,7 +152,7 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
 
     # L4.4: out-neighborhoods splitting into k isomorphic connected pieces of
     # size >= 3, under 2-geodesic-transitivity, forbid common count 1.
-    applicable_44 = facts.two_geodesic_transitive and valency >= 3
+    applicable_44 = facts.s_geodesic_transitive(2) and valency >= 3
     if applicable_44:
         sub, _ = g.induced(g.out_neighbors(0))
         comps = sub.weak_components()
@@ -226,7 +180,7 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     arc = _arc_with_common(commons, 2) if valency == 5 else None
     if arc is None:
         results.append(_na("L4.7", "needs valency 5 and a common count of 2"))
-    elif facts.two_geodesic_transitive:
+    elif facts.s_geodesic_transitive(2):
         results.append(
             CheckResult("L4.7", FAIL, witness={"arc": arc, "two_geodesic_transitive": True})
         )
@@ -246,10 +200,10 @@ def check_small_valency(facts: InstanceFacts) -> CheckResult:
     valency = facts.valency
     if valency is None or not 1 <= valency <= 5:
         return _na("T1.4i", f"needs regular valency at most 5, got {valency}")
-    if not facts.arc_transitive:
+    if not facts.s_arc_transitive(1):
         return _na("T1.4i", "group is not arc-transitive")
-    two_gt = facts.two_geodesic_transitive
-    two_at = facts.two_arc_transitive
+    two_gt = facts.s_geodesic_transitive(2)
+    two_at = facts.s_arc_transitive(2)
     if two_gt == two_at:
         return CheckResult("T1.4i", PASS, notes=f"both {two_gt}")
     return CheckResult(
@@ -285,7 +239,7 @@ def check_no_arc_in_orbit(facts: InstanceFacts, normal: PermGroup | None = None)
         return _na("L3.1", "not a directed-class digraph")
     if not facts.strongly_connected:
         return _na("L3.1", "not strongly connected")
-    if not facts.arc_transitive:
+    if not facts.s_arc_transitive(1):
         return _na("L3.1", "group is not arc-transitive")
     if normal is None:
         return _merge_results(
@@ -314,7 +268,7 @@ def check_two_orbit_normal(facts: InstanceFacts, normal: PermGroup | None = None
         return _na("L3.2", "not a directed-class digraph")
     if not facts.strongly_connected:
         return _na("L3.2", "not strongly connected")
-    if not facts.two_geodesic_transitive:
+    if not facts.s_geodesic_transitive(2):
         return _na("L3.2", "not 2-geodesic-transitive")
     if normal is None:
         return _merge_results(
@@ -336,7 +290,7 @@ def _two_orbit_conclusion(facts: InstanceFacts, normal: PermGroup) -> CheckResul
     witness = _arc_inside_orbit(facts.g, normal)
     if witness:
         return CheckResult("L3.2", FAIL, witness={**witness, "reason": "not bipartite"})
-    if not facts.two_arc_transitive:
+    if not facts.s_arc_transitive(2):
         return CheckResult("L3.2", FAIL, witness={"reason": "not 2-arc-transitive"})
     return CheckResult("L3.2", PASS)
 
@@ -392,8 +346,11 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
     for N, n_is_maximal in targets:
         # The facts validated the group, and N is a kernel or was tested for
         # normality above, so quotient by its orbits without checking again.
+        # The induced action permutes the quotient's arcs; its counts and
+        # primitivity tests share one facts object.
         result = construct.quotient_digraph(g, N.orbit_partition(), group=group)
-        quotient, image = result.quotient, result.image_group
+        quotient = result.quotient
+        image = InstanceFacts(quotient, result.image_group)
         here = {"normal_order": N.order()}
         if result.internal_arcs:
             failures.append({**here, "reason": "arc inside a normal-subgroup orbit"})
@@ -406,7 +363,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
             failures.append({**here, "reason": "quotient not strongly connected"})
         elif quotient.symmetry_class == DIRECTED:
             s_prime = min(s, quotient.diameter())
-            if not symmetry.OrbitCounts(quotient, image).s_geodesic_transitive(s_prime):
+            if not image.s_geodesic_transitive(s_prime):
                 failures.append(
                     {**here, "reason": "quotient not geodesic-transitive", "s_prime": s_prime}
                 )
@@ -414,15 +371,15 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
         elif _is_complete_undirected(quotient):
             # The induced action must be arc-transitive; the arcs of K_m are
             # its ordered block pairs.
-            if not symmetry.OrbitCounts(quotient, image).s_arc_transitive(1):
+            if not image.s_arc_transitive(1):
                 failures.append(
                     {**here, "reason": "induced action not arc-transitive on complete quotient"}
                 )
             notes.append("quotient is complete undirected")
 
         if n_is_maximal:
-            quasi = image.is_quasiprimitive()
-            if not (quasi or image.is_biquasiprimitive()):
+            quasi = image.group.is_quasiprimitive()
+            if not (quasi or image.group.is_biquasiprimitive()):
                 failures.append(
                     {**here,
                      "reason": "induced action neither quasiprimitive nor bi-quasiprimitive"}
@@ -435,7 +392,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
 
     # Reduction corollary: without 2-arc-transitivity, a maximal intransitive
     # normal subgroup has >= 3 orbits and induces a quasiprimitive action.
-    if not facts.two_arc_transitive:
+    if not facts.s_arc_transitive(2):
         for N in kernels:
             if _has_larger_overgroup(N, kernels):
                 continue
@@ -469,7 +426,7 @@ def check_regular_normal(facts: InstanceFacts, normal: PermGroup) -> CheckResult
         return _na("T1.2", "normal subgroup must be nontrivial and regular")
     if not facts.group.is_normal(normal):
         return _na("T1.2", "subgroup is not normal")
-    if not facts.two_geodesic_transitive:
+    if not facts.s_geodesic_transitive(2):
         return _na("T1.2", "not 2-geodesic-transitive")
     if facts.valency == 1 and facts.strongly_connected:
         return CheckResult("T1.2", PASS, notes=f"circuit of length {facts.g.n}")
@@ -490,7 +447,7 @@ def _check_regular_normal_sources(facts: InstanceFacts) -> CheckResult:
     it too is exact when the group is Aut(g), as in surveys.
     """
     g, group = facts.g, facts.group
-    if g.symmetry_class != DIRECTED or not facts.two_geodesic_transitive:
+    if g.symmetry_class != DIRECTED or not facts.s_geodesic_transitive(2):
         return _merge_results("T1.2", [])
     per = []
     if group.is_regular():
@@ -515,7 +472,7 @@ def check_soluble_base(facts: InstanceFacts) -> CheckResult:
         return _na("P3.4", "not a directed-class digraph")
     if not facts.strongly_connected:
         return _na("P3.4", "not strongly connected")
-    if not facts.two_geodesic_transitive:
+    if not facts.s_geodesic_transitive(2):
         return _na("P3.4", "not 2-geodesic-transitive")
     if not group.is_soluble():
         return _na("P3.4", "group is not soluble")
@@ -559,7 +516,7 @@ def check_hadamard_design(facts: InstanceFacts) -> CheckResult:
         return _na("T1.4ii", "not a directed-class digraph")
     if not facts.strongly_connected or g.diameter() != 2:
         return _na("T1.4ii", "needs diameter 2")
-    if not facts.two_geodesic_transitive:
+    if not facts.s_geodesic_transitive(2):
         return _na("T1.4ii", "not 2-geodesic-transitive")
     if not facts.report.distance_transitive:
         return CheckResult("T1.4ii", FAIL, witness={"reason": "not distance-transitive"})
@@ -668,6 +625,8 @@ class SurveyConfig:
     def validate(self) -> None:
         if not (self.circulant_orders or self.cayley_groups or self.paley_primes):
             raise BadParameter("survey needs at least one family")
+        if not self.checks:
+            raise BadParameter("survey config key 'checks' must name at least one check")
         if self.min_valency < 1 or self.max_valency < self.min_valency:
             raise BadParameter("valency bounds must be positive and ordered")
         if self.max_vertices < 1 or self.parallelism < 1:

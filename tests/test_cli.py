@@ -59,6 +59,17 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.dg"]) == 2
 
+    def test_exhausted_search_budget_incomplete(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c7.dg"
+        path.write_text(to_text(circuit(7)))
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith(
+            "diameter=6\nincomplete (automorphism search exceeded 1 nodes)\n"
+        )
+        assert captured.err == ""
+
 
 class TestCayley:
     def test_analyze_paley(self, capsys):
@@ -66,6 +77,16 @@ class TestCayley:
         out = capsys.readouterr().out
         assert "group_order=21" in out
         assert "max_arc_s=1" in out
+
+    def test_analyze_exhausted_search_budget_incomplete(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
+        assert main(["cayley", "--group", "cyclic:7", "--conn", "1,2,4", "--analyze"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "group=cyclic:7\nconn=1,2,4\ngenerates=true\n"
+            "incomplete (automorphism search exceeded 1 nodes)\n"
+        )
+        assert captured.err == ""
 
     def test_emit_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "c5.dg"
@@ -267,6 +288,7 @@ class TestSurvey:
             ({"cayley_groups": [5]}, "cayley_groups"),
             ({"circulant_orders": [5], "parallelism": 1.5}, "parallelism"),
             ({"circulant_orders": [5], "seed": True}, "seed"),
+            ({"circulant_orders": [5], "checks": []}, "checks"),
         ],
     )
     def test_malformed_config_named(self, tmp_path, capsys, data, named):

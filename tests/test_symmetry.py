@@ -278,10 +278,18 @@ class TestTransitivityTesters:
             is_s_arc_transitive(g, group, 1)
 
     def test_rejects_non_automorphisms(self):
+        # Each tester and the report validate the group, through the one
+        # facts object they build.
         g = paley_tournament(7)
         s7_gen = PermGroup([parse_cycles("(0 1)", 7)])
-        with pytest.raises(NotAutomorphismGroup):
-            is_s_arc_transitive(g, s7_gen, 1)
+        for call in (
+            lambda: is_s_arc_transitive(g, s7_gen, 1),
+            lambda: is_s_geodesic_transitive(g, s7_gen, 2),
+            lambda: is_distance_transitive(g, s7_gen),
+            lambda: transitivity_report(g, s7_gen),
+        ):
+            with pytest.raises(NotAutomorphismGroup):
+                call()
 
     def test_rejects_bad_s(self):
         g = circuit(5)

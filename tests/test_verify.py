@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import oracles
-from digsym import symmetry, verify
+from digsym import groups, symmetry, verify
 from digsym.construct import (
     QuotientResult,
     cayley_digraph,
@@ -65,9 +65,27 @@ class TestInstanceFacts:
         with pytest.raises(NotAutomorphismGroup):
             InstanceFacts(circuit(5), reflection)
 
+    def test_checks_read_the_reduced_group_and_its_chain(self, monkeypatch):
+        # Aut(Cay(Z12, {1, 4, 7, 10})) comes from the search on 19
+        # generators; the facts keep 4, and reducing them built the chain
+        # that the order, the kernels and the normality tests then read.
+        g = cayley_digraph(cayley_spec(cyclic_table(12), [1, 4, 7, 10]))
+        facts = InstanceFacts(g, automorphism_group(g))
+        assert len(facts.group.generators) == 4
+        chains = []
+        chain_init = groups._Chain.__init__
+
+        def counting_init(self, *args, **kwargs):
+            chains.append(self)
+            chain_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(groups._Chain, "__init__", counting_init)
+        assert facts.group.order() == 41472
+        assert chains == []
+
     def test_each_tuple_family_enumerated_once_per_instance(self, monkeypatch):
         # Without a Cayley spec T1.2 builds no holomorph facts, so every
-        # s-arc and s-geodesic family of g comes from the one OrbitCounts.
+        # s-arc and s-geodesic family of g is counted by the one facts object.
         g = cayley_digraph(cayley_spec(cyclic_table(12), [1, 4, 7, 10]))
         group = automorphism_group(g)
         enumerated = Counter()
