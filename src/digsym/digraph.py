@@ -230,12 +230,6 @@ class Digraph:
         ]
         return build(len(ordered), arcs), relabel
 
-    def underlying_undirected(self) -> "Digraph":
-        """Symmetric closure: {u,v} joined whenever either direction is an arc."""
-        closure = set(self.arcs)
-        closure.update((v, u) for u, v in self.arcs)
-        return build(self.n, closure)
-
     def weak_components(self) -> list[tuple[int, ...]]:
         """The weakly connected components, each sorted, ordered by least vertex."""
         component = [{v} for v in range(self.n)]

@@ -14,9 +14,11 @@ generators (``PermGroup.reduced``): the search returns a strong generating
 set, one generator per new orbit point at each level, and few of those are
 needed to generate the group.  The orbit counts and the group-theoretic
 tests of ``verify``'s checks read that one group and its one stabilizer
-chain.  Each count (``_count_orbits``) searches over positions in the
-family, so it holds no second copy of the tuples and lists no orbit.  The
-public testers and ``transitivity_report`` each build one ``InstanceFacts``.
+chain.  Each count (``_count_orbits``) checks that the family is invariant,
+calling each generator on each tuple, then searches over positions in the
+family, building each image from the generator's image table, so it holds
+no second copy of the tuples and lists no orbit.  The public testers and
+``transitivity_report`` each build one ``InstanceFacts``.
 """
 
 from __future__ import annotations
@@ -182,10 +184,12 @@ def _count_orbits(group: PermGroup, family) -> int:
 
     The action is diagonal.  A duplicate tuple raises ValueError, and a
     family that is not invariant raises SetNotInvariant naming its first
-    tuple, in family order, with an image outside the family.  The orbits
-    are then searched over positions in the family: a dict from tuple to
-    position, one mark per position and a stack of positions, so no image
-    outlives its lookup and no orbit is listed.
+    tuple, in family order, with an image outside the family; that scan
+    calls each permutation.  The orbits are then searched over positions in
+    the family: a dict from tuple to position, one mark per position and a
+    stack of positions, so no image outlives its lookup and no orbit is
+    listed.  The search reads each generator's image table directly, one
+    ``map`` per image.
     """
     index = {t: i for i, t in enumerate(family)}
     if len(index) != len(family):
@@ -196,6 +200,7 @@ def _count_orbits(group: PermGroup, family) -> int:
             image = tuple(perm(v) for v in t)
             if image not in index:
                 raise SetNotInvariant(f"{t} maps to {image} outside the family")
+    tables = [perm.images.__getitem__ for perm in gens]
     seen = bytearray(len(family))
     orbits = 0
     for start in range(len(family)):
@@ -206,8 +211,8 @@ def _count_orbits(group: PermGroup, family) -> int:
         stack = [start]
         while stack:
             t = family[stack.pop()]
-            for perm in gens:
-                i = index[tuple(perm(v) for v in t)]
+            for table in tables:
+                i = index[tuple(map(table, t))]
                 if not seen[i]:
                     seen[i] = 1
                     stack.append(i)
@@ -251,7 +256,7 @@ class InstanceFacts:
     Building it raises ``NotAutomorphismGroup`` unless every generator of
     ``group`` preserves the arcs of ``g``.  ``self.group`` is then
     ``group.reduced()``, the same group on fewer generators: every orbit
-    count costs one image per tuple and generator, and the kernels,
+    count costs two images per tuple and generator, and the kernels,
     solubility and normality tests of the checks all read this one group and
     its one stabilizer chain.  Each fact is computed on first use and kept
     for the life of the object.  Each distinct tuple family is enumerated
@@ -311,8 +316,12 @@ class InstanceFacts:
         The pairs at distance d are the end pairs of the d-geodesics (d = 0:
         the vertices), so a d-geodesic count of 1 already counted settles
         distance d; the pairs are counted only where no such count is known.
+        A digraph with no vertex has no pair at distance 0, so no orbit
+        there, and is not distance-transitive.
         """
         g = self.g
+        if g.n == 0:
+            return False
         pairs_at = {}
         for u in range(g.n):
             for v in range(g.n):

@@ -7,10 +7,11 @@ on the package's stabilizer chains or pruned searches.  The one exception is
 search, kept to pin the current search's generators and node counts.
 """
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, permutations, product
 
 from digsym import symmetry
+from digsym.digraph import S_ARC, S_GEODESIC, build
 from digsym.errors import SearchBudgetExceeded
 from digsym.groups import PermGroup
 from digsym.perm import Permutation
@@ -50,6 +51,11 @@ def brute_s_geodesics(arcs, n, s):
         for seq in brute_s_arcs(arcs, n, s)
         if brute_distance(arcs, n, seq[0], seq[-1]) == s
     ]
+
+
+def symmetric_closure(g):
+    """The digraph on g's vertices with both directions of every arc of g."""
+    return build(g.n, set(g.arcs) | {(v, u) for u, v in g.arcs})
 
 
 def brute_arc_geodesic_depth(arcs, n):
@@ -376,6 +382,73 @@ def orbits_of_tuples(elements, family):
         orbits.append(orbit)
         remaining -= orbit
     return orbits
+
+
+def burnside_counts(arcs, n, elements, depth):
+    """Orbit counts of explicit group elements by Burnside's lemma.
+
+    Keys ``(S_ARC, s)`` and ``(S_GEODESIC, s)`` for 1 <= s <= depth give the
+    number of orbits on the s-arcs and on the s-geodesics, and ``("pairs",
+    d)`` for 0 <= d <= depth the number on the ordered pairs at distance d.
+    Each is (1/|G|) * sum over g of |Fix(g)|.  G acts diagonally, so g fixes
+    a walk iff it fixes every vertex on it, and |Fix(g)| is a count of walks
+    inside the fixed points of g: every step for s-arcs, and for s-geodesics
+    only the steps to a w at distance s from the start (every initial part
+    of a geodesic is one).  No tuple is listed and no orbit searched.
+    Elements with the same fixed points are counted together.
+    """
+    out = {v: [] for v in range(n)}
+    for u, v in arcs:
+        out[u].append(v)
+    dist = []
+    for source in range(n):
+        row = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in out[u]:
+                if w not in row:
+                    row[w] = row[u] + 1
+                    queue.append(w)
+        dist.append(row)
+
+    def step(walks, admissible):
+        """Walk counts by end vertex after one more step to an admissible w."""
+        longer = Counter()
+        for v, count in walks.items():
+            for w in out[v]:
+                if admissible(w):
+                    longer[w] += count
+        return longer
+
+    fixed_sets = Counter(
+        frozenset(v for v in range(n) if g[v] == v) for g in elements
+    )
+    totals = Counter()
+    for fixed, times in fixed_sets.items():
+        for u in fixed:
+            for v in fixed:
+                if v in dist[u]:
+                    totals["pairs", dist[u][v]] += times
+        walks = dict.fromkeys(fixed, 1)
+        for s in range(1, depth + 1):
+            walks = step(walks, fixed.__contains__)
+            totals[S_ARC, s] += times * sum(walks.values())
+        for start in fixed:
+            walks = {start: 1}
+            for s in range(1, depth + 1):
+                walks = step(walks, lambda w: w in fixed and dist[start].get(w) == s)
+                totals[S_GEODESIC, s] += times * sum(walks.values())
+    order = sum(fixed_sets.values())
+    keys = [(kind, s) for kind in (S_ARC, S_GEODESIC) for s in range(1, depth + 1)]
+    keys += [("pairs", d) for d in range(depth + 1)]
+    counts = {}
+    for key in keys:
+        count, rest = divmod(totals[key], order)
+        if rest:
+            raise ArithmeticError(f"{key}: fixed points sum to {totals[key]}, |G| = {order}")
+        counts[key] = count
+    return counts
 
 
 def brute_single_orbit(elements, family):

@@ -9,6 +9,8 @@ import hashlib
 import json
 from collections import Counter
 
+import pytest
+
 import oracles
 from digsym import verify
 from digsym.construct import (
@@ -21,9 +23,11 @@ from digsym.construct import (
     paley_tournament,
     right_translations,
 )
+from digsym.digraph import S_ARC, S_GEODESIC
 from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import (
+    InstanceFacts,
     automorphism_group,
     is_distance_transitive,
     is_s_arc_transitive,
@@ -380,3 +384,50 @@ def test_theorem_consistency_full_default_corpus():
         f"\nTHEOREM CONSISTENCY (default corpus, {counts['pass']} passing "
         f"records, 0 failures): PASS"
     )
+
+
+def burnside_cross_check(config):
+    """Check every instance of a config's corpus against the Burnside oracle.
+
+    For each instance, ``InstanceFacts.count`` must equal the oracle for both
+    kinds at every level 1 <= s <= diameter, and ``distance_transitive`` must
+    hold exactly when every distance has one pair orbit.  The oracle's
+    elements come from ``brute_closure`` of Aut's generators, not from the
+    stabilizer chain.  Returns (instances, largest |Aut|).
+    """
+    descriptors = verify.generate_descriptors(config)
+    largest = 0
+    for descriptor in descriptors:
+        label, g, _ = verify.build_instance(descriptor)
+        group = automorphism_group(g)
+        elements = oracles.brute_closure([p.images for p in group.generators], g.n)
+        largest = max(largest, len(elements))
+        diameter = g.diameter()
+        expected = oracles.burnside_counts(sorted(g.arcs), g.n, elements, diameter)
+        facts = InstanceFacts(g, group)
+        for kind in (S_ARC, S_GEODESIC):
+            for s in range(1, diameter + 1):
+                assert facts.count(kind, s) == expected[kind, s], (label, kind, s)
+        one_pair_orbit = all(expected["pairs", d] == 1 for d in range(diameter + 1))
+        assert facts.distance_transitive() == one_pair_orbit, label
+    return len(descriptors), largest
+
+
+def test_burnside_counts_full_default_corpus():
+    """Every orbit count of the default corpus equals Burnside's count."""
+    assert burnside_cross_check(verify.default_config()) == (2071, 41472)
+
+
+@pytest.mark.slow
+def test_burnside_counts_analyze_n20_corpus():
+    """The same over the benchmark's analyze_n20 corpus: circulants
+    15 <= n <= 20 with |S| = 2 and Paley tournaments 23 to 47, whose
+    diameters reach 10."""
+    config = verify.SurveyConfig(
+        circulant_orders=tuple(range(15, 21)),
+        paley_primes=(23, 31, 43, 47),
+        min_valency=2,
+        max_valency=2,
+        max_vertices=20,
+    )
+    assert burnside_cross_check(config) == (616, 10240)

@@ -50,6 +50,14 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "strongly_connected=false" in out
 
+    def test_empty_digraph_neither_vertex_nor_distance_transitive(self, tmp_path, capsys):
+        path = tmp_path / "empty.dg"
+        path.write_text("n 0\n")
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "vertex_transitive=false" in out
+        assert "distance_transitive=false" in out
+
     def test_malformed_line_cites_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.dg"
         path.write_text("n 3\n0 1\nzzz\n")

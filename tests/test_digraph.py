@@ -212,18 +212,6 @@ class TestInducedAndUnderlying:
         sub, relabel = paley7().induced(set())
         assert sub.n == 0 and relabel == {}
 
-    def test_underlying_circuit(self):
-        g = circuit(3).underlying_undirected()
-        assert g.symmetry_class == UNDIRECTED
-        assert len(g.arcs) == 6
-
-    def test_underlying_paley_is_complete(self):
-        assert paley7().underlying_undirected().arcs == complete_undirected(7).arcs
-
-    def test_underlying_idempotent(self):
-        g = complete_undirected(4)
-        assert g.underlying_undirected().arcs == g.arcs
-
     def test_weak_components(self):
         # Arcs in either direction join; vertex 5 is isolated.
         g = build(7, [(0, 3), (6, 3), (1, 2), (4, 2)])

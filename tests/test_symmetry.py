@@ -329,6 +329,16 @@ class TestDistanceTransitive:
         with pytest.raises(NotStronglyConnected):
             is_distance_transitive(g, automorphism_group(g))
 
+    def test_empty_digraph_is_not(self):
+        # No vertex: no pair at distance 0, so no single orbit there, just as
+        # the empty digraph is not vertex-transitive.
+        g = build(0, [])
+        group = automorphism_group(g)
+        assert not is_distance_transitive(g, group)
+        assert not is_vertex_transitive(g, group)
+        report = transitivity_report(g)
+        assert not report.distance_transitive and not report.vertex_transitive
+
 
 class TestTransitivityReport:
     def test_circuit_c5(self):

@@ -299,7 +299,7 @@ class TestQuotientTheorem:
             (complete(3), ["(0 1 2)", "(0 1)"], [], True),
             (complete(3), ["(0 1 2)"],
              ["induced action not arc-transitive on complete quotient"], True),
-            (circuit(4).underlying_undirected(), ["(0 1 2 3)", "(1 3)"],
+            (oracles.symmetric_closure(circuit(4)), ["(0 1 2 3)", "(1 3)"],
              ["quotient neither directed nor complete undirected"], False),
             (build(5, [(u, (u + d) % 5) for u in range(5) for d in (1, 2, 3)]),
              ["(0 1 2 3 4)"],
