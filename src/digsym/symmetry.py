@@ -15,9 +15,9 @@ set, one generator per new orbit point at each level, and few of those are
 needed to generate the group.  The orbit counts and the group-theoretic
 tests of ``verify``'s checks read that one group and its one stabilizer
 chain.  Each count (``_count_orbits``) checks that the family is invariant,
-calling each generator on each tuple, then searches over positions in the
-family, building each image from the generator's image table, so it holds
-no second copy of the tuples and lists no orbit.  The public testers and
+then searches over positions in the family, so it holds no second copy of
+the tuples and lists no orbit; the scan and the search both build each
+image from the generator's image table.  The public testers and
 ``transitivity_report`` each build one ``InstanceFacts``.
 """
 
@@ -184,23 +184,22 @@ def _count_orbits(group: PermGroup, family) -> int:
 
     The action is diagonal.  A duplicate tuple raises ValueError, and a
     family that is not invariant raises SetNotInvariant naming its first
-    tuple, in family order, with an image outside the family; that scan
-    calls each permutation.  The orbits are then searched over positions in
-    the family: a dict from tuple to position, one mark per position and a
-    stack of positions, so no image outlives its lookup and no orbit is
-    listed.  The search reads each generator's image table directly, one
-    ``map`` per image.
+    tuple, in family order, with an image outside the family.  The orbits
+    are then searched over positions in the family: a dict from tuple to
+    position, one mark per position and a stack of positions, so no image
+    outlives its lookup and no orbit is listed.  The invariance scan and the
+    search both read each generator's image table directly, one ``map`` per
+    image.
     """
     index = {t: i for i, t in enumerate(family)}
     if len(index) != len(family):
         raise ValueError("tuple family contains duplicates")
-    gens = group.generators
+    tables = [perm.images.__getitem__ for perm in group.generators]
     for t in family:
-        for perm in gens:
-            image = tuple(perm(v) for v in t)
+        for table in tables:
+            image = tuple(map(table, t))
             if image not in index:
                 raise SetNotInvariant(f"{t} maps to {image} outside the family")
-    tables = [perm.images.__getitem__ for perm in gens]
     seen = bytearray(len(family))
     orbits = 0
     for start in range(len(family)):

@@ -386,20 +386,19 @@ def test_theorem_consistency_full_default_corpus():
     )
 
 
-def burnside_cross_check(config):
-    """Check every instance of a config's corpus against the Burnside oracle.
+def burnside_cross_check(descriptors, group_of):
+    """Check instances against the Burnside oracle under ``group_of(g, spec)``.
 
     For each instance, ``InstanceFacts.count`` must equal the oracle for both
     kinds at every level 1 <= s <= diameter, and ``distance_transitive`` must
     hold exactly when every distance has one pair orbit.  The oracle's
-    elements come from ``brute_closure`` of Aut's generators, not from the
-    stabilizer chain.  Returns (instances, largest |Aut|).
+    elements come from ``brute_closure`` of the group's generators, not from
+    the stabilizer chain.  Returns (instances, largest |G|).
     """
-    descriptors = verify.generate_descriptors(config)
     largest = 0
     for descriptor in descriptors:
-        label, g, _ = verify.build_instance(descriptor)
-        group = automorphism_group(g)
+        label, g, spec = verify.build_instance(descriptor)
+        group = group_of(g, spec)
         elements = oracles.brute_closure([p.images for p in group.generators], g.n)
         largest = max(largest, len(elements))
         diameter = g.diameter()
@@ -413,9 +412,42 @@ def burnside_cross_check(config):
     return len(descriptors), largest
 
 
+def _aut(g, spec):
+    return automorphism_group(g)
+
+
+def _translations(g, spec):
+    return right_translations(spec.table)
+
+
+def _holomorph(g, spec):
+    return cayley_holomorph_action(spec)
+
+
+DEFAULT_DESCRIPTORS = verify.generate_descriptors(verify.default_config())
+
+
 def test_burnside_counts_full_default_corpus():
     """Every orbit count of the default corpus equals Burnside's count."""
-    assert burnside_cross_check(verify.default_config()) == (2071, 41472)
+    assert burnside_cross_check(DEFAULT_DESCRIPTORS, _aut) == (2071, 41472)
+
+
+# The right translations R(T) and the holomorph action R(T):Aut(T, S), on
+# generators other than the search's.  They are proper subgroups of Aut on
+# 235 and 122 of the 2071 default instances, where their orbits are not Aut's.
+@pytest.mark.parametrize(
+    "group_of, largest", [(_translations, 14), (_holomorph, 72)], ids=["R(T)", "holomorph"]
+)
+def test_burnside_counts_subgroups_every_4th_default_instance(group_of, largest):
+    assert burnside_cross_check(DEFAULT_DESCRIPTORS[::4], group_of) == (518, largest)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "group_of, largest", [(_translations, 19), (_holomorph, 171)], ids=["R(T)", "holomorph"]
+)
+def test_burnside_counts_subgroups_full_default_corpus(group_of, largest):
+    assert burnside_cross_check(DEFAULT_DESCRIPTORS, group_of) == (2071, largest)
 
 
 @pytest.mark.slow
@@ -430,4 +462,4 @@ def test_burnside_counts_analyze_n20_corpus():
         max_valency=2,
         max_vertices=20,
     )
-    assert burnside_cross_check(config) == (616, 10240)
+    assert burnside_cross_check(verify.generate_descriptors(config), _aut) == (616, 10240)

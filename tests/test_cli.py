@@ -1,9 +1,14 @@
 """Tests for the command-line interface: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import digsym
 from digsym import verify
 from digsym.cli import main
 from digsym.construct import circuit, complete, paley_tournament
@@ -85,6 +90,17 @@ class TestCayley:
         out = capsys.readouterr().out
         assert "group_order=21" in out
         assert "max_arc_s=1" in out
+
+    def test_python_m_digsym_matches_main(self, capsys):
+        argv = ["cayley", "--group", "cyclic:7", "--conn", "1,2,4", "--analyze"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(digsym.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "digsym", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
     def test_analyze_exhausted_search_budget_incomplete(self, capsys, monkeypatch):
         monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")

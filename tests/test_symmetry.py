@@ -221,6 +221,24 @@ class TestCountOrbits:
         with pytest.raises(SetNotInvariant, match=r"^\(3, 0\) maps to \(3, 1\) outside"):
             _count_orbits(group, family)
 
+    def test_reads_image_tables_only(self, monkeypatch):
+        # Both the invariance scan and the search build images from the
+        # generators' image tables; neither calls a permutation.
+        _, g, _ = build_instance(("circulant", 20, (1, 11)))
+        group = automorphism_group(g).reduced()
+        family = g.s_arcs(5)
+        calls = 0
+        call = Permutation.__call__
+
+        def counting_call(perm, point):
+            nonlocal calls
+            calls += 1
+            return call(perm, point)
+
+        monkeypatch.setattr(Permutation, "__call__", counting_call)
+        assert _count_orbits(group, family) == 1
+        assert calls == 0
+
     def test_peak_memory_below_family_size(self):
         # Cay(Z20, {1, 11}): 20,480 10-arcs.  The count keeps positions, not
         # a second copy of the tuples or a list per orbit.
