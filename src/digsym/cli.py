@@ -131,23 +131,14 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-# The checks that take one given subgroup through ``check --normal``.
-_NORMAL_CHECKS = {
-    "L3.1": verify.check_no_arc_in_orbit,
-    "L3.2": verify.check_two_orbit_normal,
-    "T1.1": verify.check_quotient_theorem,
-    "T1.2": verify.check_regular_normal,
-}
-
-
 def cmd_check(args) -> int:
     check_id = args.id
     parent = "L2.1" if check_id in verify.ARC_LOCAL_IDS else check_id
     if parent not in verify.CHECK_IDS:
         print(f"unknown check id {check_id!r}", file=sys.stderr)
         return EXIT_USAGE
-    if args.normal and parent not in _NORMAL_CHECKS:
-        print(f"--normal applies only to {', '.join(_NORMAL_CHECKS)}", file=sys.stderr)
+    if args.normal and parent not in verify.SUBGROUP_CHECK_IDS:
+        print(f"--normal applies only to {', '.join(verify.SUBGROUP_CHECK_IDS)}", file=sys.stderr)
         return EXIT_USAGE
     g = _load_digraph(args.digraph)
     try:
@@ -155,11 +146,8 @@ def cmd_check(args) -> int:
     except SearchBudgetExceeded as exc:
         incomplete = verify.CheckResult(check_id, verify.INCOMPLETE, notes=str(exc))
         return _print_check_results([incomplete])
-    if args.normal:
-        facts = verify.InstanceFacts(g, group)
-        results = [_NORMAL_CHECKS[parent](facts, _load_group(args.normal))]
-    else:
-        results = verify.run_checks_on_instance(g, group, [parent])
+    normal = _load_group(args.normal) if args.normal else None
+    results = verify.run_check(verify.InstanceFacts(g, group), parent, normal)
     if check_id != parent:
         results = [r for r in results if r.check_id == check_id]
     return _print_check_results(results)
@@ -209,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="e.g. T1.4i, L2.1, L3.1, T1.1")
     p.add_argument("digraph")
     p.add_argument("--group", default=None, help="permutation file (default: full Aut)")
-    p.add_argument("--normal", help=f"normal subgroup file ({', '.join(_NORMAL_CHECKS)} only)")
+    p.add_argument(
+        "--normal", help=f"normal subgroup file ({', '.join(verify.SUBGROUP_CHECK_IDS)} only)"
+    )
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("survey", help="run a corpus survey")

@@ -164,22 +164,6 @@ class Digraph:
         """
         return min(self._circuit_lengths.values(), default=None)
 
-    def minimal_circuit(self) -> tuple[int, ...] | None:
-        """A shortest circuit as a closed vertex tuple (first == last), or None.
-
-        Each arc (x, y) on a shortest circuit gives the closed tuple
-        (y, ..., x, y) of its breadth-first y->x path; the least one is
-        returned.
-        """
-        girth = self.girth()
-        if girth is None:
-            return None
-        return min(
-            tuple(self._shortest_path(y, x, banned=(y, x))) + (y,)
-            for (x, y), length in self._circuit_lengths.items()
-            if length == girth
-        )
-
     @cached_property
     def _circuit_lengths(self) -> dict[tuple[int, int], int]:
         """Length of a shortest circuit through each arc that lies on one.

@@ -262,9 +262,10 @@ class InstanceFacts:
     and counted at most once: the s-arcs (kind ``S_ARC``) and the
     s-geodesics (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every
     s-arc is an s-geodesic, so there both kinds read the one s-arc count.
-    The transitivity facts need the directed class, and ``report`` also
-    strong connectivity; callers test those first.  ``cayley`` is the
-    Cayley structure of ``g``, if known.
+    The transitivity facts need the directed class, which
+    ``verify.run_check`` tests once for every statement check, and
+    ``report`` also strong connectivity, which its callers test first.
+    ``cayley`` is the Cayley structure of ``g``, if known.
     """
 
     def __init__(self, g: Digraph, group: PermGroup, cayley: CayleySpec | None = None):

@@ -4,12 +4,16 @@ Every check reads one ``symmetry.InstanceFacts`` object, which validates
 the group as a group of automorphisms once per instance, keeps it on its
 reduced generators and computes every transitivity fact from there, so each
 tuple family is counted at most once per instance and the group-theoretic
-tests share one stabilizer chain.  ``run_checks_on_instance`` looks each
-check id up in ``_CHECKS``.  Each check evaluates its hypothesis before its
-conclusion: inapplicable instances come back ``not_applicable`` instead of
-vacuously passing, failures carry a replayable witness, and a search budget
-that runs out degrades to ``incomplete``; in a survey, an instance that
-raises any other exception gives ``error`` records instead of aborting it.
+tests share one stabilizer chain.  ``run_check`` is the one dispatch from a
+check id to its records: it looks the id up in ``_CHECKS``, passes a given
+normal subgroup only to ``SUBGROUP_CHECK_IDS``, tests the directed-class
+hypothesis that every statement shares, and turns an exhausted search
+budget into ``incomplete``; ``run_checks_on_instance`` runs it over a list
+of ids.  Each check evaluates its own hypothesis before its conclusion:
+inapplicable instances come back ``not_applicable`` instead of vacuously
+passing and failures carry a replayable witness; in a survey, an instance
+that raises any other exception gives ``error`` records instead of
+aborting it.
 Checks that quantify over intransitive normal subgroups take them from the
 group's block-system kernels (``PermGroup.intransitive_normal_kernels``),
 one per orbit partition, which is exhaustive; they test their own
@@ -83,8 +87,6 @@ def _arc_with_common(commons: dict, size: int) -> list[int] | None:
 def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     """Local out-neighborhood constraints forced by arc-transitivity."""
     g = facts.g
-    if g.symmetry_class != DIRECTED:
-        return [_na(cid, "not a directed-class digraph") for cid in ARC_LOCAL_IDS]
     valency = facts.valency
     if valency is None or valency < 1 or not facts.underlying_connected:
         return [_na(cid, "needs a connected regular digraph") for cid in ARC_LOCAL_IDS]
@@ -195,8 +197,6 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
 
 def check_small_valency(facts: InstanceFacts) -> CheckResult:
     """Valency <= 5: 2-geodesic-transitive iff 2-arc-transitive."""
-    if facts.g.symmetry_class != DIRECTED:
-        return _na("T1.4i", "not a directed-class digraph")
     valency = facts.valency
     if valency is None or not 1 <= valency <= 5:
         return _na("T1.4i", f"needs regular valency at most 5, got {valency}")
@@ -235,8 +235,6 @@ def check_no_arc_in_orbit(facts: InstanceFacts, normal: PermGroup | None = None)
     checked through its block-system kernels.
     """
     g, group = facts.g, facts.group
-    if g.symmetry_class != DIRECTED:
-        return _na("L3.1", "not a directed-class digraph")
     if not facts.strongly_connected:
         return _na("L3.1", "not strongly connected")
     if not facts.s_arc_transitive(1):
@@ -264,8 +262,6 @@ def check_two_orbit_normal(facts: InstanceFacts, normal: PermGroup | None = None
     checked through its block-system kernels.
     """
     group = facts.group
-    if facts.g.symmetry_class != DIRECTED:
-        return _na("L3.2", "not a directed-class digraph")
     if not facts.strongly_connected:
         return _na("L3.2", "not strongly connected")
     if not facts.s_geodesic_transitive(2):
@@ -319,8 +315,6 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
     Without ``normal``, every normal subgroup maximal subject to having
     >= 3 orbits is checked, taken from the block-system kernels."""
     g, group = facts.g, facts.group
-    if g.symmetry_class != DIRECTED:
-        return _na("T1.1", "not a directed-class digraph")
     if not facts.strongly_connected:
         return _na("T1.1", "not strongly connected")
     s = facts.report.max_geodesic_s
@@ -401,9 +395,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
                 failures.append(
                     {**here, "reason": "corollary: maximal intransitive subgroup has only 2 orbits"}
                 )
-            elif not construct.quotient_digraph(
-                g, N.orbit_partition(), group=group
-            ).image_group.is_quasiprimitive():
+            elif not group.induced_block_action(N.orbit_partition()).is_quasiprimitive():
                 failures.append({**here, "reason": "corollary: induced action not quasiprimitive"})
             else:
                 notes.append("corollary: quasiprimitive")
@@ -418,10 +410,25 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
 # regular normal subgroup
 
 
-def check_regular_normal(facts: InstanceFacts, normal: PermGroup) -> CheckResult:
-    """A regular normal subgroup under 2-geodesic-transitivity forces a circuit."""
-    if facts.g.symmetry_class != DIRECTED:
-        return _na("T1.2", "not a directed-class digraph")
+def check_regular_normal(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
+    """A regular normal subgroup under 2-geodesic-transitivity forces a circuit.
+
+    Without ``normal``, the named sources are checked and merged: the group
+    itself when it is regular and, for a Cayley digraph, the right
+    translations R(T) inside the holomorph action and inside the group.  A
+    group that is not 2-geodesic-transitive has no subgroup that is, so then
+    no source applies.  The holomorph action lies in Aut(g); skipping it too
+    is exact when the group is Aut(g), as in surveys.
+    """
+    if normal is None:
+        if not facts.s_geodesic_transitive(2):
+            return _merge_results("T1.2", [])
+        sources = [(facts, facts.group)] if facts.group.is_regular() else []
+        if facts.cayley is not None:
+            translations = construct.right_translations(facts.cayley.table)
+            holomorph = construct.cayley_holomorph_action(facts.cayley)
+            sources += [(InstanceFacts(facts.g, holomorph), translations), (facts, translations)]
+        return _merge_results("T1.2", [check_regular_normal(f, N) for f, N in sources])
     if normal.is_trivial() or not normal.is_regular():
         return _na("T1.2", "normal subgroup must be nontrivial and regular")
     if not facts.group.is_normal(normal):
@@ -437,29 +444,6 @@ def check_regular_normal(facts: InstanceFacts, normal: PermGroup) -> CheckResult
     )
 
 
-def _check_regular_normal_sources(facts: InstanceFacts) -> CheckResult:
-    """T1.2 over its named sources, merged: the group itself when it is
-    regular and, for a Cayley digraph, the right translations R(T) inside
-    the holomorph action and inside the group.
-
-    A group that is not 2-geodesic-transitive has no subgroup that is, so
-    then no source applies.  The holomorph action lies in Aut(g); skipping
-    it too is exact when the group is Aut(g), as in surveys.
-    """
-    g, group = facts.g, facts.group
-    if g.symmetry_class != DIRECTED or not facts.s_geodesic_transitive(2):
-        return _merge_results("T1.2", [])
-    per = []
-    if group.is_regular():
-        per.append(check_regular_normal(facts, group))
-    if facts.cayley is not None:
-        translations = construct.right_translations(facts.cayley.table)
-        holomorph = construct.cayley_holomorph_action(facts.cayley)
-        per.append(check_regular_normal(InstanceFacts(g, holomorph), translations))
-        per.append(check_regular_normal(facts, translations))
-    return _merge_results("T1.2", per)
-
-
 # ----------------------------------------------------------------------
 # soluble base case
 
@@ -468,8 +452,6 @@ def check_soluble_base(facts: InstanceFacts) -> CheckResult:
     """Soluble quasi/bi-quasiprimitive actions only allow circuits of
     length 4 or a prime."""
     g, group = facts.g, facts.group
-    if g.symmetry_class != DIRECTED:
-        return _na("P3.4", "not a directed-class digraph")
     if not facts.strongly_connected:
         return _na("P3.4", "not strongly connected")
     if not facts.s_geodesic_transitive(2):
@@ -512,8 +494,6 @@ def check_hadamard_design(facts: InstanceFacts) -> CheckResult:
     """Diameter-2 with 2-geodesic-transitivity: distance-transitive and the
     out-neighborhoods form a 2-design with parameters (4m-1, 2m-1, m-1)."""
     g = facts.g
-    if g.symmetry_class != DIRECTED:
-        return _na("T1.4ii", "not a directed-class digraph")
     if not facts.strongly_connected or g.diameter() != 2:
         return _na("T1.4ii", "needs diameter 2")
     if not facts.s_geodesic_transitive(2):
@@ -540,7 +520,8 @@ def check_hadamard_design(facts: InstanceFacts) -> CheckResult:
 # dispatch
 
 
-def _analysis_record(facts: InstanceFacts) -> CheckResult:
+def analysis_record(facts: InstanceFacts) -> CheckResult:
+    """The ``report`` record: the instance's invariants and best s levels."""
     g, report = facts.g, facts.report
     notes = (
         f"valency={facts.valency} diameter={g.diameter()} girth={g.girth()} "
@@ -563,17 +544,46 @@ def _merge_results(check_id: str, results: list[CheckResult]) -> CheckResult:
 
 # Check id -> check; L2.1 returns its batch of arc-local records as a list.
 _CHECKS = {
-    "report": _analysis_record,
+    "report": analysis_record,
     "L2.1": check_arc_local_constraints,
     "L3.1": check_no_arc_in_orbit,
     "L3.2": check_two_orbit_normal,
     "T1.1": check_quotient_theorem,
-    "T1.2": _check_regular_normal_sources,
+    "T1.2": check_regular_normal,
     "T1.4i": check_small_valency,
     "T1.4ii": check_hadamard_design,
     "P3.4": check_soluble_base,
 }
 CHECK_IDS = tuple(_CHECKS)
+# The checks that also take one given normal subgroup.
+SUBGROUP_CHECK_IDS = ("L3.1", "L3.2", "T1.1", "T1.2")
+
+
+def run_check(
+    facts: InstanceFacts, check_id: str, normal: PermGroup | None = None
+) -> list[CheckResult]:
+    """The records of one check id: one record, or L2.1's arc-local batch.
+
+    Every statement is about digraphs, so on a digraph outside the directed
+    class each check but ``report`` is ``not_applicable`` (L2.1 once per
+    arc-local id).  ``normal`` is accepted by ``SUBGROUP_CHECK_IDS`` only,
+    and an exhausted search budget or bound gives ``incomplete``.
+    """
+    check = _CHECKS.get(check_id)
+    if check is None:
+        raise BadParameter(f"unknown check {check_id!r}")
+    if normal is not None and check_id not in SUBGROUP_CHECK_IDS:
+        raise BadParameter(
+            f"a given normal subgroup applies only to {', '.join(SUBGROUP_CHECK_IDS)}"
+        )
+    if check_id != "report" and facts.g.symmetry_class != DIRECTED:
+        ids = ARC_LOCAL_IDS if check_id == "L2.1" else (check_id,)
+        return [_na(cid, "not a directed-class digraph") for cid in ids]
+    try:
+        outcome = check(facts) if normal is None else check(facts, normal)
+    except (SearchBudgetExceeded, BoundExceeded) as exc:
+        outcome = CheckResult(check_id, INCOMPLETE, notes=str(exc))
+    return outcome if isinstance(outcome, list) else [outcome]
 
 
 def run_checks_on_instance(
@@ -586,17 +596,7 @@ def run_checks_on_instance(
 
     ``checks`` is consumed one id at a time, in order."""
     facts = InstanceFacts(g, group, cayley)
-    results: list[CheckResult] = []
-    for check_id in checks:
-        check = _CHECKS.get(check_id)
-        if check is None:
-            raise BadParameter(f"unknown check {check_id!r}")
-        try:
-            outcome = check(facts)
-        except (SearchBudgetExceeded, BoundExceeded) as exc:
-            outcome = CheckResult(check_id, INCOMPLETE, notes=str(exc))
-        results.extend(outcome if isinstance(outcome, list) else [outcome])
-    return results
+    return [result for check_id in checks for result in run_check(facts, check_id)]
 
 
 # ----------------------------------------------------------------------

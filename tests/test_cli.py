@@ -234,6 +234,20 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "--normal" in captured.err and "T1.4i:" not in captured.out
 
+    def test_undirected_digraph_meets_the_guard(self, tmp_path, capsys):
+        k4 = tmp_path / "k4.dg"
+        k4.write_text(to_text(complete(4)))
+        assert main(["check", "--id", "T1.2", str(k4)]) == 0
+        assert capsys.readouterr().out == "T1.2: not_applicable (not a directed-class digraph)\n"
+
+    def test_undirected_digraph_meets_the_guard_with_normal(self, tmp_path, capsys):
+        k4 = tmp_path / "k4.dg"
+        k4.write_text(to_text(complete(4)))
+        normal_file = tmp_path / "normal.perm"
+        normal_file.write_text(write_permutations(4, [parse_cycles("(0 1 2 3)", 4)]))
+        assert main(["check", "--id", "L3.1", str(k4), "--normal", str(normal_file)]) == 0
+        assert capsys.readouterr().out == "L3.1: not_applicable (not a directed-class digraph)\n"
+
     def test_regular_automorphism_group_of_circuit(self, circuit_file, capsys):
         # Aut of a circuit is regular, so T1.2 has a source without a Cayley spec.
         assert main(["check", "--id", "T1.2", circuit_file]) == 0

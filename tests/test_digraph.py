@@ -189,13 +189,6 @@ class TestGirth:
         g = complete_undirected(3)
         assert g.girth() == 3
 
-    def test_witness_is_valid_circuit(self):
-        g = paley7()
-        closed = g.minimal_circuit()
-        assert len(closed) == 4 and closed[0] == closed[-1]
-        assert len(set(closed)) == 3
-        assert all(pair in g.arcs for pair in zip(closed, closed[1:]))
-
 
 class TestInducedAndUnderlying:
     def test_paley_out_neighborhood_is_circuit(self):
@@ -271,17 +264,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(digraphs())
     def test_girth_matches_minimal_closed_arc(self, g):
-        brute = oracles.brute_girth(g.arcs, g.n)
-        assert g.girth() == brute
-        closed = g.minimal_circuit()
-        if brute is None:
-            assert closed is None
-            return
-        inner = closed[:-1]
-        assert closed[0] == closed[-1]
-        assert all(pair in g.arcs for pair in zip(closed, closed[1:]))
-        assert len(set(inner)) == len(inner)
-        assert len(inner) == brute
+        assert g.girth() == oracles.brute_girth(g.arcs, g.n)
 
     @settings(max_examples=40, deadline=None)
     @given(digraphs())

@@ -22,7 +22,12 @@ from digsym.construct import (
     right_translations,
 )
 from digsym.digraph import S_ARC, S_GEODESIC, Digraph, build
-from digsym.errors import BadParameter, NotAutomorphismGroup, SearchBudgetExceeded
+from digsym.errors import (
+    BadParameter,
+    BoundExceeded,
+    NotAutomorphismGroup,
+    SearchBudgetExceeded,
+)
 from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import automorphism_group
@@ -172,9 +177,10 @@ class TestArcLocalConstraints:
         assert by_id(results, "L2.1.1").status == NOT_APPLICABLE
 
     def test_undirected_not_applicable(self):
-        g = complete(4)
-        results = check_arc_local_constraints(aut_facts(g))
+        results = verify.run_check(aut_facts(complete(4)), "L2.1")
+        assert [r.check_id for r in results] == list(verify.ARC_LOCAL_IDS)
         assert all(r.status == NOT_APPLICABLE for r in results)
+        assert {r.notes for r in results} == {"not a directed-class digraph"}
 
     def test_non_arc_transitive_not_applicable(self):
         g = circuit(6)
@@ -327,6 +333,22 @@ class TestQuotientTheorem:
     def test_not_geodesic_transitive_not_applicable(self):
         g = paley_tournament(7)
         assert check_quotient_theorem(aut_facts(g)).status == NOT_APPLICABLE
+
+    def test_corollary_without_two_arc_transitivity(self, monkeypatch):
+        # No corpus instance is 2-geodesic- but not 2-arc-transitive, so
+        # report C6 as not 2-arc-transitive.  Aut(C6) = Z6 has two maximal
+        # intransitive normal subgroups: Z3 with 2 orbits, and Z2, whose 3
+        # orbits carry the quasiprimitive action of Z3.
+        facts = aut_facts(circuit(6))
+        arc_transitive = facts.s_arc_transitive
+        monkeypatch.setattr(facts, "s_arc_transitive", lambda s: s != 2 and arc_transitive(s))
+        result = check_quotient_theorem(facts)
+        assert result.status == FAIL
+        assert result.witness == {"failures": [
+            {"normal_order": 3,
+             "reason": "corollary: maximal intransitive subgroup has only 2 orbits"},
+        ]}
+        assert result.notes.endswith("; corollary: quasiprimitive")
 
 
 class TestRegularNormal:
@@ -573,6 +595,64 @@ class TestSurvey:
         for record in report.records:
             if record["status"] == FAIL:
                 assert record["witness"] is not None
+
+
+class TestRunCheck:
+    @pytest.mark.parametrize("check_id", verify.CHECK_IDS)
+    def test_directed_class_guard_on_k4(self, check_id):
+        results = verify.run_check(aut_facts(complete(4)), check_id)
+        if check_id == "report":
+            assert [r.status for r in results] == [PASS]
+        else:
+            assert results and all(r.status == NOT_APPLICABLE for r in results)
+            assert {r.notes for r in results} == {"not a directed-class digraph"}
+
+    @pytest.mark.parametrize("check_id", verify.SUBGROUP_CHECK_IDS)
+    def test_guard_applies_to_a_given_subgroup(self, check_id):
+        # (0 1 2 3) is not even normal in Aut(K4) = S4: the guard comes first.
+        normal = PermGroup([parse_cycles("(0 1 2 3)", 4)])
+        [result] = verify.run_check(aut_facts(complete(4)), check_id, normal=normal)
+        assert result.status == NOT_APPLICABLE
+        assert result.notes == "not a directed-class digraph"
+
+    def test_given_subgroup_outside_subgroup_checks_rejected(self):
+        normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
+        with pytest.raises(BadParameter):
+            verify.run_check(aut_facts(circuit(6)), "T1.4i", normal=normal)
+
+    def test_unknown_id_rejected(self):
+        with pytest.raises(BadParameter):
+            verify.run_check(aut_facts(circuit(5)), "T9.9")
+
+    @pytest.mark.parametrize("exc", [SearchBudgetExceeded, BoundExceeded])
+    def test_exhausted_budget_or_bound_incomplete(self, monkeypatch, exc):
+        def over(facts):
+            raise exc("out of budget")
+
+        monkeypatch.setitem(verify._CHECKS, "T1.4i", over)
+        [result] = verify.run_check(aut_facts(circuit(5)), "T1.4i")
+        assert result == CheckResult("T1.4i", verify.INCOMPLETE, notes="out of budget")
+
+    def test_instance_checks_consume_ids_one_at_a_time(self, monkeypatch):
+        events = []
+
+        def ids():
+            for check_id in ("T1.4i", "P3.4"):
+                events.append(f"next {check_id}")
+                yield check_id
+
+        for check_id in ("T1.4i", "P3.4"):
+            check = verify._CHECKS[check_id]
+
+            def logged(facts, check=check, check_id=check_id):
+                events.append(f"run {check_id}")
+                return check(facts)
+
+            monkeypatch.setitem(verify._CHECKS, check_id, logged)
+        g = circuit(5)
+        results = verify.run_checks_on_instance(g, automorphism_group(g), ids())
+        assert [r.status for r in results] == [PASS, PASS]
+        assert events == ["next T1.4i", "run T1.4i", "next P3.4", "run P3.4"]
 
 
 class TestCheckResultShape:
