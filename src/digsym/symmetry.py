@@ -1,10 +1,15 @@
 """Automorphism groups of digraphs and the transitivity predicates.
 
 The automorphism search backtracks over vertex images from color classes
-refined by in/out degrees and distance profiles.  One step, ``_restrict``,
-narrows the candidate images once a vertex is mapped: it keeps the
-per-level prefix domains and prunes every node of the search, which is
-guarded by a node budget.  Every transitivity claim reduces to orbit counts
+refined by in/out degrees and distance profiles.  Candidate images are int
+bitsets, and one step, ``_restrict``, narrows them once a vertex is mapped
+by and-ing each with one of four masks read off the image's out- and
+in-neighbor masks: it keeps the per-level prefix domains and prunes every
+node of the search, which is guarded by a node budget.  A caller that
+knows a transitive group of automorphisms, such as the right translations
+R(T) of a Cayley digraph, passes it as ``transitive=``; the search then
+skips the refinement and starts from its generators, so the first level
+hunts no automorphism.  Every transitivity claim reduces to orbit counts
 on explicit tuple families, and one ``InstanceFacts`` per (digraph, group)
 validates the group once and computes them, counting each distinct family
 at most once: where every s-arc is an s-geodesic the two kinds share one
@@ -86,51 +91,109 @@ def _refine_colors(g: Digraph) -> list[int]:
         colors = new_colors
 
 
-def _restrict(domains, v: int, w: int, arcs):
+def _restrict(domains, v: int, w: int, out_masks, in_masks):
     """Candidate images of every vertex but v once v maps to w.
 
-    x stays a candidate for u iff x != w and the arcs between v and u, in
-    both directions, match those between w and x.  Returns None as soon as
-    one candidate tuple empties.  Tuples keep their increasing order.
+    Domains are int bitsets of candidate images.  x stays a candidate for u
+    iff x != w and the arcs between v and u, in both directions, match those
+    between w and x: u keeps ``cands & link[2a + b]``, where a says whether
+    (v, u) is an arc and b whether (u, v) is.  Returns None as soon as one
+    candidate set empties.
     """
+    out_w, in_w = out_masks[w], in_masks[w]
+    not_w = ~(1 << w)
+    # link[2a + b]: the x with ((w, x) in arcs) == a and ((x, w) in arcs) == b.
+    link = (
+        not_w & ~(out_w | in_w),
+        not_w & in_w & ~out_w,
+        not_w & out_w & ~in_w,
+        not_w & out_w & in_w,
+    )
+    out_v, in_v = out_masks[v], in_masks[v]
     restricted = {}
     for u, cands in domains.items():
         if u == v:
             continue
-        v_to_u = (v, u) in arcs
-        u_to_v = (u, v) in arcs
-        kept = tuple(
-            x
-            for x in cands
-            if x != w and ((w, x) in arcs) == v_to_u and ((x, w) in arcs) == u_to_v
-        )
+        kept = cands & link[(out_v >> u & 1) << 1 | in_v >> u & 1]
         if not kept:
             return None
         restricted[u] = kept
     return restricted
 
 
-def automorphism_group(g: Digraph, node_budget: int | None = None) -> PermGroup:
+def _orbit_mask(perms, v: int) -> int:
+    """The orbit of v under the group the permutations generate, as a bitset."""
+    tables = [p.images for p in perms]
+    orbit, stack = 1 << v, [v]
+    while stack:
+        x = stack.pop()
+        for table in tables:
+            y = table[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                stack.append(y)
+    return orbit
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def automorphism_group(
+    g: Digraph, node_budget: int | None = None, transitive: PermGroup | None = None
+) -> PermGroup:
     """The full group of arc-preserving vertex bijections of g.
 
     Vertices are processed in a fixed order, smallest color class first.
     Level v fixes the earlier vertices and hunts one automorphism per image
     of v outside v's orbit under the generators found so far that fix them,
-    so generators are found without enumerating the whole group.  The
-    candidate domains under the fixed prefix are kept incrementally with
-    ``_restrict``, and each image w of v starts a backtracking search from
-    ``_restrict(domains, v, w)``.  Each image tried inside that search is one
-    node; past ``node_budget`` nodes (default ``DIGSYM_SEARCH_BUDGET``, else
-    ``DEFAULT_NODE_BUDGET``) SearchBudgetExceeded is raised.
+    so generators are found without enumerating the whole group.  Candidate
+    images are int bitsets, narrowed by per-vertex out- and in-neighbor
+    masks built once per search.  The domains under the fixed prefix are
+    kept incrementally with ``_restrict``, and each image w of v starts a
+    backtracking search from ``_restrict(domains, v, w, ...)`` that tries
+    candidates lowest first and branches on the vertex with the fewest
+    candidates, earliest in the order on ties.  Each image tried inside that
+    search is one node; past ``node_budget`` nodes (default
+    ``DIGSYM_SEARCH_BUDGET``, else ``DEFAULT_NODE_BUDGET``)
+    SearchBudgetExceeded is raised.
+
+    ``transitive``, if given, is a known transitive group of automorphisms
+    of g, such as the right translations R(T) of a Cayley digraph
+    Cay(T, S).  It is validated (``NotAutomorphismGroup``; ``BadParameter``
+    if intransitive), and then the color refinement is skipped, since an
+    Aut-invariant coloring of a vertex-transitive digraph has one class, and
+    the search starts from its generators: level 0's orbit is every vertex,
+    so no level-0 hunt runs, and the deeper levels run as without it.  The
+    result is the same group on another generator list.
     """
     budget = default_node_budget() if node_budget is None else node_budget
+    if transitive is not None:
+        check_is_automorphism_group(g, transitive)
+        if not transitive.is_transitive():
+            raise BadParameter("the given group of automorphisms is not transitive")
     n = g.n
     if n == 0:
         return PermGroup((), 0)
-    colors = _refine_colors(g)
-    arcs = g.arcs
-    domains = {v: tuple(w for w in range(n) if colors[w] == colors[v]) for v in range(n)}
-    order = sorted(range(n), key=lambda v: (len(domains[v]), v))
+    if transitive is None:
+        colors = _refine_colors(g)
+        classes = dict.fromkeys(colors, 0)
+        for w, color in enumerate(colors):
+            classes[color] |= 1 << w
+        domains = {v: classes[colors[v]] for v in range(n)}
+        gens: list[Permutation] = []
+    else:
+        domains = dict.fromkeys(range(n), (1 << n) - 1)
+        gens = list(transitive.generators)
+    out_masks, in_masks = [0] * n, [0] * n
+    for u, v in g.arcs:
+        out_masks[u] |= 1 << v
+        in_masks[v] |= 1 << u
+    order = sorted(range(n), key=lambda v: (domains[v].bit_count(), v))
     position = {v: i for i, v in enumerate(order)}
     nodes = 0
 
@@ -139,33 +202,32 @@ def automorphism_group(g: Digraph, node_budget: int | None = None) -> PermGroup:
         nonlocal nodes
         if not remaining:
             return None if remaining is None else {}
-        v = min(remaining, key=lambda u: (len(remaining[u]), position[u]))
-        for w in remaining[v]:
+        v = min(remaining, key=lambda u: (remaining[u].bit_count(), position[u]))
+        for w in _bits(remaining[v]):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"automorphism search exceeded {budget} nodes")
-            found = search(_restrict(remaining, v, w, arcs))
+            found = search(_restrict(remaining, v, w, out_masks, in_masks))
             if found is not None:
                 found[v] = w
                 return found
         return None
 
-    gens: list[Permutation] = []
-    level_gens: list[Permutation] = []  # the generators fixing the prefix
+    level_gens = list(gens)  # the generators fixing the prefix
     for v in order:
-        orbit = PermGroup(level_gens, n).orbit(v)
-        for w in domains[v]:
-            if w in orbit:
+        orbit = _orbit_mask(level_gens, v)
+        for w in _bits(domains[v]):
+            if orbit >> w & 1:
                 continue
-            found = search(_restrict(domains, v, w, arcs))
+            found = search(_restrict(domains, v, w, out_masks, in_masks))
             if found is not None:
                 found[v] = w  # the processed prefix stays fixed
                 perm = Permutation(tuple(found.get(u, u) for u in range(n)))
                 gens.append(perm)
                 level_gens.append(perm)
-                orbit = PermGroup(level_gens, n).orbit(v)
-        level_gens = [p for p in level_gens if p(v) == v]
-        domains = _restrict(domains, v, v, arcs)
+                orbit = _orbit_mask(level_gens, v)
+        level_gens = [p for p in level_gens if p.images[v] == v]
+        domains = _restrict(domains, v, v, out_masks, in_masks)
     return PermGroup(gens, n)
 
 
@@ -173,9 +235,11 @@ def check_is_automorphism_group(g: Digraph, group: PermGroup) -> None:
     """Raise NotAutomorphismGroup unless every generator preserves the arcs."""
     if group.degree != g.n:
         raise NotAutomorphismGroup(f"group degree {group.degree} != {g.n} vertices")
+    arcs = g.arcs
     for perm in group.generators:
-        for u, v in g.arcs:
-            if (perm(u), perm(v)) not in g.arcs:
+        images = perm.images
+        for u, v in arcs:
+            if (images[u], images[v]) not in arcs:
                 raise NotAutomorphismGroup(f"{perm} maps arc ({u},{v}) off the arc set")
 
 
@@ -263,7 +327,7 @@ class InstanceFacts:
     s-geodesics (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every
     s-arc is an s-geodesic, so there both kinds read the one s-arc count.
     The transitivity facts need the directed class, which
-    ``verify.run_check`` tests once for every statement check, and
+    ``verify.run_check`` tests once for every check id, and
     ``report`` also strong connectivity, which its callers test first.
     ``cayley`` is the Cayley structure of ``g``, if known.
     """

@@ -521,7 +521,12 @@ def check_hadamard_design(facts: InstanceFacts) -> CheckResult:
 
 
 def analysis_record(facts: InstanceFacts) -> CheckResult:
-    """The ``report`` record: the instance's invariants and best s levels."""
+    """The ``report`` record: the instance's invariants and best s levels.
+
+    The levels are capped at the diameter, so a digraph that is not strongly
+    connected gives ``not_applicable``."""
+    if not facts.strongly_connected:
+        return _na("report", "not strongly connected")
     g, report = facts.g, facts.report
     notes = (
         f"valency={facts.valency} diameter={g.diameter()} girth={g.girth()} "
@@ -565,7 +570,7 @@ def run_check(
     """The records of one check id: one record, or L2.1's arc-local batch.
 
     Every statement is about digraphs, so on a digraph outside the directed
-    class each check but ``report`` is ``not_applicable`` (L2.1 once per
+    class each check, ``report`` too, is ``not_applicable`` (L2.1 once per
     arc-local id).  ``normal`` is accepted by ``SUBGROUP_CHECK_IDS`` only,
     and an exhausted search budget or bound gives ``incomplete``.
     """
@@ -576,7 +581,7 @@ def run_check(
         raise BadParameter(
             f"a given normal subgroup applies only to {', '.join(SUBGROUP_CHECK_IDS)}"
         )
-    if check_id != "report" and facts.g.symmetry_class != DIRECTED:
+    if facts.g.symmetry_class != DIRECTED:
         ids = ARC_LOCAL_IDS if check_id == "L2.1" else (check_id,)
         return [_na(cid, "not a directed-class digraph") for cid in ids]
     try:
@@ -747,16 +752,19 @@ def build_instance(descriptor: tuple):
 def _survey_worker(args) -> list[dict]:
     """The records of one instance.
 
-    An exhausted search budget gives one ``incomplete`` record per requested
-    check, and any other exception one ``error`` record per requested check
-    noting its type and message, so one instance cannot abort a survey.  An
-    instance that could not be built is labelled by its descriptor.
+    The automorphism search starts from the right translations R(T) of the
+    instance's group, a regular subgroup of Aut(Cay(T, S)).  An exhausted
+    search budget gives one ``incomplete`` record per requested check, and
+    any other exception one ``error`` record per requested check noting its
+    type and message, so one instance cannot abort a survey.  An instance
+    that could not be built is labelled by its descriptor.
     """
     descriptor, checks = args
     label = repr(descriptor)
     try:
         label, g, spec = build_instance(descriptor)
-        group = symmetry.automorphism_group(g)
+        right = construct.right_translations(spec.table)
+        group = symmetry.automorphism_group(g, transitive=right)
         results = run_checks_on_instance(g, group, checks, cayley=spec)
     except SearchBudgetExceeded as exc:
         status, notes = INCOMPLETE, str(exc)

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import digsym
-from digsym import verify
+from digsym import symmetry, verify
 from digsym.cli import main
 from digsym.construct import circuit, complete, paley_tournament
-from digsym.digraph import from_text, to_text
+from digsym.digraph import build, from_text, to_text
 from digsym.errors import SearchBudgetExceeded
 from digsym.perm import parse_cycles, write_permutations
 from digsym.symmetry import automorphism_group
@@ -111,6 +111,16 @@ class TestCayley:
             "incomplete (automorphism search exceeded 1 nodes)\n"
         )
         assert captured.err == ""
+
+    def test_analyze_not_strongly_connected_before_any_search(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(symmetry, "automorphism_group", no_search)
+        assert main(["cayley", "--group", "cyclic:6", "--conn", "2", "--analyze"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "group=cyclic:6\nconn=2\ngenerates=false\n"
+        assert captured.err == "error: transitivity reports need strong connectivity\n"
 
     def test_emit_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "c5.dg"
@@ -239,6 +249,19 @@ class TestCheck:
         k4.write_text(to_text(complete(4)))
         assert main(["check", "--id", "T1.2", str(k4)]) == 0
         assert capsys.readouterr().out == "T1.2: not_applicable (not a directed-class digraph)\n"
+
+    @pytest.mark.parametrize(
+        "digraph, line",
+        [
+            (build(3, [(0, 1), (1, 2)]), "report: not_applicable (not strongly connected)"),
+            (complete(4), "report: not_applicable (not a directed-class digraph)"),
+        ],
+    )
+    def test_report_meets_the_guards(self, tmp_path, capsys, digraph, line):
+        path = tmp_path / "g.dg"
+        path.write_text(to_text(digraph))
+        assert main(["check", "--id", "report", str(path)]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
     def test_undirected_digraph_meets_the_guard_with_normal(self, tmp_path, capsys):
         k4 = tmp_path / "k4.dg"

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from digsym import symmetry
-from digsym.construct import circuit, complete, paley_tournament
+from digsym.construct import circuit, complete, paley_tournament, right_translations
 from digsym.digraph import Digraph, build
 from digsym.errors import (
     BadParameter,
@@ -27,7 +27,7 @@ from digsym.symmetry import (
     is_vertex_transitive,
     transitivity_report,
 )
-from digsym.verify import build_instance, default_config, generate_descriptors
+from digsym.verify import SurveyConfig, build_instance, default_config, generate_descriptors
 
 SMALL_CORPUS = [
     circuit(3),
@@ -168,6 +168,56 @@ class TestAgainstReferenceSearch:
             automorphism_group(g, node_budget=nodes)
             with pytest.raises(SearchBudgetExceeded):
                 automorphism_group(g, node_budget=nodes - 1)
+
+
+def _assert_seeded_search_agrees(descriptors):
+    """The search from R(T) finds Aut(Cay(T, S)) itself, on other generators."""
+    for descriptor in descriptors:
+        label, g, spec = build_instance(descriptor)
+        unseeded = automorphism_group(g)
+        seeded = automorphism_group(g, transitive=right_translations(spec.table))
+        assert seeded.order() == unseeded.order(), label
+        assert all(unseeded.contains(p) for p in seeded.generators), label
+        assert all(seeded.contains(p) for p in unseeded.generators), label
+
+
+ANALYZE_N20_CONFIG = SurveyConfig(
+    circulant_orders=tuple(range(15, 21)),
+    paley_primes=(23, 31, 43, 47),
+    min_valency=2,
+    max_valency=2,
+    max_vertices=20,
+)
+
+
+class TestTransitiveSeed:
+    def test_same_group_every_4th_default_instance_and_paley(self):
+        descriptors = generate_descriptors(default_config())[::4]
+        _assert_seeded_search_agrees(descriptors + [("paley", q) for q in (23, 31, 43)])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "config, size", [(default_config(), 2071), (ANALYZE_N20_CONFIG, 616)],
+        ids=["default", "analyze_n20"],
+    )
+    def test_same_group_whole_corpus(self, config, size):
+        descriptors = generate_descriptors(config)
+        assert len(descriptors) == size
+        _assert_seeded_search_agrees(descriptors)
+
+    def test_seed_must_be_automorphisms(self):
+        with pytest.raises(NotAutomorphismGroup):
+            automorphism_group(circuit(6), transitive=PermGroup([parse_cycles("(0 1)", 6)]))
+
+    def test_seed_must_be_transitive(self):
+        rotation = PermGroup([parse_cycles("(0 2 4)(1 3 5)", 6)])
+        with pytest.raises(BadParameter):
+            automorphism_group(circuit(6), transitive=rotation)
+
+    def test_budget_still_applies_below_level_0(self):
+        _, g, spec = build_instance(("circulant", 6, (1, 4)))
+        with pytest.raises(SearchBudgetExceeded):
+            automorphism_group(g, node_budget=1, transitive=right_translations(spec.table))
 
 
 class TestCountOrbits:

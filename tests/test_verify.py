@@ -494,9 +494,9 @@ class TestSurvey:
         monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
         expected = []
         for descriptor in verify.generate_descriptors(config):
-            label, g, _ = verify.build_instance(descriptor)
-            try:
-                automorphism_group(g)
+            label, g, spec = verify.build_instance(descriptor)
+            try:  # the search the survey runs, from the right translations
+                automorphism_group(g, transitive=right_translations(spec.table))
                 expected += [r for r in unbudgeted if r["instance"] == label]
             except SearchBudgetExceeded as exc:
                 assert str(exc) == "automorphism search exceeded 1 nodes"
@@ -601,11 +601,13 @@ class TestRunCheck:
     @pytest.mark.parametrize("check_id", verify.CHECK_IDS)
     def test_directed_class_guard_on_k4(self, check_id):
         results = verify.run_check(aut_facts(complete(4)), check_id)
-        if check_id == "report":
-            assert [r.status for r in results] == [PASS]
-        else:
-            assert results and all(r.status == NOT_APPLICABLE for r in results)
-            assert {r.notes for r in results} == {"not a directed-class digraph"}
+        assert results and all(r.status == NOT_APPLICABLE for r in results)
+        assert {r.notes for r in results} == {"not a directed-class digraph"}
+
+    def test_report_on_a_digraph_that_is_not_strongly_connected(self):
+        path = build(3, [(0, 1), (1, 2)])
+        [result] = verify.run_check(aut_facts(path), "report")
+        assert result == CheckResult("report", NOT_APPLICABLE, notes="not strongly connected")
 
     @pytest.mark.parametrize("check_id", verify.SUBGROUP_CHECK_IDS)
     def test_guard_applies_to_a_given_subgroup(self, check_id):
