@@ -1,7 +1,9 @@
 """Finitely generated permutation groups and multiplication-table groups.
 
 PermGroup carries a deterministic Schreier-Sims stabilizer chain built
-lazily on first use (order, membership, stabilizers).  The chain is the
+lazily on first use (order, membership, stabilizers).  Every chain grows one
+way: it sifts its generators in turn and keeps those that enlarge it, so a
+group's reduced generating set is read off its own chain.  The chain is the
 engine behind normal closures and block actions.  Block systems come from
 Atkinson's minimal-block closure, and their kernels are the one source of
 intransitive normal subgroups that the quasiprimitivity predicates and the
@@ -47,35 +49,23 @@ class _Level:
 
 
 class _Chain:
-    """Mutable stabilizer chain built by deterministic Schreier-Sims.
+    """Mutable stabilizer chain grown by deterministic Schreier-Sims.
 
-    Transversals only ever grow and existing representatives never change,
-    so each Schreier pair needs checking exactly once: membership of a once
-    verified product is preserved as the chain grows.
+    ``_Chain(generators, degree, base_prefix)`` presets one level per
+    distinct ``base_prefix`` point, in order, then sifts each generator in
+    turn with ``extend_with``; ``kept`` lists the generators that enlarged
+    the chain, which generate the same group.  Transversals only ever grow
+    and existing representatives never change, so each Schreier pair needs
+    checking exactly once: membership of a once verified product is
+    preserved as the chain grows.
     """
 
-    def __init__(self, generators: list[Permutation], degree: int, base_prefix=()):
+    def __init__(self, generators: Iterable[Permutation], degree: int, base_prefix=()):
         self.degree = degree
-        self.levels: list[_Level] = []
-        seen = set()
-        for p in base_prefix:
-            if p not in seen:
-                seen.add(p)
-                self.levels.append(_Level(p, degree))
-        gens = []
+        self.levels = [_Level(p, degree) for p in dict.fromkeys(base_prefix)]
+        self.kept: list[Permutation] = []
         for g in generators:
-            if not g.is_identity() and g not in gens:
-                gens.append(g)
-        if gens and not self.levels:
-            # First base point: smallest vertex of a largest orbit.
-            orbits = _orbits_of(gens, degree)
-            largest = max(len(o) for o in orbits)
-            self.levels.append(
-                _Level(min(min(o) for o in orbits if len(o) == largest), degree)
-            )
-        for g in gens:
-            self._distribute(g)
-        self._run(len(self.levels) - 1)
+            self.extend_with(g)
 
     def _distribute(self, g: Permutation) -> int:
         """Record g as a strong generator; returns the deepest level it joins."""
@@ -131,19 +121,17 @@ class _Chain:
             idx += 1
         return None
 
-    def _run(self, start: int) -> None:
-        i = start
-        while i >= 0:
-            changed = self._verify_level(i)
-            i = changed if changed is not None else i - 1
-
     def extend_with(self, g: Permutation) -> bool:
-        """Add one generator; returns False when g was already a member."""
+        """Add one generator, kept when it enlarges the chain; returns
+        False when g was already a member."""
         residue, _ = self.sift(g)
         if residue.is_identity():
             return False
-        j = self._distribute(residue)
-        self._run(j)
+        self.kept.append(g)
+        i = self._distribute(residue)
+        while i >= 0:
+            changed = self._verify_level(i)
+            i = changed if changed is not None else i - 1
         return True
 
     def order(self) -> int:
@@ -156,39 +144,12 @@ class _Chain:
         residue, _ = self.sift(g)
         return residue.is_identity()
 
-    def stabilizer_generators(self, depth: int) -> list[Permutation]:
-        """Generators of the pointwise stabilizer of base[:depth]."""
-        if depth < len(self.levels):
-            return list(self.levels[depth].gens)
-        return []
-
     def elements(self) -> list[Permutation]:
         result = [Permutation.identity(self.degree)]
         for level in reversed(self.levels):
             reps = [level.transversal[p] for p in sorted(level.transversal)]
             result = [w * u for u in reps for w in result]
         return result
-
-
-def _orbits_of(gens: list[Permutation], degree: int) -> list[list[int]]:
-    seen = [False] * degree
-    orbits = []
-    for start in range(degree):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for g in gens:
-                q = g(p)
-                if not seen[q]:
-                    seen[q] = True
-                    orbit.append(q)
-                    queue.append(q)
-        orbits.append(sorted(orbit))
-    return orbits
 
 
 def validate_partition(degree: int, partition) -> list[tuple[int, ...]]:
@@ -268,7 +229,7 @@ class PermGroup:
         if self._chain is None:
             with self._chain_lock:
                 if self._chain is None:
-                    self._chain = _Chain(list(self.generators), self.degree)
+                    self._chain = _Chain(self.generators, self.degree)
         return self._chain
 
     def order(self) -> int:
@@ -281,14 +242,14 @@ class PermGroup:
         """The same group on the generators that each enlarge the group
         generated by the ones before them.
 
-        One incremental chain sifts the generators in order and keeps those
-        that are not yet members; the result carries that chain, so its
-        ``order()`` costs nothing more.  A strong generating set, such as the
-        automorphism search returns, usually shrinks to a few generators.
+        These are the ``kept`` generators of the group's own chain, which
+        sifted the generators in order; the result shares that chain, so
+        reducing a group whose chain exists builds nothing new.  A strong
+        generating set, such as the automorphism search returns, usually
+        shrinks to a few generators.
         """
-        chain = _Chain([], self.degree)
-        group = PermGroup([g for g in self.generators if chain.extend_with(g)], self.degree)
-        group._chain = chain
+        group = PermGroup(self.chain.kept, self.degree)
+        group._chain = self.chain
         return group
 
     def contains(self, g: Permutation) -> bool:
@@ -311,36 +272,44 @@ class PermGroup:
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        orbit = {point}
-        queue = deque([point])
-        while queue:
-            p = queue.popleft()
-            for g in self.generators:
-                q = g(p)
-                if q not in orbit:
-                    orbit.add(q)
-                    queue.append(q)
-        return frozenset(orbit)
+        return frozenset(next(o for o in self.orbit_partition() if point in o))
 
     def orbit_partition(self) -> list[tuple[int, ...]]:
         """Orbits as sorted tuples, ordered by their minimum element."""
-        return [tuple(o) for o in _orbits_of(list(self.generators), self.degree)]
+        images = [g.images for g in self.generators]
+        seen = [False] * self.degree
+        orbits = []
+        for start in range(self.degree):
+            if seen[start]:
+                continue
+            seen[start] = True
+            orbit = [start]
+            for p in orbit:
+                for img in images:
+                    q = img[p]
+                    if not seen[q]:
+                        seen[q] = True
+                        orbit.append(q)
+            orbits.append(tuple(sorted(orbit)))
+        return orbits
 
     def orbits_count(self) -> int:
         return len(self.orbit_partition())
 
     def tuple_stabilizer(self, points) -> "PermGroup":
-        """Pointwise stabilizer of a tuple of points."""
+        """Pointwise stabilizer of a tuple of points.
+
+        A chain whose base starts with the points has at the level after
+        them the strong generators that fix them all.
+        """
         points = tuple(points)
         for p in points:
             if not 0 <= p < self.degree:
                 raise ValueError(f"point {p} out of range")
-        deduped: list[int] = []
-        for p in points:
-            if p not in deduped:
-                deduped.append(p)
-        chain = _Chain(list(self.generators), self.degree, base_prefix=deduped)
-        return PermGroup(chain.stabilizer_generators(len(deduped)), self.degree)
+        chain = _Chain(self.generators, self.degree, base_prefix=points)
+        depth = len(set(points))
+        gens = chain.levels[depth].gens if depth < len(chain.levels) else ()
+        return PermGroup(gens, self.degree)
 
     # ------------------------------------------------------------------
     # predicates
@@ -370,32 +339,19 @@ class PermGroup:
         for e in elements:
             if not self.contains(e):
                 raise NotSubgroupElement(f"{e} is not in the group")
-        chain = _Chain([], self.degree)
-        working: list[Permutation] = []
-        for e in elements:
-            # Keep only seeds that enlarge the subgroup, so generator lists
-            # stay logarithmic in the closure's order.
-            if chain.extend_with(e):
-                working.append(e)
-        if not working:
-            return PermGroup((), self.degree)
-        queue = deque(working)
+        # The chain keeps only elements that enlarge the subgroup, so
+        # generator lists stay logarithmic in the closure's order.
+        chain = _Chain(elements, self.degree)
+        queue = deque(chain.kept)
         while queue:
             x = queue.popleft()
             for g in self.generators:
                 conjugate = g.inverse() * x * g
                 if chain.extend_with(conjugate):
-                    working.append(conjugate)
                     queue.append(conjugate)
-        group = PermGroup(working, self.degree)
+        group = PermGroup(chain.kept, self.degree)
         group._chain = chain
         return group
-
-    def join(self, other: "PermGroup") -> "PermGroup":
-        """Subgroup generated by both groups' generators."""
-        if other.degree != self.degree:
-            raise DegreeMismatch(f"degree {other.degree} != {self.degree}")
-        return PermGroup(self.generators + other.generators, self.degree)
 
     def derived_subgroup(self) -> "PermGroup":
         commutators = []

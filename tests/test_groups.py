@@ -140,10 +140,14 @@ class TestStabilizers:
         assert s4().tuple_stabilizer(()).order() == 24
 
     def test_stabilizer_fixes_points(self):
-        g = a5()
-        stab = g.tuple_stabilizer((1, 3))
-        for p in stab.generators:
-            assert p(1) == 1 and p(3) == 3
+        # Repeated and unsorted points name the same pointwise stabilizer.
+        f21 = group("(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)", degree=7)
+        for g, points in ((a5(), (1, 3)), (a5(), (3, 1, 3)), (f21, (1, 0, 1))):
+            stab = g.tuple_stabilizer(points)
+            for p in stab.generators:
+                assert all(p(v) == v for v in points)
+            closure = oracles.brute_closure([p.images for p in g.generators], g.degree)
+            assert stab.order() == sum(all(e[v] == v for v in points) for e in closure)
 
 
 class TestNormalClosure:

@@ -88,6 +88,25 @@ class TestInstanceFacts:
         assert facts.group.order() == 41472
         assert chains == []
 
+    def test_reducing_reads_the_group_chain(self, monkeypatch):
+        # Once Aut's order is known, its chain exists: the facts' reduced
+        # group shares it, so neither reducing nor its order builds a chain.
+        g = cayley_digraph(cayley_spec(cyclic_table(12), [1, 4, 7, 10]))
+        aut = automorphism_group(g)
+        assert aut.order() == 41472
+        chains = []
+        chain_init = groups._Chain.__init__
+
+        def counting_init(self, *args, **kwargs):
+            chains.append(self)
+            chain_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(groups._Chain, "__init__", counting_init)
+        facts = InstanceFacts(g, aut)
+        assert facts.group.order() == 41472
+        assert chains == []
+        assert aut.reduced()._chain is aut.chain
+
     def test_each_tuple_family_enumerated_once_per_instance(self, monkeypatch):
         # Without a Cayley spec T1.2 builds no holomorph facts, so every
         # s-arc and s-geodesic family of g is counted by the one facts object.
