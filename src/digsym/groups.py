@@ -3,11 +3,14 @@
 PermGroup carries a deterministic Schreier-Sims stabilizer chain built
 lazily on first use (order, membership, stabilizers).  Every chain grows one
 way: it sifts its generators in turn and keeps those that enlarge it, so a
-group's reduced generating set is read off its own chain.  The chain is the
-engine behind normal closures and block actions.  Block systems come from
-Atkinson's minimal-block closure, and their kernels are the one source of
-intransitive normal subgroups that the quasiprimitivity predicates and the
-verification checks quantify over.
+group's reduced generating set is read off its own chain.  The chain
+computes on image tuples: its transversals and their cached inverses are
+tuples, and sifting takes and returns one, so membership, orders and
+stabilizers make no ``Permutation``.  The chain is the engine behind normal
+closures and block actions.  Block systems come from Atkinson's
+minimal-block closure, and their kernels are the one source of intransitive
+normal subgroups that the quasiprimitivity predicates and the verification
+checks quantify over.
 """
 
 from __future__ import annotations
@@ -24,26 +27,37 @@ from .errors import (
     PartitionInvalid,
     PartitionNotInvariant,
 )
-from .perm import Permutation
+from .perm import Permutation, invert_images
 
 
-def _largest_cycle_point(perm: Permutation) -> int:
-    cycles = perm.cycles()
-    best = max(len(c) for c in cycles)
-    return min(min(c) for c in cycles if len(c) == best)
+def _largest_cycle_point(images: tuple) -> int:
+    """The least point on a longest cycle of a non-identity image tuple."""
+    seen = [False] * len(images)
+    best, best_length = 0, 0
+    for start in range(len(images)):
+        length, p = 0, start
+        while not seen[p]:
+            seen[p] = True
+            p = images[p]
+            length += 1
+        if length > best_length:
+            best, best_length = start, length
+    return best
 
 
 class _Level:
     """One stabilizer-chain level: a base point, the strong generators fixing
-    the earlier base points, a transversal of the fundamental orbit, and the
-    set of Schreier pairs already verified."""
+    the earlier base points, a transversal of the fundamental orbit with the
+    inverse of each representative, and the set of Schreier pairs already
+    verified.  Generators, representatives and inverses are image tuples."""
 
-    __slots__ = ("point", "gens", "transversal", "orbit_order", "checked")
+    __slots__ = ("point", "gens", "transversal", "inverses", "orbit_order", "checked")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, identity: tuple):
         self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {point: Permutation.identity(degree)}
+        self.gens: list[tuple] = []
+        self.transversal: dict[int, tuple] = {point: identity}
+        self.inverses: dict[int, tuple] = {point: identity}
         self.orbit_order: list[int] = [point]
         self.checked: set[tuple[int, int]] = set()
 
@@ -58,62 +72,73 @@ class _Chain:
     and existing representatives never change, so each Schreier pair needs
     checking exactly once: membership of a once verified product is
     preserved as the chain grows.
+
+    Inside the chain every element is an image tuple: ``sift`` takes and
+    returns one, and strips it with the cached inverse representatives, so
+    no ``Permutation`` is made.  ``extend_with`` and ``contains`` take a
+    ``Permutation``, ``kept`` holds the caller's own objects, and
+    ``elements`` hands out new ones.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int, base_prefix=()):
-        self.degree = degree
-        self.levels = [_Level(p, degree) for p in dict.fromkeys(base_prefix)]
+        self.identity = tuple(range(degree))
+        self.levels = [_Level(p, self.identity) for p in dict.fromkeys(base_prefix)]
         self.kept: list[Permutation] = []
         for g in generators:
             self.extend_with(g)
 
-    def _distribute(self, g: Permutation) -> int:
+    def _distribute(self, g: tuple) -> int:
         """Record g as a strong generator; returns the deepest level it joins."""
         j = len(self.levels)
         for i, level in enumerate(self.levels):
-            if g(level.point) != level.point:
+            if g[level.point] != level.point:
                 j = i
                 break
         if j == len(self.levels):
-            self.levels.append(_Level(_largest_cycle_point(g), self.degree))
+            self.levels.append(_Level(_largest_cycle_point(g), self.identity))
         for k in range(j + 1):
             self.levels[k].gens.append(g)
         return j
 
-    def sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Strip g through the chain; returns (residue, stop level)."""
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            rep = level.transversal.get(g(level.point))
-            if rep is None:
+    def sift(self, g: tuple, start: int = 0) -> tuple[tuple, int]:
+        """Strip the image tuple g through the chain; returns (residue image
+        tuple, stop level)."""
+        levels = self.levels
+        for i in range(start, len(levels)):
+            level = levels[i]
+            inv = level.inverses.get(g[level.point])
+            if inv is None:
                 return g, i
-            g = g * rep.inverse()
-        return g, len(self.levels)
+            g = tuple(map(inv.__getitem__, g))
+        return g, len(levels)
 
     def _verify_level(self, i: int) -> int | None:
         """Process unchecked Schreier pairs; returns deepest changed level."""
         level = self.levels[i]
+        transversal, inverses = level.transversal, level.inverses
         idx = 0
         while idx < len(level.orbit_order):
             p = level.orbit_order[idx]
-            rep = level.transversal[p]
+            rep = transversal[p]
             for gi in range(len(level.gens)):
                 if (p, gi) in level.checked:
                     continue
                 level.checked.add((p, gi))
                 g = level.gens[gi]
-                q = g(p)
-                known = level.transversal.get(q)
+                q = g[p]
+                known = inverses.get(q)
                 if known is None:
                     # Tree edge: the representative makes this pair trivial.
-                    level.transversal[q] = rep * g
+                    product = tuple(map(g.__getitem__, rep))
+                    transversal[q] = product
+                    inverses[q] = invert_images(product)
                     level.orbit_order.append(q)
                     continue
-                schreier = rep * g * known.inverse()
-                if schreier.is_identity():
+                schreier = tuple(map(known.__getitem__, map(g.__getitem__, rep)))
+                if schreier == self.identity:
                     continue
                 residue, j = self.sift(schreier, i + 1)
-                if residue.is_identity():
+                if residue == self.identity:
                     continue
                 # The pair stays checked: its product is a member once the
                 # residue joins the deeper chain.
@@ -124,8 +149,8 @@ class _Chain:
     def extend_with(self, g: Permutation) -> bool:
         """Add one generator, kept when it enlarges the chain; returns
         False when g was already a member."""
-        residue, _ = self.sift(g)
-        if residue.is_identity():
+        residue, _ = self.sift(g.images)
+        if residue == self.identity:
             return False
         self.kept.append(g)
         i = self._distribute(residue)
@@ -141,15 +166,15 @@ class _Chain:
         return total
 
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self.sift(g)
-        return residue.is_identity()
+        residue, _ = self.sift(g.images)
+        return residue == self.identity
 
     def elements(self) -> list[Permutation]:
-        result = [Permutation.identity(self.degree)]
+        result = [self.identity]
         for level in reversed(self.levels):
             reps = [level.transversal[p] for p in sorted(level.transversal)]
-            result = [w * u for u in reps for w in result]
-        return result
+            result = [tuple(map(u.__getitem__, w)) for u in reps for w in result]
+        return [Permutation._unchecked(w) for w in result]
 
 
 def validate_partition(degree: int, partition) -> list[tuple[int, ...]]:
@@ -213,12 +238,9 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-        deduped: list[Permutation] = []
-        for g in gens:
-            if not g.is_identity() and g not in deduped:
-                deduped.append(g)
         self.degree = degree
-        self.generators: tuple[Permutation, ...] = tuple(deduped)
+        self.generators: tuple[Permutation, ...] = tuple(
+            g for g in dict.fromkeys(gens) if not g.is_identity())
         self._chain: _Chain | None = None
         self._chain_lock = threading.Lock()
         self._kernels: list[PermGroup] | None = None
@@ -309,7 +331,7 @@ class PermGroup:
         chain = _Chain(self.generators, self.degree, base_prefix=points)
         depth = len(set(points))
         gens = chain.levels[depth].gens if depth < len(chain.levels) else ()
-        return PermGroup(gens, self.degree)
+        return PermGroup(map(Permutation._unchecked, gens), self.degree)
 
     # ------------------------------------------------------------------
     # predicates
@@ -327,9 +349,10 @@ class PermGroup:
         for x in sub.generators:
             if not self.contains(x):
                 raise NotSubgroupElement(f"{x} is not in the group")
+        pairs = [(g.inverse(), g) for g in self.generators]
         for x in sub.generators:
-            for g in self.generators:
-                if not sub.contains(g.inverse() * x * g):
+            for g_inv, g in pairs:
+                if not sub.contains(g_inv * x * g):
                     return False
         return True
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from math import lcm
 
 from .errors import DegreeMismatch, ParseError
 
@@ -62,21 +63,18 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
-        o = other.images
-        return Permutation._unchecked(tuple(o[i] for i in self.images))
+        images, o = self.images, other.images
+        if len(images) != len(o):
+            raise DegreeMismatch(f"degree {len(images)} vs {len(o)}")
+        return Permutation._unchecked(tuple([o[i] for i in images]))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._unchecked(tuple(inv))
+        return Permutation._unchecked(invert_images(self.images))
 
     __invert__ = inverse
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its minimum point."""
@@ -95,9 +93,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        from math import lcm
-
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*map(len, self.cycles()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -110,6 +106,14 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_cycles(self)
+
+
+def invert_images(images: tuple) -> tuple:
+    """The image tuple of the inverse of the bijection with these images."""
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 def format_cycles(perm: Permutation) -> str:

@@ -1,6 +1,8 @@
 """Tests for permutation groups (stabilizer chains) and group tables."""
 
+import random
 import threading
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -331,6 +333,38 @@ class TestChainConcurrency:
         for t in threads:
             t.join()
         assert orders == [5040] * 8
+
+
+class TestChainOnImageTuples:
+    def test_order_and_membership_make_no_permutation_products(self, monkeypatch):
+        # The chain of Aut(Cay(Z12, {1, 4, 7, 10})) strips image tuples with
+        # cached inverse representatives: building it and sifting through
+        # it neither composes nor inverts a Permutation.
+        from digsym.construct import cayley_digraph, cayley_spec, cyclic_table
+        from digsym.symmetry import automorphism_group
+
+        g = cayley_digraph(cayley_spec(cyclic_table(12), [1, 4, 7, 10]))
+        aut = automorphism_group(g)
+        rng = random.Random(0)
+        sample = [Permutation(rng.sample(range(12), 12)) for _ in range(64)]
+        members = [a * b for a in aut.generators for b in aut.generators]
+        calls = Counter()
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Permutation, "__mul__", counted("mul", Permutation.__mul__))
+        monkeypatch.setattr(Permutation, "inverse", counted("inverse", Permutation.inverse))
+        assert aut.order() == 41472
+        found = [aut.contains(x) for x in sample]
+        assert all(aut.contains(x) for x in members)
+        assert calls == Counter()
+        elements = {p.images for p in aut.elements()}
+        assert found == [x.images in elements for x in sample]
 
 
 class TestGroupTable:

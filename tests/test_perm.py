@@ -22,6 +22,9 @@ class TestBasics:
     def test_compose_three_cycle_twice(self):
         p = parse_cycles("(0 1 2)", 3)
         assert format_cycles(p * p) == "(0 2 1)"
+        for n in (0, 1):
+            e = Permutation.identity(n)
+            assert (e * e).images == tuple(range(n))
 
     def test_rotation_by_three(self):
         p = parse_cycles("(0 3)(1 4)(2 5)", 6)
@@ -31,13 +34,21 @@ class TestBasics:
         p = parse_cycles("(0 1 2 3)", 4)
         assert (p * p.inverse()).is_identity()
         assert (~p)(1) == 0
+        assert not p.is_identity()
+        for n in (0, 1):
+            e = Permutation(range(n))
+            assert e == Permutation.identity(n) and e.is_identity()
+            assert e.inverse() == e and (e * e.inverse()).is_identity()
 
     def test_order(self):
         assert parse_cycles("(0 1)(2 3 4)", 5).order() == 6
+        assert Permutation.identity(0).order() == Permutation.identity(1).order() == 1
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
             parse_cycles("(0 1)", 2) * parse_cycles("(0 1)", 3)
+        with pytest.raises(DegreeMismatch):
+            Permutation.identity(0) * Permutation.identity(1)
 
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):

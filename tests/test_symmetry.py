@@ -1,5 +1,6 @@
 """Tests for automorphism search and the transitivity testers."""
 
+import hashlib
 import sys
 import tracemalloc
 
@@ -204,6 +205,22 @@ class TestTransitiveSeed:
         descriptors = generate_descriptors(config)
         assert len(descriptors) == size
         _assert_seeded_search_agrees(descriptors)
+
+    def test_reduced_generators_pinned_every_4th_default_instance(self):
+        # The reduced generators set the cost of every orbit count; their
+        # number, their images and the chain's base points are pinned.
+        digest = hashlib.sha256()
+        total = 0
+        for descriptor in generate_descriptors(default_config())[::4]:
+            _, g, spec = build_instance(descriptor)
+            reduced = automorphism_group(g, transitive=right_translations(spec.table)).reduced()
+            total += len(reduced.generators)
+            for p in reduced.generators:
+                digest.update(repr(p.images).encode())
+            digest.update(repr(tuple(level.point for level in reduced.chain.levels)).encode())
+        assert total == 607
+        assert digest.hexdigest() == (
+            "561934cb4ab51dfa49651a2379332e096597da4d3f126e14b2d93116c79892ac")
 
     def test_seed_must_be_automorphisms(self):
         with pytest.raises(NotAutomorphismGroup):
