@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .digraph import Digraph, build
 from .errors import (
@@ -23,7 +24,8 @@ from .errors import (
 from .groups import GroupTable, PermGroup, table_from_text, validate_partition
 from .perm import Permutation
 
-AUT_TABLE_BOUND = 64
+# Generator-image maps that table_automorphisms may try.
+AUT_TABLE_BUDGET = 1_000_000
 
 
 def read_text(path: str) -> str:
@@ -188,58 +190,48 @@ def right_translations(table: GroupTable) -> PermGroup:
 
 
 def table_automorphisms(table: GroupTable) -> list[Permutation]:
-    """All automorphisms of the abstract group, by generator-image backtracking."""
-    if table.order > AUT_TABLE_BOUND:
-        raise BoundExceeded(
-            f"group order {table.order} exceeds automorphism bound {AUT_TABLE_BOUND}"
-        )
-    m = table.order
+    """All automorphisms of the abstract group, by generator images.
+
+    Each generator is sent to an element of the same order, in every
+    combination, and each candidate is closed from the identity by right
+    multiplication: a -> f(a) forces a*g -> f(a)*f(g) for every generator g.
+    The closure compares f on every (element, generator) pair, so a
+    consistent closure satisfies f(a*g) = f(a)*f(g) throughout; as every
+    element is a product of generators, f(a*b) = f(a)*f(b) for all a and b,
+    and a closure that is a bijection is an automorphism with no further
+    product scan.  More than ``AUT_TABLE_BUDGET`` candidates raise
+    BoundExceeded before any is tried.
+    """
+    m, mul, e = table.order, table.mul_table, table.identity
     gens = table.generating_set()
-    if not gens:
-        return [Permutation.identity(1)] if m == 1 else []
     orders = [table.order_of(x) for x in range(m)]
-
+    choices = [[t for t in range(m) if orders[t] == orders[g]] for g in gens]
+    candidates = prod(len(c) for c in choices)
+    if candidates > AUT_TABLE_BUDGET:
+        raise BoundExceeded(
+            f"{candidates} candidate automorphism maps exceed budget {AUT_TABLE_BUDGET}"
+        )
     found = []
-
-    def close(images: dict[int, int]) -> dict[int, int] | None:
-        # Extend a partial map on a generating set by products; None on clash.
-        mapping = dict(images)
-        mapping[table.identity] = table.identity
-        frontier = list(mapping)
-        while frontier:
-            a = frontier.pop()
-            for g, ig in images.items():
-                x = table.mul(a, g)
-                fx = table.mul(mapping[a], ig)
-                known = mapping.get(x)
-                if known is None:
-                    mapping[x] = fx
-                    frontier.append(x)
-                elif known != fx:
-                    return None
-        if len(mapping) != m or len(set(mapping.values())) != m:
-            return None
-        for a in range(m):
-            for b in range(m):
-                if mapping[table.mul(a, b)] != table.mul(mapping[a], mapping[b]):
-                    return None
-        return mapping
-
-    def assign(idx: int, images: dict[int, int]) -> None:
-        if idx == len(gens):
-            mapping = close(images)
-            if mapping is not None:
-                found.append(Permutation([mapping[x] for x in range(m)]))
-            return
-        g = gens[idx]
-        for target in range(m):
-            if orders[target] != orders[g]:
+    for images in product(*choices):
+        pairs = list(zip(gens, images))
+        f = [-1] * m
+        f[e] = e
+        closed = [e]
+        for a in closed:  # grows as it is read: a breadth-first closure
+            row, image_row = mul[a], mul[f[a]]
+            for g, fg in pairs:
+                x, fx = row[g], image_row[fg]
+                if f[x] < 0:
+                    f[x] = fx
+                    closed.append(x)
+                elif f[x] != fx:
+                    break
+            else:
                 continue
-            images[g] = target
-            assign(idx + 1, images)
-            del images[g]
-
-    assign(0, {})
+            break  # a clash: no homomorphism extends these images
+        else:
+            if len(set(f)) == m:
+                found.append(Permutation(f))
     return found
 
 

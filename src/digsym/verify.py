@@ -6,11 +6,12 @@ reduced generators and computes every transitivity fact from there, so each
 tuple family is counted at most once per instance and the group-theoretic
 tests share one stabilizer chain.  ``run_check`` is the one dispatch from a
 check id to its records: it looks the id up in ``_CHECKS``, passes a given
-normal subgroup only to ``SUBGROUP_CHECK_IDS``, tests the directed-class
-hypothesis that every statement shares, and turns an exhausted search
-budget into ``incomplete``; ``run_checks_on_instance`` runs it over a list
-of ids.  Each check evaluates its own hypothesis before its conclusion:
-inapplicable instances come back ``not_applicable`` instead of vacuously
+normal subgroup, of the digraph's degree, only to ``SUBGROUP_CHECK_IDS``,
+tests the directed-class hypothesis that every statement shares, and turns
+an exhausted search or candidate budget into ``incomplete``;
+``run_checks_on_instance`` runs it over a list of ids.  Each check
+evaluates its own hypothesis before its conclusion: inapplicable
+instances come back ``not_applicable`` instead of vacuously
 passing and failures carry a replayable witness; in a survey, an instance
 that raises any other exception gives ``error`` records instead of
 aborting it.
@@ -28,7 +29,7 @@ from itertools import combinations
 
 from . import construct, symmetry
 from .digraph import DIRECTED, UNDIRECTED, Digraph, build
-from .errors import BadParameter, BoundExceeded, SearchBudgetExceeded
+from .errors import BadParameter, BoundExceeded, DegreeMismatch, SearchBudgetExceeded
 from .groups import PermGroup
 from .symmetry import InstanceFacts
 
@@ -572,7 +573,9 @@ def run_check(
     Every statement is about digraphs, so on a digraph outside the directed
     class each check, ``report`` too, is ``not_applicable`` (L2.1 once per
     arc-local id).  ``normal`` is accepted by ``SUBGROUP_CHECK_IDS`` only,
-    and an exhausted search budget or bound gives ``incomplete``.
+    and on the digraph's vertices only: another degree raises DegreeMismatch
+    before any hypothesis is tested.  An exhausted search or candidate
+    budget gives ``incomplete``.
     """
     check = _CHECKS.get(check_id)
     if check is None:
@@ -581,6 +584,8 @@ def run_check(
         raise BadParameter(
             f"a given normal subgroup applies only to {', '.join(SUBGROUP_CHECK_IDS)}"
         )
+    if normal is not None and normal.degree != facts.g.n:
+        raise DegreeMismatch(f"degree {normal.degree} != {facts.g.n}")
     if facts.g.symmetry_class != DIRECTED:
         ids = ARC_LOCAL_IDS if check_id == "L2.1" else (check_id,)
         return [_na(cid, "not a directed-class digraph") for cid in ids]

@@ -253,6 +253,21 @@ def is_abelian_table(table):
     return all(rows[a][b] == rows[b][a] for a in range(len(rows)) for b in range(len(rows)))
 
 
+def brute_table_automorphisms(table):
+    """Every bijection of a multiplication table's elements that fixes the
+    identity and preserves all m^2 products, as image tuples (m <= 8)."""
+    m, rows, e = table.order, table.mul_table, table.identity
+    assert m <= 8, "the scan runs over (m-1)! bijections"
+    others = [x for x in range(m) if x != e]
+    found = []
+    for perm in permutations(others):
+        f = dict(zip(others, perm))
+        f[e] = e
+        if all(f[rows[a][b]] == rows[f[a]][f[b]] for a in range(m) for b in range(m)):
+            found.append(tuple(f[x] for x in range(m)))
+    return found
+
+
 def brute_closure(gens, degree):
     """All elements of the generated group as image tuples."""
     identity = tuple(range(degree))

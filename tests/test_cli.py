@@ -244,6 +244,17 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "--normal" in captured.err and "T1.4i:" not in captured.out
 
+    @pytest.mark.parametrize("check_id", verify.SUBGROUP_CHECK_IDS)
+    def test_normal_of_another_degree_is_usage_error(self, tmp_path, capsys, check_id):
+        c3 = tmp_path / "c3.dg"
+        c3.write_text(to_text(circuit(3)))
+        normal_file = tmp_path / "g4.perm"
+        normal_file.write_text(write_permutations(4, [parse_cycles("(0 1 2 3)", 4)]))
+        assert main(["check", "--id", check_id, str(c3), "--normal", str(normal_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: DegreeMismatch: degree 4 != 3\n"
+
     def test_undirected_digraph_meets_the_guard(self, tmp_path, capsys):
         k4 = tmp_path / "k4.dg"
         k4.write_text(to_text(complete(4)))

@@ -1,8 +1,11 @@
 """Tests for family builders, Cayley digraphs and quotients."""
 
+from itertools import combinations
+
 import pytest
 
 import oracles
+from digsym import construct
 from digsym.construct import (
     abelian_table,
     aut_preserving_conn,
@@ -29,7 +32,7 @@ from digsym.errors import (
     PartitionInvalid,
     TranslationNotInG,
 )
-from digsym.groups import PermGroup
+from digsym.groups import GroupTable, PermGroup
 from digsym.perm import parse_cycles
 from digsym.symmetry import automorphism_group, is_s_arc_transitive, is_vertex_transitive
 
@@ -94,9 +97,20 @@ class TestTables:
         assert len(table_automorphisms(dihedral_table(4))) == 8
         assert len(table_automorphisms(abelian_table([2, 2]))) == 6
 
-    def test_table_automorphism_bound(self):
-        with pytest.raises(BoundExceeded):
-            table_automorphisms(cyclic_table(70))
+    def test_order_above_64_within_candidate_budget(self):
+        # Z70 has one generator and 24 elements of its order: 24 candidates.
+        assert len(table_automorphisms(cyclic_table(70))) == 24
+
+    def test_candidate_budget_raises_before_any_map(self, monkeypatch):
+        # Z2^5: 5 generators, each with 31 involutions as candidate images.
+        table = abelian_table([2] * 5)
+
+        def tripwire(*choices):
+            raise AssertionError("a candidate map was tried")
+
+        monkeypatch.setattr(construct, "product", tripwire)
+        with pytest.raises(BoundExceeded, match="28629151"):
+            table_automorphisms(table)
 
     def test_table_spec_reads_file(self, tmp_path):
         from digsym.groups import table_to_text
@@ -105,6 +119,51 @@ class TestTables:
         path.write_text(table_to_text(dihedral_table(4)))
         table = parse_group_spec(f"table:{path}")
         assert table.order == 8 and not oracles.is_abelian_table(table)
+
+
+def table_of_group(gens, degree):
+    """The multiplication table of a permutation group, on its elements."""
+    elements = PermGroup([parse_cycles(t, degree) for t in gens], degree).elements()
+    index = {p.images: i for i, p in enumerate(elements)}
+    return GroupTable([[index[(a * b).images] for b in elements] for a in elements])
+
+
+def oracle_tables():
+    """Tables of order <= 8, small enough for the brute-force oracle."""
+    return (
+        [cyclic_table(n) for n in range(1, 9)]
+        + [abelian_table(f) for f in ((2, 2), (2, 4), (2, 2, 2))]
+        + [dihedral_table(n) for n in (3, 4)]
+        + [table_of_group(["(0 1 2 3)(4 5 6 7)", "(0 4 2 6)(1 7 3 5)"], 8)]  # Q8
+    )
+
+
+class TestTableAutomorphismOracle:
+    @pytest.mark.parametrize("table", oracle_tables(), ids=repr)
+    def test_matches_brute_force(self, table):
+        found = [alpha.images for alpha in table_automorphisms(table)]
+        assert sorted(found) == sorted(oracles.brute_table_automorphisms(table))
+
+    def test_quaternion_automorphisms(self):
+        # Aut(Q8) is S4; it also tells Q8 apart from the other groups of order 8.
+        assert len(table_automorphisms(oracle_tables()[-1])) == 24
+
+    @pytest.mark.parametrize("table", oracle_tables(), ids=repr)
+    def test_conn_preserving_matches_filtered_brute_force(self, table):
+        brute = oracles.brute_table_automorphisms(table)
+        others = [x for x in range(table.order) if x != table.identity]
+        checked = 0
+        for k in (1, 2, 3):
+            for conn in combinations(others, k):
+                if any(table.inverse(x) in conn for x in conn):
+                    continue
+                spec = cayley_spec(table, conn)
+                expected = [f for f in brute if {f[x] for x in conn} == set(conn)]
+                found = [alpha.images for alpha in aut_preserving_conn(spec)]
+                assert sorted(found) == sorted(expected), conn
+                checked += 1
+        # Groups of exponent 2 have no antisymmetric connection set.
+        assert checked or all(table.inverse(x) == x for x in others)
 
 
 class TestCayleySpec:

@@ -25,6 +25,7 @@ from digsym.digraph import S_ARC, S_GEODESIC, Digraph, build
 from digsym.errors import (
     BadParameter,
     BoundExceeded,
+    DegreeMismatch,
     NotAutomorphismGroup,
     SearchBudgetExceeded,
 )
@@ -393,6 +394,14 @@ class TestRegularNormal:
         assert result.status == PASS
         assert result.notes == "normal subgroups=3"
 
+    def test_named_sources_on_cayley_circuit_of_order_65(self):
+        # Aut(Z65) has 48 elements, each a candidate image of the generator
+        # 1: the holomorph is built and no order bound stops T1.2.
+        spec = cayley_spec(cyclic_table(65), [1])
+        g = cayley_digraph(spec)
+        [result] = verify.run_checks_on_instance(g, automorphism_group(g), ["T1.2"], cayley=spec)
+        assert result == CheckResult("T1.2", PASS, notes="normal subgroups=3")
+
     def test_paley_not_geodesic_transitive(self):
         spec = cayley_spec(cyclic_table(7), [1, 2, 4])
         g = cayley_digraph(spec)
@@ -635,6 +644,15 @@ class TestRunCheck:
         [result] = verify.run_check(aut_facts(complete(4)), check_id, normal=normal)
         assert result.status == NOT_APPLICABLE
         assert result.notes == "not a directed-class digraph"
+
+    @pytest.mark.parametrize("cycles", ["(0 1 2 3)", "(0 1)(2 3)"])
+    @pytest.mark.parametrize("check_id", verify.SUBGROUP_CHECK_IDS)
+    def test_given_subgroup_of_another_degree_rejected(self, check_id, cycles):
+        # Rejected before any hypothesis, which could otherwise read a
+        # subgroup on the wrong points as merely inapplicable.
+        normal = PermGroup([parse_cycles(cycles, 4)])
+        with pytest.raises(DegreeMismatch, match="degree 4 != 3"):
+            verify.run_check(aut_facts(circuit(3)), check_id, normal=normal)
 
     def test_given_subgroup_outside_subgroup_checks_rejected(self):
         normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
