@@ -86,18 +86,31 @@ class Digraph:
         self._check_vertex(v)
         return self._distance_matrix[u][v]
 
+    @cached_property
+    def _distance_summary(self) -> tuple[bool, int]:
+        """Strong connectivity and the largest finite distance, from one scan
+        of the distance matrix.  Every row holds its own 0, so a row with an
+        unreachable vertex still has a finite maximum."""
+        connected, longest = True, 0
+        for row in self._distance_matrix:
+            if None in row:
+                connected = False
+                row = [d for d in row if d is not None]
+            longest = max(longest, *row)
+        return connected, longest
+
     def is_strongly_connected(self) -> bool:
-        return all(d is not None for row in self._distance_matrix for d in row)
+        return self._distance_summary[0]
 
     def diameter(self) -> int:
-        if not self.is_strongly_connected():
+        connected, longest = self._distance_summary
+        if not connected:
             raise NotStronglyConnected("diameter requires a strongly connected digraph")
-        return max(d for row in self._distance_matrix for d in row) if self.n else 0
+        return longest
 
     def max_geodesic_length(self) -> int:
         """Largest finite directed distance between any ordered pair."""
-        finite = [d for row in self._distance_matrix for d in row if d is not None]
-        return max(finite) if finite else 0
+        return self._distance_summary[1]
 
     @cached_property
     def _arc_geodesic_depth(self) -> int:

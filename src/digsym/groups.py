@@ -5,18 +5,19 @@ lazily on first use (order, membership, stabilizers).  Every chain grows one
 way: it sifts its generators in turn and keeps those that enlarge it, so a
 group's reduced generating set is read off its own chain.  The chain
 computes on image tuples: its transversals and their cached inverses are
-tuples, and sifting takes and returns one, so membership, orders and
-stabilizers make no ``Permutation``.  The chain is the engine behind normal
-closures and block actions.  Block systems come from Atkinson's
-minimal-block closure, and their kernels are the one source of intransitive
-normal subgroups that the quasiprimitivity predicates and the verification
-checks quantify over.
+tuples, sifting takes and returns one, and products are composed with
+``operator.itemgetter``, so membership, orders and stabilizers make no
+``Permutation``.  The chain is the engine behind normal closures and block
+actions.  Block systems come from Atkinson's minimal-block closure, and
+their kernels are the one source of intransitive normal subgroups that the
+quasiprimitivity predicates and the verification checks quantify over.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import (
@@ -75,9 +76,10 @@ class _Chain:
 
     Inside the chain every element is an image tuple: ``sift`` takes and
     returns one, and strips it with the cached inverse representatives, so
-    no ``Permutation`` is made.  ``extend_with`` and ``contains`` take a
-    ``Permutation``, ``kept`` holds the caller's own objects, and
-    ``elements`` hands out new ones.
+    no ``Permutation`` is made.  Products are composed with
+    ``operator.itemgetter``: ``itemgetter(*a)(b)[i] == b[a[i]]``, a then b.
+    ``extend_with`` and ``contains`` take a ``Permutation``, ``kept`` holds
+    the caller's own objects, and ``elements`` hands out new ones.
     """
 
     def __init__(self, generators: Iterable[Permutation], degree: int, base_prefix=()):
@@ -104,12 +106,16 @@ class _Chain:
         """Strip the image tuple g through the chain; returns (residue image
         tuple, stop level)."""
         levels = self.levels
+        if len(g) < 2:
+            # Only the identity moves at most one point, and itemgetter over
+            # fewer than two indices returns no tuple.
+            return g, len(levels)
         for i in range(start, len(levels)):
             level = levels[i]
             inv = level.inverses.get(g[level.point])
             if inv is None:
                 return g, i
-            g = tuple(map(inv.__getitem__, g))
+            g = itemgetter(*g)(inv)
         return g, len(levels)
 
     def _verify_level(self, i: int) -> int | None:
@@ -129,12 +135,12 @@ class _Chain:
                 known = inverses.get(q)
                 if known is None:
                     # Tree edge: the representative makes this pair trivial.
-                    product = tuple(map(g.__getitem__, rep))
+                    product = itemgetter(*rep)(g)
                     transversal[q] = product
                     inverses[q] = invert_images(product)
                     level.orbit_order.append(q)
                     continue
-                schreier = tuple(map(known.__getitem__, map(g.__getitem__, rep)))
+                schreier = itemgetter(*itemgetter(*rep)(g))(known)
                 if schreier == self.identity:
                     continue
                 residue, j = self.sift(schreier, i + 1)

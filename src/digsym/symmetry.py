@@ -13,11 +13,12 @@ hunts no automorphism.  Every transitivity claim reduces to orbit counts
 on explicit tuple families, and one ``InstanceFacts`` per (digraph, group)
 validates the group once and computes them, counting each distinct family
 at most once: where every s-arc is an s-geodesic the two kinds share one
-count, and the pairs at a distance are not counted again once the
-geodesics there have one orbit.  It keeps the group on its reduced
-generators (``PermGroup.reduced``): the search returns a strong generating
-set, one generator per new orbit point at each level, and few of those are
-needed to generate the group.  The orbit counts and the group-theoretic
+count.  Distance-transitivity counts no family: a transitive group is
+distance-transitive iff the stabilizer of one vertex b, read off the
+stabilizer chain, has one orbit on each layer of b's distance row.  It
+keeps the group on its reduced generators (``PermGroup.reduced``): the
+search returns a strong generating set, one generator per new orbit point
+at each level, and few of those are needed to generate the group.  The orbit counts and the group-theoretic
 tests of ``verify``'s checks read that one group and its one stabilizer
 chain.  Each count (``_count_orbits``) checks that the family is invariant,
 then searches over positions in the family, so it holds no second copy of
@@ -65,12 +66,14 @@ def _distance_profiles(g: Digraph):
     """Initial vertex colors from degrees and sorted distance rows/columns."""
     rows = g._distance_matrix
     inf = g.n  # larger than any finite distance
-    profiles = []
-    for v in range(g.n):
-        row = tuple(sorted(inf if d is None else d for d in rows[v]))
-        col = tuple(sorted(inf if rows[u][v] is None else rows[u][v] for u in range(g.n)))
-        profiles.append((len(g._out[v]), len(g._in[v]), row, col))
-    return profiles
+
+    def profile(line):
+        return tuple(sorted(inf if d is None else d for d in line))
+
+    return [
+        (len(g._out[v]), len(g._in[v]), profile(row), profile(col))
+        for v, (row, col) in enumerate(zip(rows, zip(*rows)))
+    ]
 
 
 def _refine_colors(g: Digraph) -> list[int]:
@@ -121,9 +124,8 @@ def _restrict(domains, v: int, w: int, out_masks, in_masks):
     return restricted
 
 
-def _orbit_mask(perms, v: int) -> int:
-    """The orbit of v under the group the permutations generate, as a bitset."""
-    tables = [p.images for p in perms]
+def _orbit_mask(tables, v: int) -> int:
+    """The orbit of v under the group the image tuples generate, as a bitset."""
     orbit, stack = 1 << v, [v]
     while stack:
         x = stack.pop()
@@ -133,6 +135,15 @@ def _orbit_mask(perms, v: int) -> int:
                 orbit |= 1 << y
                 stack.append(y)
     return orbit
+
+
+def _orbit_count(tables, degree: int) -> int:
+    """The number of orbits on 0..degree-1 of the group the image tuples generate."""
+    rest, orbits = (1 << degree) - 1, 0
+    while rest:
+        rest &= ~_orbit_mask(tables, (rest & -rest).bit_length() - 1)
+        orbits += 1
+    return orbits
 
 
 def _bits(mask: int):
@@ -213,7 +224,7 @@ def automorphism_group(
                 return found
         return None
 
-    level_gens = list(gens)  # the generators fixing the prefix
+    level_gens = [p.images for p in gens]  # the generators fixing the prefix
     for v in order:
         orbit = _orbit_mask(level_gens, v)
         for w in _bits(domains[v]):
@@ -224,9 +235,9 @@ def automorphism_group(
                 found[v] = w  # the processed prefix stays fixed
                 perm = Permutation(tuple(found.get(u, u) for u in range(n)))
                 gens.append(perm)
-                level_gens.append(perm)
+                level_gens.append(perm.images)
                 orbit = _orbit_mask(level_gens, v)
-        level_gens = [p for p in level_gens if p.images[v] == v]
+        level_gens = [t for t in level_gens if t[v] == v]
         domains = _restrict(domains, v, v, out_masks, in_masks)
     return PermGroup(gens, n)
 
@@ -326,9 +337,11 @@ class InstanceFacts:
     and counted at most once: the s-arcs (kind ``S_ARC``) and the
     s-geodesics (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every
     s-arc is an s-geodesic, so there both kinds read the one s-arc count.
-    The transitivity facts need the directed class, which
-    ``verify.run_check`` tests once for every check id, and
-    ``report`` also strong connectivity, which its callers test first.
+    Distance-transitivity counts no family: it reads the first two levels
+    of the chain and one distance row.  The transitivity facts need the
+    directed class, which ``verify.run_check`` tests once for every check
+    id, and ``report`` also strong connectivity, which its callers test
+    first.
     ``cayley`` is the Cayley structure of ``g``, if known.
     """
 
@@ -375,26 +388,29 @@ class InstanceFacts:
         return all(self.count(S_GEODESIC, i) == 1 for i in range(1, cap + 1))
 
     def distance_transitive(self) -> bool:
-        """Single orbit on the ordered pairs at each distance.
+        """Single orbit on the ordered pairs at each distance, unreachable
+        pairs included.
 
-        The pairs at distance d are the end pairs of the d-geodesics (d = 0:
-        the vertices), so a d-geodesic count of 1 already counted settles
-        distance d; the pairs are counted only where no such count is known.
-        A digraph with no vertex has no pair at distance 0, so no orbit
-        there, and is not distance-transitive.
+        The pairs at distance 0 are the vertices, so the group must be
+        transitive.  A transitive G has one orbit on the pairs at distance d
+        iff the stabilizer G_b of one vertex b has one orbit on b's layer
+        {v : d(b, v) = d}: every pair maps to one starting at b, and two
+        pairs from b share an orbit exactly under G_b.  G_b preserves the
+        layers, so that holds for every layer at once iff G_b has as many
+        orbits as b's distance row has distinct values.  b is the chain's
+        first base point, and G_b is generated by the strong generators of
+        the chain's second level (none: G_b is trivial).  A digraph with no
+        vertex has no pair at distance 0 and is not distance-transitive.
         """
-        g = self.g
-        if g.n == 0:
+        group = self.group
+        if not group.is_transitive():
             return False
-        pairs_at = {}
-        for u in range(g.n):
-            for v in range(g.n):
-                pairs_at.setdefault(g.distance(u, v), []).append((u, v))
-        return all(
-            (d is not None and self._counts.get(self._key(S_GEODESIC, d)) == 1)
-            or _count_orbits(self.group, family) == 1
-            for d, family in pairs_at.items()
-        )
+        levels = group.chain.levels
+        if not levels:
+            return True  # one vertex: a single pair, at distance 0
+        row = self.g._distance_matrix[levels[0].point]
+        gens = levels[1].gens if len(levels) > 1 else ()
+        return _orbit_count(gens, len(row)) == len(set(row))
 
     @cached_property
     def report(self) -> TransitivityReport:

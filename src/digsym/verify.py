@@ -124,12 +124,13 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     # The witness is the first 2-arc, in lexicographic order, that is not a
     # 2-geodesic; scanning arc by arc leaves the 2-arc family to the orbit counts.
     all_empty = all(not c for c in commons.values())
+    rows = g._distance_matrix
     bad_two_arc = next(
         (
             [a, b, c]
             for a, b in arcs
             for c in sorted(g.out_neighbors(b))
-            if g.distance(a, c) != 2
+            if rows[a][c] != 2
         ),
         None,
     )

@@ -112,8 +112,12 @@ class TestDiameter:
         assert complete_undirected(4).diameter() == 1
 
     def test_rejects_disconnected(self):
+        g = build(2, [(0, 1)])
         with pytest.raises(NotStronglyConnected):
-            build(2, [(0, 1)]).diameter()
+            g.diameter()
+        # The distance summary is cached; a second call still raises.
+        with pytest.raises(NotStronglyConnected):
+            g.diameter()
 
     def test_strongly_connected(self):
         assert circuit(6).is_strongly_connected()

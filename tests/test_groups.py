@@ -18,7 +18,7 @@ from digsym.errors import (
     PartitionInvalid,
     PartitionNotInvariant,
 )
-from digsym.groups import GroupTable, PermGroup, table_from_text, table_to_text
+from digsym.groups import GroupTable, PermGroup, _Chain, table_from_text, table_to_text
 from digsym.perm import Permutation, parse_cycles
 
 
@@ -365,6 +365,20 @@ class TestChainOnImageTuples:
         assert calls == Counter()
         elements = {p.images for p in aut.elements()}
         assert found == [x.images in elements for x in sample]
+
+    # The chain composes image tuples with operator.itemgetter, which over
+    # one index returns a bare value and over none raises; on degrees 0 and
+    # 1 the identity is the only permutation.
+    def test_degree_zero_order(self):
+        assert PermGroup((), 0).order() == 1
+
+    def test_degree_one_stabilizer(self):
+        stab = PermGroup([Permutation.identity(1)]).tuple_stabilizer((0,))
+        assert stab.order() == 1
+        assert Permutation.identity(1) in stab
+
+    def test_degree_one_sift(self):
+        assert _Chain([], 1, base_prefix=(0,)).sift((0,)) == ((0,), 1)
 
 
 class TestGroupTable:

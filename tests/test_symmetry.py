@@ -5,10 +5,20 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from digsym import symmetry
-from digsym.construct import circuit, complete, paley_tournament, right_translations
+from digsym.construct import (
+    cayley_digraph,
+    cayley_spec,
+    circuit,
+    complete,
+    cyclic_table,
+    paley_tournament,
+    right_translations,
+)
 from digsym.digraph import Digraph, build
 from digsym.errors import (
     BadParameter,
@@ -20,6 +30,7 @@ from digsym.errors import (
 from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import (
+    InstanceFacts,
     _count_orbits,
     automorphism_group,
     is_distance_transitive,
@@ -29,6 +40,7 @@ from digsym.symmetry import (
     transitivity_report,
 )
 from digsym.verify import SurveyConfig, build_instance, default_config, generate_descriptors
+from test_digraph import digraphs
 
 SMALL_CORPUS = [
     circuit(3),
@@ -414,6 +426,61 @@ class TestDistanceTransitive:
         with pytest.raises(NotStronglyConnected):
             is_distance_transitive(g, automorphism_group(g))
 
+    @staticmethod
+    def pair_orbit_oracle(g, group):
+        """One orbit of the brute closure on the ordered pairs at each
+        brute-force distance, unreachable pairs included."""
+        elements = oracles.brute_closure([p.images for p in group.generators], g.n)
+        pairs_at = {}
+        for u in range(g.n):
+            for v in range(g.n):
+                d = oracles.brute_distance(g.arcs, g.n, u, v)
+                pairs_at.setdefault(d, []).append((u, v))
+        return bool(pairs_at) and all(
+            oracles.brute_single_orbit(elements, pairs) for pairs in pairs_at.values()
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(), st.sampled_from(["aut", "cyclic", "trivial"]), st.randoms())
+    def test_random_digraphs_match_pair_orbits(self, g, which, rng):
+        # Aut, the cyclic subgroup of one random automorphism, or the
+        # trivial group, on digraphs of any symmetry class, strongly
+        # connected or not.
+        if which == "trivial":
+            group = PermGroup((), g.n)
+        elif which == "aut":
+            group = automorphism_group(g)
+        else:
+            images = rng.choice(oracles.brute_automorphisms(g.arcs, g.n))
+            group = PermGroup([Permutation(images)], g.n)
+        assert InstanceFacts(g, group).distance_transitive() == self.pair_orbit_oracle(g, group)
+
+    @pytest.mark.parametrize(
+        "n, conn",
+        [(5, [1]), (5, [1, 2]), (7, [1, 2, 4]), (8, [1, 2]), (9, [1, 3]), (12, [1, 4, 7, 10])],
+    )
+    def test_circulants_match_pair_orbits(self, n, conn):
+        # Aut, the right translations R(T) and the trivial group.  C5 is
+        # distance-transitive under its regular Aut (trivial stabilizer, one
+        # vertex per layer), Paley 7 and Cay(Z12, {1, 4, 7, 10}) only under
+        # Aut, whose stabilizer is nontrivial; the others are not.
+        spec = cayley_spec(cyclic_table(n), conn)
+        g = cayley_digraph(spec)
+        for group in (automorphism_group(g), right_translations(spec.table), PermGroup((), n)):
+            expected = self.pair_orbit_oracle(g, group)
+            assert InstanceFacts(g, group).distance_transitive() == expected, (n, conn, group)
+
+    def test_unreachable_layer_counts(self):
+        # Two disjoint 3-circuits: Aut (order 18) fixes a vertex and still
+        # turns the other circuit, so its unreachable pairs form one orbit;
+        # the regular group generated by turning both and swapping them
+        # does not.
+        g = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        regular = PermGroup([parse_cycles("(0 1 2)(3 4 5)", 6), parse_cycles("(0 3)(1 4)(2 5)", 6)])
+        for group, expected in ((automorphism_group(g), True), (regular, False)):
+            assert self.pair_orbit_oracle(g, group) is expected
+            assert InstanceFacts(g, group).distance_transitive() is expected
+
     def test_empty_digraph_is_not(self):
         # No vertex: no pair at distance 0, so no single orbit there, just as
         # the empty digraph is not vertex-transitive.
@@ -484,8 +551,10 @@ class TestTransitivityReport:
         assert len(arc_families) == 6
         assert len(counted) == 6
         assert all(any(f is a for a in arc_families) for f in counted)
-        # The standalone tester counts the pairs and enumerates no geodesics.
+        # The standalone tester reads the stabilizer's orbits on the distance
+        # layers, so it counts no family and enumerates no geodesics.
         assert is_distance_transitive(g, automorphism_group(g))
+        assert len(counted) == 6
 
     def test_text_and_dict(self):
         report = transitivity_report(circuit(4), name="C4")
