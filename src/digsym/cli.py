@@ -3,7 +3,7 @@ run single checks, run surveys.
 
 Exit codes: 0 = all pass or not applicable, 1 = some check failed, is
 incomplete or (in a survey) raised an error, or an analysis ran out of
-search budget, 2 = usage or file-format problem.
+search budget, 2 = usage, file-format or file-access problem.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         # Only an analysis gets here: checks and surveys record it themselves.
         print(f"incomplete ({exc})")
         return EXIT_FAIL
-    except (ParseError, FileNotFoundError, NotStronglyConnected) as exc:
+    except (ParseError, OSError, NotStronglyConnected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DigsymError as exc:

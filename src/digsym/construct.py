@@ -288,11 +288,7 @@ def quotient_digraph(g: Digraph, partition, group: PermGroup | None = None) -> Q
     dropped and flagged via ``internal_arcs``; the quotient may land in any
     symmetry class.
     """
-    blocks = validate_partition(g.n, partition)
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for v in b:
-            block_of[v] = i
+    blocks, block_of = validate_partition(g.n, partition)
     internal = False
     arcs = set()
     for u, v in g.arcs:
@@ -302,4 +298,4 @@ def quotient_digraph(g: Digraph, partition, group: PermGroup | None = None) -> Q
             arcs.add((block_of[u], block_of[v]))
     quotient = build(len(blocks), arcs)
     image = group.induced_block_action(blocks) if group is not None else None
-    return QuotientResult(quotient, tuple(block_of[v] for v in range(g.n)), image, internal)
+    return QuotientResult(quotient, block_of, image, internal)

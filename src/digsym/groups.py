@@ -8,9 +8,15 @@ computes on image tuples: its transversals and their cached inverses are
 tuples, sifting takes and returns one, and products are composed with
 ``operator.itemgetter``, so membership, orders and stabilizers make no
 ``Permutation``.  The chain is the engine behind normal closures and block
-actions.  Block systems come from Atkinson's minimal-block closure, and
-their kernels are the one source of intransitive normal subgroups that the
-quasiprimitivity predicates and the verification checks quantify over.
+actions.  Orbits on points are computed here and nowhere else:
+``_orbit_mask`` grows one orbit as a bitset from a point under generator
+image tuples, and ``_orbit_masks`` yields every orbit in order of its least
+point; ``PermGroup``'s orbit methods, the automorphism search and the
+distance-transitivity test all read them.  ``validate_partition`` is the
+one place that checks a partition and builds its block index.  Block
+systems come from Atkinson's minimal-block closure, and their kernels are
+the one source of intransitive normal subgroups that the quasiprimitivity
+predicates and the verification checks quantify over.
 """
 
 from __future__ import annotations
@@ -183,16 +189,52 @@ class _Chain:
         return [Permutation._unchecked(w) for w in result]
 
 
-def validate_partition(degree: int, partition) -> list[tuple[int, ...]]:
+def validate_partition(degree: int, partition) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """Blocks of a partition of {0..degree-1} as sorted tuples, ordered by
-    their minimum; raises PartitionInvalid unless they partition the set."""
+    their minimum, and each point's block index; raises PartitionInvalid
+    unless they partition the set."""
     blocks = [tuple(sorted(b)) for b in partition]
     if any(not b for b in blocks):
         raise PartitionInvalid("empty block")
     blocks.sort(key=lambda b: b[0])
     if sorted(v for b in blocks for v in b) != list(range(degree)):
         raise PartitionInvalid("blocks must partition the point set")
-    return blocks
+    block_of = [0] * degree
+    for i, b in enumerate(blocks):
+        for v in b:
+            block_of[v] = i
+    return blocks, tuple(block_of)
+
+
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _orbit_mask(tables, v: int) -> int:
+    """The orbit of v under the group the image tuples generate, as a bitset."""
+    orbit, stack = 1 << v, [v]
+    while stack:
+        x = stack.pop()
+        for table in tables:
+            y = table[x]
+            if not orbit >> y & 1:
+                orbit |= 1 << y
+                stack.append(y)
+    return orbit
+
+
+def _orbit_masks(tables, degree: int):
+    """Each orbit on 0..degree-1 of the group the image tuples generate, as
+    a bitset, in order of its least point."""
+    rest = (1 << degree) - 1
+    while rest:
+        orbit = _orbit_mask(tables, (rest & -rest).bit_length() - 1)
+        rest &= ~orbit
+        yield orbit
 
 
 def _block_closure(gens: tuple[Permutation, ...], degree: int, seed) -> tuple[tuple[int, ...], ...]:
@@ -297,32 +339,20 @@ class PermGroup:
     # ------------------------------------------------------------------
     # orbits and stabilizers
 
+    def _tables(self) -> list[tuple[int, ...]]:
+        return [g.images for g in self.generators]
+
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        return frozenset(next(o for o in self.orbit_partition() if point in o))
+        return frozenset(_bits(_orbit_mask(self._tables(), point)))
 
     def orbit_partition(self) -> list[tuple[int, ...]]:
         """Orbits as sorted tuples, ordered by their minimum element."""
-        images = [g.images for g in self.generators]
-        seen = [False] * self.degree
-        orbits = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            seen[start] = True
-            orbit = [start]
-            for p in orbit:
-                for img in images:
-                    q = img[p]
-                    if not seen[q]:
-                        seen[q] = True
-                        orbit.append(q)
-            orbits.append(tuple(sorted(orbit)))
-        return orbits
+        return [tuple(_bits(o)) for o in _orbit_masks(self._tables(), self.degree)]
 
     def orbits_count(self) -> int:
-        return len(self.orbit_partition())
+        return sum(1 for _ in _orbit_masks(self._tables(), self.degree))
 
     def tuple_stabilizer(self, points) -> "PermGroup":
         """Pointwise stabilizer of a tuple of points.
@@ -343,7 +373,7 @@ class PermGroup:
     # predicates
 
     def is_transitive(self) -> bool:
-        return self.degree > 0 and len(self.orbit(0)) == self.degree
+        return self.degree > 0 and _orbit_mask(self._tables(), 0) == (1 << self.degree) - 1
 
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order() == self.degree
@@ -418,21 +448,17 @@ class PermGroup:
     def _block_images(self, partition) -> tuple[int, list[Permutation]]:
         """The number of blocks of an invariant partition and each
         generator's permutation of them."""
-        blocks = validate_partition(self.degree, partition)
-        block_of = {}
-        for i, b in enumerate(blocks):
-            for v in b:
-                block_of[v] = i
-        block_sets = [frozenset(b) for b in blocks]
+        blocks, block_of = validate_partition(self.degree, partition)
         image_gens = []
         for g in self.generators:
-            images = []
-            for i, b in enumerate(blocks):
-                target = block_of[g(b[0])]
-                if frozenset(g(v) for v in b) != block_sets[target]:
+            images = g.images
+            targets = []
+            for b in blocks:
+                target = block_of[images[b[0]]]
+                if tuple(sorted(map(images.__getitem__, b))) != blocks[target]:
                     raise PartitionNotInvariant(f"generator {g} breaks block {b}")
-                images.append(target)
-            image_gens.append(Permutation(images))
+                targets.append(target)
+            image_gens.append(Permutation(targets))
         return len(blocks), image_gens
 
     def induced_block_action(self, partition) -> "PermGroup":

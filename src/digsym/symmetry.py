@@ -9,22 +9,26 @@ node of the search, which is guarded by a node budget.  A caller that
 knows a transitive group of automorphisms, such as the right translations
 R(T) of a Cayley digraph, passes it as ``transitive=``; the search then
 skips the refinement and starts from its generators, so the first level
-hunts no automorphism.  Every transitivity claim reduces to orbit counts
-on explicit tuple families, and one ``InstanceFacts`` per (digraph, group)
-validates the group once and computes them, counting each distinct family
-at most once: where every s-arc is an s-geodesic the two kinds share one
-count.  Distance-transitivity counts no family: a transitive group is
+hunts no automorphism.  Every transitivity claim reduces to orbit counts.
+Orbits on points (vertex-transitivity, the search's level orbits and the
+point stabilizer's orbits below) come from ``groups._orbit_mask`` and
+``groups._orbit_masks``.  Orbits on the s-arcs and s-geodesics, s >= 1, are
+counted on explicit tuple families, and one ``InstanceFacts`` per (digraph,
+group) validates the group once and computes them, counting each distinct
+family at most once: where every s-arc is an s-geodesic the two kinds share
+one count.  Distance-transitivity counts no family: a transitive group is
 distance-transitive iff the stabilizer of one vertex b, read off the
 stabilizer chain, has one orbit on each layer of b's distance row.  It
 keeps the group on its reduced generators (``PermGroup.reduced``): the
 search returns a strong generating set, one generator per new orbit point
-at each level, and few of those are needed to generate the group.  The orbit counts and the group-theoretic
-tests of ``verify``'s checks read that one group and its one stabilizer
-chain.  Each count (``_count_orbits``) checks that the family is invariant,
-then searches over positions in the family, so it holds no second copy of
-the tuples and lists no orbit; the scan and the search both build each
-image from the generator's image table.  The public testers and
-``transitivity_report`` each build one ``InstanceFacts``.
+at each level, and few of those are needed to generate the group.  The
+orbit counts and the group-theoretic tests of ``verify``'s checks read that
+one group and its one stabilizer chain.  Each tuple count
+(``_count_orbits``) checks that the family is invariant, then searches over
+positions in the family, so it holds no second copy of the tuples and lists
+no orbit; the scan and the search both build each image from the
+generator's image table.  The public testers and ``transitivity_report``
+each build one ``InstanceFacts``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .errors import (
     SearchBudgetExceeded,
     SetNotInvariant,
 )
-from .groups import PermGroup
+from .groups import PermGroup, _bits, _orbit_mask, _orbit_masks
 from .perm import Permutation
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -124,39 +128,7 @@ def _restrict(domains, v: int, w: int, out_masks, in_masks):
     return restricted
 
 
-def _orbit_mask(tables, v: int) -> int:
-    """The orbit of v under the group the image tuples generate, as a bitset."""
-    orbit, stack = 1 << v, [v]
-    while stack:
-        x = stack.pop()
-        for table in tables:
-            y = table[x]
-            if not orbit >> y & 1:
-                orbit |= 1 << y
-                stack.append(y)
-    return orbit
-
-
-def _orbit_count(tables, degree: int) -> int:
-    """The number of orbits on 0..degree-1 of the group the image tuples generate."""
-    rest, orbits = (1 << degree) - 1, 0
-    while rest:
-        rest &= ~_orbit_mask(tables, (rest & -rest).bit_length() - 1)
-        orbits += 1
-    return orbits
-
-
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def automorphism_group(
-    g: Digraph, node_budget: int | None = None, transitive: PermGroup | None = None
-) -> PermGroup:
+def automorphism_group(g: Digraph, transitive: PermGroup | None = None) -> PermGroup:
     """The full group of arc-preserving vertex bijections of g.
 
     Vertices are processed in a fixed order, smallest color class first.
@@ -169,9 +141,8 @@ def automorphism_group(
     backtracking search from ``_restrict(domains, v, w, ...)`` that tries
     candidates lowest first and branches on the vertex with the fewest
     candidates, earliest in the order on ties.  Each image tried inside that
-    search is one node; past ``node_budget`` nodes (default
-    ``DIGSYM_SEARCH_BUDGET``, else ``DEFAULT_NODE_BUDGET``)
-    SearchBudgetExceeded is raised.
+    search is one node; past the node budget (``DIGSYM_SEARCH_BUDGET``,
+    else ``DEFAULT_NODE_BUDGET``) SearchBudgetExceeded is raised.
 
     ``transitive``, if given, is a known transitive group of automorphisms
     of g, such as the right translations R(T) of a Cayley digraph
@@ -182,7 +153,7 @@ def automorphism_group(
     so no level-0 hunt runs, and the deeper levels run as without it.  The
     result is the same group on another generator list.
     """
-    budget = default_node_budget() if node_budget is None else node_budget
+    budget = default_node_budget()
     if transitive is not None:
         check_is_automorphism_group(g, transitive)
         if not transitive.is_transitive():
@@ -337,8 +308,9 @@ class InstanceFacts:
     and counted at most once: the s-arcs (kind ``S_ARC``) and the
     s-geodesics (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every
     s-arc is an s-geodesic, so there both kinds read the one s-arc count.
-    Distance-transitivity counts no family: it reads the first two levels
-    of the chain and one distance row.  The transitivity facts need the
+    Orbits on the vertices are the group's own (``PermGroup.orbits_count``),
+    and distance-transitivity counts no family: it reads the first two
+    levels of the chain and one distance row.  The transitivity facts need the
     directed class, which ``verify.run_check`` tests once for every check
     id, and ``report`` also strong connectivity, which its callers test
     first.
@@ -371,7 +343,8 @@ class InstanceFacts:
         return kind, s
 
     def count(self, kind: str, s: int) -> int:
-        """Number of orbits on the s-walks of ``kind``; 0 when there are none."""
+        """Number of orbits on the s-walks of ``kind``, s >= 1; 0 when there
+        are none.  Orbits on the vertices are the group's, not a count here."""
         key = self._key(kind, s)
         if key not in self._counts:
             family = self.g.s_arcs(s) if key[0] == S_ARC else self.g.s_geodesics(s)
@@ -410,7 +383,7 @@ class InstanceFacts:
             return True  # one vertex: a single pair, at distance 0
         row = self.g._distance_matrix[levels[0].point]
         gens = levels[1].gens if len(levels) > 1 else ()
-        return _orbit_count(gens, len(row)) == len(set(row))
+        return sum(1 for _ in _orbit_masks(gens, len(row))) == len(set(row))
 
     @cached_property
     def report(self) -> TransitivityReport:
@@ -421,7 +394,7 @@ class InstanceFacts:
         """
         g = self.g
         diam = g.diameter()
-        counts = {"vertices": self.count(S_ARC, 0)}
+        counts = {"vertices": self.group.orbits_count()}
         best = {}
         for kind, label in ((S_ARC, "arcs"), (S_GEODESIC, "geodesics")):
             best[kind] = 0

@@ -436,6 +436,35 @@ class TestUnreadableInput:
         assert "/nonexistent/file.dg" in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    """An output path that is a directory is a file problem: exit 2, with an
+    error line and no traceback."""
+
+    def test_survey_out_directory(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"circulant_orders": [5], "min_valency": 2, "max_valency": 2}))
+        assert main(["survey", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_cayley_emit_directory(self, tmp_path, capsys):
+        assert main(["cayley", "--group", "cyclic:5", "--conn", "1", "--emit", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_quotient_output_directory(self, circuit_file, tmp_path, capsys):
+        group_file = tmp_path / "group.perm"
+        group_file.write_text(write_permutations(6, [parse_cycles("(0 1 2 3 4 5)", 6)]))
+        normal_file = tmp_path / "normal.perm"
+        normal_file.write_text(write_permutations(6, [parse_cycles("(0 3)(1 4)(2 5)", 6)]))
+        (tmp_path / "out.quotient").mkdir()
+        argv = ["quotient", circuit_file, str(group_file), str(normal_file),
+                "--out-prefix", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "out.quotient" in err
+
+
 class TestRoundTrips:
     def test_digraph_file_round_trip(self, tmp_path):
         g = paley_tournament(11)

@@ -6,7 +6,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -119,12 +119,23 @@ class TestOrbits:
 
     @settings(max_examples=40, deadline=None)
     @given(generator_sets())
+    @example((0, []))  # degree 0
+    @example((1, [Permutation((0,))]))  # degree 1
+    @example((4, []))  # generator-free
     def test_orbit_stabilizer(self, data):
         degree, gens = data
         g = PermGroup(gens, degree)
+        elements = oracles.brute_closure([p.images for p in gens], degree)
+        orbits = oracles.brute_orbit_partition(elements, degree)
+        assert g.orbit_partition() == [tuple(sorted(o)) for o in orbits]
+        assert g.orbits_count() == len(orbits)
+        assert g.is_transitive() == (len(orbits) == 1)
         for point in range(degree):
+            assert g.orbit(point) == next(o for o in orbits if point in o)
             stab = g.tuple_stabilizer((point,))
             assert len(g.orbit(point)) * stab.order() == g.order()
+        with pytest.raises(ValueError):
+            g.orbit(degree)
 
 
 class TestStabilizers:

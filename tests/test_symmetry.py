@@ -78,9 +78,10 @@ class TestAutomorphismGroup:
         for p in group.generators:
             assert all((p(u), p(v)) in g.arcs for u, v in g.arcs)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "3")
         with pytest.raises(SearchBudgetExceeded):
-            automorphism_group(complete(8), node_budget=3)
+            automorphism_group(complete(8))
 
 
 def _closure(perms, degree):
@@ -173,14 +174,16 @@ class TestAgainstReferenceSearch:
             reference = oracles.reference_automorphism_group(g).generators
             assert found == reference, g
 
-    def test_same_budget_threshold(self):
+    def test_same_budget_threshold(self, monkeypatch):
         circulant = build_instance(("circulant", 12, (1, 4, 5)))[1]
         for g in (complete(5), complete(6), paley_tournament(19), circulant):
             nodes = _budget_threshold(oracles.reference_automorphism_group, g)
             assert nodes > 1, g
-            automorphism_group(g, node_budget=nodes)
+            monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", str(nodes))
+            automorphism_group(g)
+            monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", str(nodes - 1))
             with pytest.raises(SearchBudgetExceeded):
-                automorphism_group(g, node_budget=nodes - 1)
+                automorphism_group(g)
 
 
 def _assert_seeded_search_agrees(descriptors):
@@ -243,10 +246,11 @@ class TestTransitiveSeed:
         with pytest.raises(BadParameter):
             automorphism_group(circuit(6), transitive=rotation)
 
-    def test_budget_still_applies_below_level_0(self):
+    def test_budget_still_applies_below_level_0(self, monkeypatch):
         _, g, spec = build_instance(("circulant", 6, (1, 4)))
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
         with pytest.raises(SearchBudgetExceeded):
-            automorphism_group(g, node_budget=1, transitive=right_translations(spec.table))
+            automorphism_group(g, transitive=right_translations(spec.table))
 
 
 class TestCountOrbits:
@@ -523,7 +527,8 @@ class TestTransitivityReport:
     def test_circuit_counts_only_arc_families(self, monkeypatch):
         # Every s-arc of C6 with s <= 5 is an s-geodesic and Aut is regular,
         # so each geodesic level reads its arc count, every distance has one
-        # geodesic orbit, and no pair family is counted.
+        # geodesic orbit, and no pair family is counted.  The vertex orbits
+        # are the group's own, so level 0 is no tuple family.
         g = circuit(6)
         assert g._arc_geodesic_depth == 5
         arc_families = []
@@ -548,13 +553,14 @@ class TestTransitivityReport:
         report = transitivity_report(g)
         assert report.group_order == 6 and report.max_geodesic_s == 5
         assert report.distance_transitive
-        assert len(arc_families) == 6
-        assert len(counted) == 6
+        assert report.orbit_counts["vertices"] == 1
+        assert len(arc_families) == 5
+        assert len(counted) == 5
         assert all(any(f is a for a in arc_families) for f in counted)
         # The standalone tester reads the stabilizer's orbits on the distance
         # layers, so it counts no family and enumerates no geodesics.
         assert is_distance_transitive(g, automorphism_group(g))
-        assert len(counted) == 6
+        assert len(counted) == 5
 
     def test_text_and_dict(self):
         report = transitivity_report(circuit(4), name="C4")
