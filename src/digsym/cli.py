@@ -62,8 +62,8 @@ def cmd_analyze(args) -> int:
     print(f"n={g.n}")
     print(f"arcs={len(g.arcs)}")
     print(f"symmetry_class={g.symmetry_class}")
-    print(f"valency={g.valency()}")
-    girth = g.girth()
+    valency, girth = g.valency(), g.girth()
+    print(f"valency={valency if valency is not None else 'none'}")
     print(f"girth={girth if girth is not None else 'none'}")
     strongly = g.is_strongly_connected()
     print(f"strongly_connected={str(strongly).lower()}")

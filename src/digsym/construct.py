@@ -3,7 +3,9 @@
 Cayley digraphs follow the right-coset picture: the vertex set is the group
 H, with an arc (h, x*h) for every h in H and every x in the connection set
 S.  The group acts on itself by right translation, which preserves arcs and
-is regular on vertices.
+is regular on vertices.  The group automorphisms that fix S setwise also
+preserve arcs; ``aut_preserving_conn`` is the one enumerator of group
+automorphisms, searched from S, and with S empty it returns all of Aut(H).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
 from .groups import GroupTable, PermGroup, table_from_text, validate_partition
 from .perm import Permutation
 
-# Generator-image maps that table_automorphisms may try.
+# Candidate generator-image maps that aut_preserving_conn may try.
 AUT_TABLE_BUDGET = 1_000_000
 
 
@@ -189,23 +191,32 @@ def right_translations(table: GroupTable) -> PermGroup:
     return PermGroup(gens, table.order)
 
 
-def table_automorphisms(table: GroupTable) -> list[Permutation]:
-    """All automorphisms of the abstract group, by generator images.
+def aut_preserving_conn(spec: CayleySpec) -> list[Permutation]:
+    """Automorphisms of the group that fix the connection set S setwise.
 
-    Each generator is sent to an element of the same order, in every
-    combination, and each candidate is closed from the identity by right
-    multiplication: a -> f(a) forces a*g -> f(a)*f(g) for every generator g.
-    The closure compares f on every (element, generator) pair, so a
-    consistent closure satisfies f(a*g) = f(a)*f(g) throughout; as every
-    element is a product of generators, f(a*b) = f(a)*f(b) for all a and b,
-    and a closure that is a bijection is an automorphism with no further
-    product scan.  More than ``AUT_TABLE_BUDGET`` candidates raise
-    BoundExceeded before any is tried.
+    Such an automorphism maps S onto S, so the generators are taken greedily
+    from S first and then from the rest of the group: a generator in S is
+    sent to an element of S of the same order, any other generator to any
+    element of the same order, in every combination.  Each candidate is
+    closed from the identity by right multiplication: a -> f(a) forces
+    a*g -> f(a)*f(g) for every generator g.  The closure compares f on every
+    (element, generator) pair, so a consistent closure satisfies
+    f(a*g) = f(a)*f(g) throughout; as every element is a product of
+    generators, f(a*b) = f(a)*f(b) for all a and b, and a closure that is a
+    bijection is an automorphism with no further product scan.  Those that
+    map S into S are kept; with S empty they are every automorphism of the
+    group.  More than ``AUT_TABLE_BUDGET`` candidates raise BoundExceeded
+    before any is tried.
     """
+    table, conn = spec.table, spec.conn
     m, mul, e = table.order, table.mul_table, table.identity
-    gens = table.generating_set()
+    in_conn = sorted(conn)
+    gens = table.generating_set(first=in_conn)
     orders = [table.order_of(x) for x in range(m)]
-    choices = [[t for t in range(m) if orders[t] == orders[g]] for g in gens]
+    choices = [
+        [t for t in (in_conn if g in conn else range(m)) if orders[t] == orders[g]]
+        for g in gens
+    ]
     candidates = prod(len(c) for c in choices)
     if candidates > AUT_TABLE_BUDGET:
         raise BoundExceeded(
@@ -230,18 +241,9 @@ def table_automorphisms(table: GroupTable) -> list[Permutation]:
                 continue
             break  # a clash: no homomorphism extends these images
         else:
-            if len(set(f)) == m:
+            if len(set(f)) == m and all(f[x] in conn for x in conn):
                 found.append(Permutation(f))
     return found
-
-
-def aut_preserving_conn(spec: CayleySpec) -> list[Permutation]:
-    """Automorphisms of the group that fix the connection set setwise."""
-    return [
-        alpha
-        for alpha in table_automorphisms(spec.table)
-        if {alpha(x) for x in spec.conn} == set(spec.conn)
-    ]
 
 
 def cayley_holomorph_action(spec: CayleySpec) -> PermGroup:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import LoopArc, NotStronglyConnected, ParseError, VertexOutOfRange
+from .errors import LoopArc, NotStronglyConnected, ParseError, VertexOutOfRange, read_headed
 
 DIRECTED = "directed"
 UNDIRECTED = "undirected"
@@ -272,23 +272,10 @@ def build(n: int, arcs) -> Digraph:
 
 def from_text(text: str) -> Digraph:
     """Parse the digraph text format: ``n <count>`` then one ``u v`` per line."""
-    n = None
+    n, lines = read_headed(text, "n", "count", "vertex count", 0)
     arcs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in lines:
         parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ParseError("expected header 'n <count>'", line=lineno)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno) from None
-            if n < 0:
-                raise ParseError("vertex count must be nonnegative", line=lineno)
-            continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
         try:
@@ -303,8 +290,6 @@ def from_text(text: str) -> Digraph:
         except (LoopArc, VertexOutOfRange) as exc:
             raise ParseError(str(exc), line=lineno) from exc
         arcs.append((u, v))
-    if n is None:
-        raise ParseError("missing 'n <count>' header")
     return build(n, arcs)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -33,6 +34,7 @@ from .errors import (
     ParseError,
     PartitionInvalid,
     PartitionNotInvariant,
+    read_headed,
 )
 from .perm import Permutation, invert_images
 
@@ -619,11 +621,13 @@ class GroupTable:
                     queue.append(product)
         return frozenset(closure)
 
-    def generating_set(self) -> list[int]:
-        """A small generating set found greedily in element order."""
+    def generating_set(self, first=()) -> list[int]:
+        """A small generating set found greedily: the elements of ``first`` in
+        their order, then every element in index order, each kept when it lies
+        outside the subgroup generated by those kept before it."""
         gens: list[int] = []
         closure = self.generated_subset(())
-        for x in range(self.order):
+        for x in chain(first, range(self.order)):
             if x not in closure:
                 gens.append(x)
                 closure = self.generated_subset(gens)
@@ -637,31 +641,15 @@ class GroupTable:
 
 def table_from_text(text: str) -> GroupTable:
     """Parse the table format: ``order m`` then m rows of m indices."""
-    order = None
+    order, lines = read_headed(text, "order", "m", "order", 1)
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if order is None:
-            if len(parts) != 2 or parts[0] != "order":
-                raise ParseError("expected header 'order <m>'", line=lineno)
-            try:
-                order = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad order {parts[1]!r}", line=lineno) from None
-            if order < 1:
-                raise ParseError("order must be positive", line=lineno)
-            continue
+    for lineno, line in lines:
         try:
-            rows.append([int(p) for p in parts])
+            rows.append([int(p) for p in line.split()])
         except ValueError:
             raise ParseError(f"non-integer entry in {line!r}", line=lineno) from None
         if len(rows[-1]) != order:
             raise ParseError(f"expected {order} entries per row", line=lineno)
-    if order is None:
-        raise ParseError("missing 'order <m>' header")
     if len(rows) != order:
         raise ParseError(f"expected {order} rows, got {len(rows)}")
     try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from math import lcm
 
-from .errors import DegreeMismatch, ParseError
+from .errors import DegreeMismatch, ParseError, read_headed
 
 _CYCLE_RE = re.compile(r"\(([\d\s,]*)\)")
 
@@ -149,29 +149,13 @@ def read_permutations(text: str):
 
     Returns (degree, list of Permutation). ``#`` starts a comment.
     """
-    degree = None
+    degree, lines = read_headed(text, "deg", "n", "degree", 1)
     perms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "deg":
-                raise ParseError("expected header 'deg <n>'", line=lineno)
-            try:
-                degree = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad degree {parts[1]!r}", line=lineno) from None
-            if degree < 1:
-                raise ParseError("degree must be positive", line=lineno)
-            continue
+    for lineno, line in lines:
         try:
             perms.append(parse_cycles(line, degree))
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from exc
-    if degree is None:
-        raise ParseError("missing 'deg <n>' header")
     return degree, perms
 
 

@@ -500,7 +500,7 @@ def check_hadamard_design(facts: InstanceFacts) -> CheckResult:
         return _na("T1.4ii", "needs diameter 2")
     if not facts.s_geodesic_transitive(2):
         return _na("T1.4ii", "not 2-geodesic-transitive")
-    if not facts.report.distance_transitive:
+    if not facts.distance_transitive():
         return CheckResult("T1.4ii", FAIL, witness={"reason": "not distance-transitive"})
     n = g.n
     if (n + 1) % 4 != 0:
@@ -530,8 +530,10 @@ def analysis_record(facts: InstanceFacts) -> CheckResult:
     if not facts.strongly_connected:
         return _na("report", "not strongly connected")
     g, report = facts.g, facts.report
+    valency, girth = facts.valency, g.girth()
     notes = (
-        f"valency={facts.valency} diameter={g.diameter()} girth={g.girth()} "
+        f"valency={valency if valency is not None else 'none'} diameter={g.diameter()} "
+        f"girth={girth if girth is not None else 'none'} "
         f"|Aut|={report.group_order} max_arc_s={report.max_arc_s} "
         f"max_geodesic_s={report.max_geodesic_s}"
     )

@@ -72,6 +72,13 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.dg"]) == 2
 
+    def test_irregular_digraph_prints_valency_none(self, tmp_path, capsys):
+        path = tmp_path / "nvt.dg"
+        path.write_text("n 4\n0 1\n1 2\n2 0\n2 3\n3 0\n")
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "valency=none\ngirth=3\n" in out
+
     def test_exhausted_search_budget_incomplete(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "c7.dg"
         path.write_text(to_text(circuit(7)))
@@ -273,6 +280,22 @@ class TestCheck:
         path.write_text(to_text(digraph))
         assert main(["check", "--id", "report", str(path)]) == 0
         assert capsys.readouterr().out == line + "\n"
+
+    @pytest.mark.parametrize(
+        "text, notes",
+        [
+            ("n 4\n0 1\n1 2\n2 0\n2 3\n3 0\n", "valency=none diameter=3 girth=3"),
+            ("n 1\n", "valency=0 diameter=0 girth=none"),
+        ],
+        ids=["irregular", "no-cycle"],
+    )
+    def test_report_prints_missing_values_as_none(self, tmp_path, capsys, text, notes):
+        path = tmp_path / "g.dg"
+        path.write_text(text)
+        assert main(["check", "--id", "report", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"report: pass ({notes} |Aut|=1 max_arc_s=0 max_geodesic_s=0)\n"
+        )
 
     def test_undirected_digraph_meets_the_guard_with_normal(self, tmp_path, capsys):
         k4 = tmp_path / "k4.dg"

@@ -21,7 +21,6 @@ from digsym.construct import (
     parse_group_spec,
     quotient_digraph,
     right_translations,
-    table_automorphisms,
 )
 from digsym.digraph import DIRECTED, UNDIRECTED, build
 from digsym.errors import (
@@ -92,14 +91,15 @@ class TestTables:
             parse_group_spec("simple:60")
 
     def test_table_automorphism_counts(self):
-        assert len(table_automorphisms(cyclic_table(7))) == 6
-        assert len(table_automorphisms(cyclic_table(12))) == 4
-        assert len(table_automorphisms(dihedral_table(4))) == 8
-        assert len(table_automorphisms(abelian_table([2, 2]))) == 6
+        # With no connection set to fix, the maps found are all of Aut(T).
+        assert len(aut_preserving_conn(cayley_spec(cyclic_table(7), ()))) == 6
+        assert len(aut_preserving_conn(cayley_spec(cyclic_table(12), ()))) == 4
+        assert len(aut_preserving_conn(cayley_spec(dihedral_table(4), ()))) == 8
+        assert len(aut_preserving_conn(cayley_spec(abelian_table([2, 2]), ()))) == 6
 
     def test_order_above_64_within_candidate_budget(self):
         # Z70 has one generator and 24 elements of its order: 24 candidates.
-        assert len(table_automorphisms(cyclic_table(70))) == 24
+        assert len(aut_preserving_conn(cayley_spec(cyclic_table(70), ()))) == 24
 
     def test_candidate_budget_raises_before_any_map(self, monkeypatch):
         # Z2^5: 5 generators, each with 31 involutions as candidate images.
@@ -110,7 +110,18 @@ class TestTables:
 
         monkeypatch.setattr(construct, "product", tripwire)
         with pytest.raises(BoundExceeded, match="28629151"):
-            table_automorphisms(table)
+            aut_preserving_conn(cayley_spec(table, ()))
+
+    def test_candidates_restricted_to_connection_set(self):
+        # Z4^4 with the four unit vectors: each unit vector is offered only
+        # the four unit vectors, 256 candidates in place of the 240^4 =
+        # 3,317,760,000 over every element of order 4.  Aut(T, S) is S4
+        # permuting the coordinates, so the holomorph has order 4^4 * 24.
+        table = abelian_table([4] * 4)
+        units = [64, 16, 4, 1]  # mixed-radix indices of the unit vectors
+        spec = cayley_spec(table, units)
+        assert len(aut_preserving_conn(spec)) == 24
+        assert cayley_holomorph_action(spec).order() == 6144
 
     def test_table_spec_reads_file(self, tmp_path):
         from digsym.groups import table_to_text
@@ -141,12 +152,12 @@ def oracle_tables():
 class TestTableAutomorphismOracle:
     @pytest.mark.parametrize("table", oracle_tables(), ids=repr)
     def test_matches_brute_force(self, table):
-        found = [alpha.images for alpha in table_automorphisms(table)]
+        found = [alpha.images for alpha in aut_preserving_conn(cayley_spec(table, ()))]
         assert sorted(found) == sorted(oracles.brute_table_automorphisms(table))
 
     def test_quaternion_automorphisms(self):
         # Aut(Q8) is S4; it also tells Q8 apart from the other groups of order 8.
-        assert len(table_automorphisms(oracle_tables()[-1])) == 24
+        assert len(aut_preserving_conn(cayley_spec(oracle_tables()[-1], ()))) == 24
 
     @pytest.mark.parametrize("table", oracle_tables(), ids=repr)
     def test_conn_preserving_matches_filtered_brute_force(self, table):

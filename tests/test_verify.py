@@ -448,6 +448,13 @@ class TestHadamardDesign:
         assert result.status == PASS
         assert "degenerate" in result.notes
 
+    def test_reads_distance_transitivity_without_the_report(self):
+        # The check needs one fact, so it counts no arc or geodesic level.
+        facts = aut_facts(circuit(3))
+        [result] = verify.run_check(facts, "T1.4ii")
+        assert result.status == PASS
+        assert "report" not in vars(facts)
+
     def test_paley_not_applicable_but_design_holds(self):
         g = paley_tournament(7)
         assert check_hadamard_design(aut_facts(g)).status == NOT_APPLICABLE
