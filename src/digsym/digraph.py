@@ -116,23 +116,22 @@ class Digraph:
     def _arc_geodesic_depth(self) -> int:
         """Largest s such that, at every level t <= s, each t-arc is a t-geodesic.
 
-        R_t(u), the ends of the t-arcs from u, grows one level at a time from
-        R_0(u) = {u}; the depth stops before the first t at which some
-        x in R_t(u) has d(u, x) != t.  Once every R_t is empty, no longer arc
-        exists, the two families agree (empty) at every later level, and
-        that t is returned.  Geodesics are arcs, so equal ends mean equal
-        families.
+        While every shorter arc from u is a geodesic, the t-arcs from u are
+        the geodesics to u's layer t - 1 followed by one arc; so the depth
+        is the least d(u, y) over arcs (y, x) with d(u, x) != d(u, y) + 1,
+        one scan of the distance matrix.  With no such arc, every arc is a
+        geodesic at every level, so none is longer than the longest
+        distance, and the depth is ``max_geodesic_length() + 1``.
         """
-        dist = self._distance_matrix
-        reach = [{u} for u in range(self.n)]
-        t = 0
-        while True:
-            t += 1
-            reach = [{x for y in ends for x in self._out[y]} for ends in reach]
-            if any(dist[u][x] != t for u, ends in enumerate(reach) for x in ends):
-                return t - 1
-            if not any(reach):
-                return t
+        return min(
+            (
+                row[y]
+                for row in self._distance_matrix
+                for y, x in self.arcs
+                if row[y] is not None and row[x] != row[y] + 1
+            ),
+            default=self.max_geodesic_length() + 1,
+        )
 
     def s_arcs(self, s: int) -> list[tuple[int, ...]]:
         """All s-arcs as vertex tuples in lexicographic order; vertices may repeat."""

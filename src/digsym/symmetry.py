@@ -16,7 +16,9 @@ point stabilizer's orbits below) come from ``groups._orbit_mask`` and
 counted on explicit tuple families, and one ``InstanceFacts`` per (digraph,
 group) validates the group once and computes them, counting each distinct
 family at most once: where every s-arc is an s-geodesic the two kinds share
-one count.  Distance-transitivity counts no family: a transitive group is
+one count.  Facts of the digraph alone, such as strong connectivity and
+valency, are read from the ``Digraph``, not kept a second time here.
+Distance-transitivity counts no family: a transitive group is
 distance-transitive iff the stabilizer of one vertex b, read off the
 stabilizer chain, has one orbit on each layer of b's distance row.  It
 keeps the group on its reduced generators (``PermGroup.reduced``): the
@@ -303,14 +305,18 @@ class InstanceFacts:
     ``group.reduced()``, the same group on fewer generators: every orbit
     count costs two images per tuple and generator, and the kernels,
     solubility and normality tests of the checks all read this one group and
-    its one stabilizer chain.  Each fact is computed on first use and kept
-    for the life of the object.  Each distinct tuple family is enumerated
-    and counted at most once: the s-arcs (kind ``S_ARC``) and the
-    s-geodesics (``S_GEODESIC``); up to ``g._arc_geodesic_depth`` every
-    s-arc is an s-geodesic, so there both kinds read the one s-arc count.
-    Orbits on the vertices are the group's own (``PermGroup.orbits_count``),
-    and distance-transitivity counts no family: it reads the first two
-    levels of the chain and one distance row.  The transitivity facts need the
+    its one stabilizer chain.  It holds only the facts that need the group:
+    those of ``g`` alone (strong connectivity, valency, distances, the
+    components of the underlying graph) are read from ``g``, which caches
+    its distance matrix and strong connectivity.  Each fact is computed on
+    first use and kept for the life of the object.  Each distinct tuple
+    family is enumerated and counted at most once: the s-arcs (kind
+    ``S_ARC``) and the s-geodesics (``S_GEODESIC``); up to
+    ``g._arc_geodesic_depth`` every s-arc is an s-geodesic, so there both
+    kinds read the one s-arc count.  Orbits on the vertices are the group's
+    own (``PermGroup.orbits_count``), and distance-transitivity counts no
+    family: it reads the first two levels of the chain and one distance
+    row.  The transitivity facts need the
     directed class, which ``verify.run_check`` tests once for every check
     id, and ``report`` also strong connectivity, which its callers test
     first.
@@ -323,18 +329,6 @@ class InstanceFacts:
         self.group = group.reduced()
         self.cayley = cayley
         self._counts: dict[tuple[str, int], int] = {}
-
-    @cached_property
-    def strongly_connected(self) -> bool:
-        return self.g.is_strongly_connected()
-
-    @cached_property
-    def valency(self) -> int | None:
-        return self.g.valency()
-
-    @cached_property
-    def underlying_connected(self) -> bool:
-        return len(self.g.weak_components()) == 1
 
     def _key(self, kind: str, s: int) -> tuple[str, int]:
         """The key of the family that the s-walks of ``kind`` are."""

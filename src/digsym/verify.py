@@ -13,8 +13,8 @@ an exhausted search or candidate budget into ``incomplete``;
 evaluates its own hypothesis before its conclusion: inapplicable
 instances come back ``not_applicable`` instead of vacuously
 passing and failures carry a replayable witness; in a survey, an instance
-that raises any other exception gives ``error`` records instead of
-aborting it.
+that raises any other exception, or whose pool worker dies, gives
+``error`` records instead of aborting it.
 Checks that quantify over intransitive normal subgroups take them from the
 group's block-system kernels (``PermGroup.intransitive_normal_kernels``),
 one per orbit partition, which is exhaustive; they test their own
@@ -88,15 +88,15 @@ def _arc_with_common(commons: dict, size: int) -> list[int] | None:
 def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     """Local out-neighborhood constraints forced by arc-transitivity."""
     g = facts.g
-    valency = facts.valency
-    if valency is None or valency < 1 or not facts.underlying_connected:
+    valency = g.valency()
+    if valency is None or valency < 1 or len(g.weak_components()) != 1:
         return [_na(cid, "needs a connected regular digraph") for cid in ARC_LOCAL_IDS]
     if not facts.s_arc_transitive(1):
         return [_na(cid, "group is not arc-transitive") for cid in ARC_LOCAL_IDS]
 
     results = []
     # Arc-transitive with connected underlying graph forces strong connectivity.
-    if facts.strongly_connected:
+    if g.is_strongly_connected():
         results.append(CheckResult("SC", PASS))
     else:
         results.append(CheckResult("SC", FAIL, witness={"strongly_connected": False}))
@@ -199,7 +199,7 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
 
 def check_small_valency(facts: InstanceFacts) -> CheckResult:
     """Valency <= 5: 2-geodesic-transitive iff 2-arc-transitive."""
-    valency = facts.valency
+    valency = facts.g.valency()
     if valency is None or not 1 <= valency <= 5:
         return _na("T1.4i", f"needs regular valency at most 5, got {valency}")
     if not facts.s_arc_transitive(1):
@@ -237,7 +237,7 @@ def check_no_arc_in_orbit(facts: InstanceFacts, normal: PermGroup | None = None)
     checked through its block-system kernels.
     """
     g, group = facts.g, facts.group
-    if not facts.strongly_connected:
+    if not g.is_strongly_connected():
         return _na("L3.1", "not strongly connected")
     if not facts.s_arc_transitive(1):
         return _na("L3.1", "group is not arc-transitive")
@@ -264,7 +264,7 @@ def check_two_orbit_normal(facts: InstanceFacts, normal: PermGroup | None = None
     checked through its block-system kernels.
     """
     group = facts.group
-    if not facts.strongly_connected:
+    if not facts.g.is_strongly_connected():
         return _na("L3.2", "not strongly connected")
     if not facts.s_geodesic_transitive(2):
         return _na("L3.2", "not 2-geodesic-transitive")
@@ -317,7 +317,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
     Without ``normal``, every normal subgroup maximal subject to having
     >= 3 orbits is checked, taken from the block-system kernels."""
     g, group = facts.g, facts.group
-    if not facts.strongly_connected:
+    if not g.is_strongly_connected():
         return _na("T1.1", "not strongly connected")
     s = facts.report.max_geodesic_s
     if s < 2:
@@ -437,12 +437,13 @@ def check_regular_normal(facts: InstanceFacts, normal: PermGroup | None = None) 
         return _na("T1.2", "subgroup is not normal")
     if not facts.s_geodesic_transitive(2):
         return _na("T1.2", "not 2-geodesic-transitive")
-    if facts.valency == 1 and facts.strongly_connected:
-        return CheckResult("T1.2", PASS, notes=f"circuit of length {facts.g.n}")
+    g = facts.g
+    if g.valency() == 1 and g.is_strongly_connected():
+        return CheckResult("T1.2", PASS, notes=f"circuit of length {g.n}")
     return CheckResult(
         "T1.2",
         FAIL,
-        witness={"valency": facts.valency, "strongly_connected": facts.strongly_connected},
+        witness={"valency": g.valency(), "strongly_connected": g.is_strongly_connected()},
     )
 
 
@@ -454,7 +455,7 @@ def check_soluble_base(facts: InstanceFacts) -> CheckResult:
     """Soluble quasi/bi-quasiprimitive actions only allow circuits of
     length 4 or a prime."""
     g, group = facts.g, facts.group
-    if not facts.strongly_connected:
+    if not g.is_strongly_connected():
         return _na("P3.4", "not strongly connected")
     if not facts.s_geodesic_transitive(2):
         return _na("P3.4", "not 2-geodesic-transitive")
@@ -463,14 +464,14 @@ def check_soluble_base(facts: InstanceFacts) -> CheckResult:
     quasi = group.is_quasiprimitive()
     if not quasi and not group.is_biquasiprimitive():
         return _na("P3.4", "group is neither quasiprimitive nor bi-quasiprimitive")
-    is_circuit = facts.valency == 1 and facts.strongly_connected
+    is_circuit = g.valency() == 1  # and strongly connected, tested above
     length_ok = g.n == 4 or construct._is_prime(g.n)
     if is_circuit and length_ok:
         return CheckResult("P3.4", PASS, notes=f"circuit of length {g.n}")
     return CheckResult(
         "P3.4",
         FAIL,
-        witness={"valency": facts.valency, "vertices": g.n, "is_circuit": is_circuit},
+        witness={"valency": g.valency(), "vertices": g.n, "is_circuit": is_circuit},
     )
 
 
@@ -496,7 +497,7 @@ def check_hadamard_design(facts: InstanceFacts) -> CheckResult:
     """Diameter-2 with 2-geodesic-transitivity: distance-transitive and the
     out-neighborhoods form a 2-design with parameters (4m-1, 2m-1, m-1)."""
     g = facts.g
-    if not facts.strongly_connected or g.diameter() != 2:
+    if not g.is_strongly_connected() or g.diameter() != 2:
         return _na("T1.4ii", "needs diameter 2")
     if not facts.s_geodesic_transitive(2):
         return _na("T1.4ii", "not 2-geodesic-transitive")
@@ -527,10 +528,11 @@ def analysis_record(facts: InstanceFacts) -> CheckResult:
 
     The levels are capped at the diameter, so a digraph that is not strongly
     connected gives ``not_applicable``."""
-    if not facts.strongly_connected:
+    g = facts.g
+    if not g.is_strongly_connected():
         return _na("report", "not strongly connected")
-    g, report = facts.g, facts.report
-    valency, girth = facts.valency, g.girth()
+    report = facts.report
+    valency, girth = g.valency(), g.girth()
     notes = (
         f"valency={valency if valency is not None else 'none'} diameter={g.diameter()} "
         f"girth={girth if girth is not None else 'none'} "
@@ -775,15 +777,36 @@ def _survey_worker(args) -> list[dict]:
         group = symmetry.automorphism_group(g, transitive=right)
         results = run_checks_on_instance(g, group, checks, cayley=spec)
     except SearchBudgetExceeded as exc:
-        status, notes = INCOMPLETE, str(exc)
+        return _uniform_records(label, checks, INCOMPLETE, str(exc))
     except Exception as exc:
-        status, notes = ERROR, f"{type(exc).__name__}: {exc}"
-    else:
-        return [{**result.to_dict(), "instance": label} for result in results]
+        return _uniform_records(label, checks, ERROR, f"{type(exc).__name__}: {exc}")
+    return [{**result.to_dict(), "instance": label} for result in results]
+
+
+def _uniform_records(label: str, checks, status: str, notes: str) -> list[dict]:
+    """One record per check id, all with the same status and notes."""
     return [
         {"instance": label, "check": cid, "status": status, "witness": None, "notes": notes}
         for cid in checks
     ]
+
+
+def _pool_batches(jobs: list, workers: int, chunksize: int):
+    """The batches of ``jobs`` from a process pool of ``workers``, in job
+    order, up to the first that did not arrive because a worker died; and
+    the ``BrokenProcessPool`` that stopped them, or None."""
+    # Imported here so that serial runs and `import digsym` skip its cost.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    batches = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            for batch in pool.map(_survey_worker, jobs, chunksize=chunksize):
+                batches.append(batch)
+        except BrokenProcessPool as exc:
+            return batches, exc
+    return batches, None
 
 
 @dataclass
@@ -857,7 +880,9 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     """Generate the corpus, run the selected checks, collect every record.
 
     Output is deterministic for a fixed config; parallelism only affects
-    wall-clock time, never record order or content.
+    wall-clock time, never record order or content.  A pooled survey maps
+    its jobs over one pool, in chunks of 8; a worker that dies breaks that
+    pool, and ``_pool_batches`` hands back the batches that arrived.
     """
     config.validate()
     # A bad budget is the survey's error, not an instance's: raise it here.
@@ -865,11 +890,17 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
     descriptors = generate_descriptors(config)
     jobs = [(d, config.checks) for d in descriptors]
     if config.parallelism > 1 and len(jobs) > 1:
-        # Imported here so that serial runs and `import digsym` skip its cost.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            batches = list(pool.map(_survey_worker, jobs, chunksize=8))
+        batches, _ = _pool_batches(jobs, config.parallelism, chunksize=8)
+        while len(batches) < len(jobs):
+            # A worker died.  The first job that did not arrive reruns in a
+            # pool of its own, so that a death is charged only to a job that
+            # kills a pool it ran in alone; the rest rerun one job per task.
+            job = jobs[len(batches)]
+            alone, broken = _pool_batches([job], 1, chunksize=1)
+            batches += alone or [
+                _uniform_records(repr(job[0]), job[1], ERROR, f"BrokenProcessPool: {broken}")
+            ]
+            batches += _pool_batches(jobs[len(batches):], config.parallelism, chunksize=1)[0]
     else:
         batches = [_survey_worker(job) for job in jobs]
     report = SurveyReport(config=config)

@@ -386,6 +386,31 @@ def test_theorem_consistency_full_default_corpus():
     )
 
 
+def test_theorem_consistency_circuits():
+    """The circuits Cay(Z_n, {s}), 3 <= n <= 14, exercise T1.2, P3.4 and
+    T1.4ii, which the default corpus never does; every check reports zero
+    failures."""
+    config = verify.SurveyConfig(circulant_orders=tuple(range(3, 15)), min_valency=1, max_valency=1)
+    report = verify.run_survey(config)
+    counts = report.counts()
+    assert counts["fail"] == 0, report.failures()
+    assert len({r["instance"] for r in report.records}) == 62
+    assert counts == {"pass": 424, "fail": 0, "not_applicable": 506, "incomplete": 0}
+    passes = Counter(r["check"] for r in report.records if r["status"] == PASS)
+    assert passes == {
+        "report": 62, "SC": 62, "L2.1.2": 62, "T1.2": 62, "T1.4i": 62, "P3.4": 36,
+        "L3.1": 28, "T1.1": 26, "L3.2": 22, "T1.4ii": 2,
+    }
+    # T1.4ii passes on the two labellings of the directed 3-cycle only.
+    assert [r["instance"] for r in report.records
+            if r["check"] == "T1.4ii" and r["status"] == PASS] == [
+        "circulant:n=3:S=1", "circulant:n=3:S=2",
+    ]
+    summary = report.summary_text().splitlines()
+    assert "never exercised: L2.1.1, L4.1, L4.4, L4.5, L4.7" in summary
+    print(f"\nTHEOREM CONSISTENCY (circuits, {counts['pass']} passing records, 0 failures): PASS")
+
+
 def burnside_cross_check(descriptors, group_of):
     """Check instances against the Burnside oracle under ``group_of(g, spec)``.
 

@@ -19,7 +19,7 @@ from digsym.construct import (
     paley_tournament,
     right_translations,
 )
-from digsym.digraph import Digraph, build
+from digsym.digraph import S_ARC, S_GEODESIC, Digraph, build
 from digsym.errors import (
     BadParameter,
     NotAutomorphismGroup,
@@ -411,6 +411,20 @@ class TestTransitivityTesters:
                 assert is_s_arc_transitive(g, group, s) == oracles.brute_single_orbit(
                     elements, family
                 )
+
+
+class TestPaleyTournaments:
+    # Measured on these P(q): |Aut| = q(q - 1)/2, one orbit on the arcs and
+    # (q + 1)/4 orbits on the 2-geodesics, so none is 2-geodesic-transitive.
+    # The search starts from the right translations, as in a survey.
+    @pytest.mark.parametrize("q", [7, 11, 19, 23, 31, 43])
+    def test_aut_order_and_orbits(self, q):
+        g = paley_tournament(q)
+        right = right_translations(cyclic_table(q))
+        facts = InstanceFacts(g, automorphism_group(g, transitive=right))
+        assert facts.group.order() == q * (q - 1) // 2
+        assert facts.count(S_ARC, 1) == 1
+        assert facts.count(S_GEODESIC, 2) == (q + 1) // 4
 
 
 class TestDistanceTransitive:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations_with_replacement
 
 import pytest
@@ -478,6 +479,17 @@ class TestHadamardDesign:
         assert hadamard_design_parameters(g) is None
 
 
+DOOMED = ("circulant", 7, (1, 2))
+_survey_worker = verify._survey_worker
+
+
+def _dying_worker(args):
+    """The survey worker, but its process exits at once on DOOMED."""
+    if args[0] == DOOMED:
+        os._exit(3)
+    return _survey_worker(args)
+
+
 class TestSurvey:
     def small_config(self, **overrides):
         base = dict(
@@ -566,6 +578,47 @@ class TestSurvey:
         summary = report.summary_text()
         assert "error" in summary.splitlines()[1]
         assert f"ERROR {bad!r} T1.4i: {notes}" in summary
+
+    def test_dead_worker_gives_error_records(self, monkeypatch):
+        # The worker process exits on DOOMED: its pool breaks.  The batches
+        # that arrived stay, DOOMED kills a pool it runs in alone and gets one
+        # error record per check, and the rest rerun in a fresh pool.  Without
+        # a death, the survey maps its one pool in chunks of 8.
+        config = SurveyConfig(
+            circulant_orders=(5, 6, 7), min_valency=2, max_valency=2, parallelism=2
+        )
+        maps = []
+        pool_map = ProcessPoolExecutor.map
+
+        def recording_map(self, fn, *iterables, chunksize=1):
+            maps.append((self._max_workers, chunksize))
+            return pool_map(self, fn, *iterables, chunksize=chunksize)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+        clean = run_survey(config)
+        assert maps == [(2, 8)]
+        monkeypatch.setattr(verify, "_survey_worker", _dying_worker)
+        maps.clear()
+        report = run_survey(config)
+        # How many jobs arrive before the death depends on timing, and so
+        # does the number of later pools; none has more than 2 workers.
+        assert maps[0] == (2, 8) and max(workers for workers, _ in maps) == 2
+        errors = [r for r in report.records if r["status"] == verify.ERROR]
+        notes = errors[0]["notes"]
+        assert notes.startswith("BrokenProcessPool: ")
+        label, _, _ = verify.build_instance(DOOMED)
+        expected = []
+        for record in clean.records:
+            if record["instance"] != label:
+                expected.append(record)
+            elif record["check"] == config.checks[0]:
+                expected += [
+                    {"instance": repr(DOOMED), "check": cid, "status": verify.ERROR,
+                     "witness": None, "notes": notes}
+                    for cid in config.checks
+                ]
+        assert report.records == expected
+        assert f"ERROR {DOOMED!r} report: {notes}" in report.summary_text()
 
     def test_pooled_records_share_strings(self):
         config = self.small_config(checks=("report", "T1.4i", "L2.1"), parallelism=2)
