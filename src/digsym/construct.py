@@ -3,14 +3,17 @@
 Cayley digraphs follow the right-coset picture: the vertex set is the group
 H, with an arc (h, x*h) for every h in H and every x in the connection set
 S.  The group acts on itself by right translation, which preserves arcs and
-is regular on vertices.  The group automorphisms that fix S setwise also
-preserve arcs; ``aut_preserving_conn`` is the one enumerator of group
-automorphisms, searched from S, and with S empty it returns all of Aut(H).
+is regular on vertices; a ``CayleyDigraph`` keeps its ``CayleySpec``, whose
+R(H), built once, seeds the automorphism search.  The group automorphisms
+that fix S setwise also preserve arcs; ``aut_preserving_conn`` is the one
+enumerator of group automorphisms, searched from S, and with S empty it
+returns all of Aut(H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -45,11 +48,11 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
-def circuit(n: int) -> Digraph:
-    """The directed cycle 0 -> 1 -> ... -> n-1 -> 0."""
+def circuit(n: int) -> CayleyDigraph:
+    """The directed cycle 0 -> 1 -> ... -> n-1 -> 0, built as Cay(Z_n, {1})."""
     if n < 3:
         raise BadParameter("a circuit needs at least 3 vertices")
-    return build(n, [(i, (i + 1) % n) for i in range(n)])
+    return cayley_digraph(cayley_spec(cyclic_table(n), [1]))
 
 
 def complete(n: int) -> Digraph:
@@ -80,9 +83,9 @@ def paley_residues(q: int) -> tuple[int, ...]:
     return tuple(sorted({(x * x) % q for x in range(1, q)}))
 
 
-def paley_tournament(q: int) -> Digraph:
-    """Tournament on Z_q with x -> y iff y - x is a nonzero square mod q."""
-    return build(q, [(u, (u + d) % q) for u in range(q) for d in paley_residues(q)])
+def paley_tournament(q: int) -> CayleyDigraph:
+    """Cay(Z_q, squares): x -> y iff y - x is a nonzero square mod q."""
+    return cayley_digraph(cayley_spec(cyclic_table(q), paley_residues(q)))
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +163,15 @@ class CayleySpec:
     conn: frozenset[int]
     generates: bool
 
+    @cached_property
+    def translations(self) -> PermGroup:
+        """R(T), built once for the search's seed, T1.2 and the holomorph."""
+        return right_translations(self.table)
+
+    def __getstate__(self):
+        # A PermGroup holds a lock, so a pickled spec rebuilds R(T) on use.
+        return {k: v for k, v in self.__dict__.items() if k != "translations"}
+
 
 def cayley_spec(table: GroupTable, conn) -> CayleySpec:
     conn = frozenset(conn)
@@ -175,11 +187,19 @@ def cayley_spec(table: GroupTable, conn) -> CayleySpec:
     return CayleySpec(table, conn, generates)
 
 
-def cayley_digraph(spec: CayleySpec) -> Digraph:
+@dataclass(frozen=True, eq=False, repr=False)
+class CayleyDigraph(Digraph):
+    """Cay(T, S) with its spec, kept out of equality, hashing and repr: it
+    equals its plain copy, and ``automorphism_group`` starts from R(T) on it."""
+
+    spec: CayleySpec
+
+
+def cayley_digraph(spec: CayleySpec) -> CayleyDigraph:
     """Digraph on the group elements with arcs (h, x*h) for x in the connection set."""
-    table = spec.table
-    arcs = [(h, table.mul(x, h)) for h in range(table.order) for x in spec.conn]
-    return build(table.order, arcs)
+    table, m = spec.table, spec.table.order
+    g = build(m, [(h, table.mul(x, h)) for h in range(m) for x in spec.conn])
+    return CayleyDigraph(g.n, g.arcs, g.symmetry_class, spec)
 
 
 def right_translations(table: GroupTable) -> PermGroup:
@@ -249,14 +269,13 @@ def aut_preserving_conn(spec: CayleySpec) -> list[Permutation]:
 def cayley_holomorph_action(spec: CayleySpec) -> PermGroup:
     """The group generated by right translations and connection-preserving
     group automorphisms, acting on the Cayley digraph's vertices."""
-    translations = right_translations(spec.table)
     auts = aut_preserving_conn(spec)
-    return PermGroup(list(translations.generators) + auts, spec.table.order)
+    return PermGroup(list(spec.translations.generators) + auts, spec.table.order)
 
 
 def is_normal_cayley(spec: CayleySpec, group: PermGroup) -> bool:
     """Whether the right-translation copy of the group is normal in ``group``."""
-    translations = right_translations(spec.table)
+    translations = spec.translations
     for g in translations.generators:
         if not group.contains(g):
             raise TranslationNotInG("right translations are not inside the given group")

@@ -31,6 +31,12 @@ class Digraph:
     arcs: frozenset[tuple[int, int]]
     symmetry_class: str = field(compare=False)
 
+    def __eq__(self, other):
+        """Same n and arcs, whatever the subclass: see ``CayleyDigraph``."""
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return self.n == other.n and self.arcs == other.arcs
+
     @cached_property
     def _out(self) -> tuple[tuple[int, ...], ...]:
         out = [[] for _ in range(self.n)]

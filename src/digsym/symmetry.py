@@ -5,11 +5,11 @@ refined by in/out degrees and distance profiles.  Candidate images are int
 bitsets, and one step, ``_restrict``, narrows them once a vertex is mapped
 by and-ing each with one of four masks read off the image's out- and
 in-neighbor masks: it keeps the per-level prefix domains and prunes every
-node of the search, which is guarded by a node budget.  A caller that
-knows a transitive group of automorphisms, such as the right translations
-R(T) of a Cayley digraph, passes it as ``transitive=``; the search then
-skips the refinement and starts from its generators, so the first level
-hunts no automorphism.  Every transitivity claim reduces to orbit counts.
+node of the search, which is guarded by a node budget.  The seed comes
+from the digraph: on a ``CayleyDigraph`` Cay(T, S) the search skips the
+refinement and starts from the right translations R(T) of its spec, so the
+first level hunts no automorphism.  Every transitivity claim reduces to
+orbit counts.
 Orbits on points (vertex-transitivity, the search's level orbits and the
 point stabilizer's orbits below) come from ``groups._orbit_mask`` and
 ``groups._orbit_masks``.  Orbits on the s-arcs and s-geodesics, s >= 1, are
@@ -39,7 +39,7 @@ import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .construct import CayleySpec
+from .construct import CayleyDigraph, CayleySpec
 from .digraph import DIRECTED, S_ARC, S_GEODESIC, Digraph
 from .errors import (
     BadParameter,
@@ -130,7 +130,7 @@ def _restrict(domains, v: int, w: int, out_masks, in_masks):
     return restricted
 
 
-def automorphism_group(g: Digraph, transitive: PermGroup | None = None) -> PermGroup:
+def automorphism_group(g: Digraph) -> PermGroup:
     """The full group of arc-preserving vertex bijections of g.
 
     Vertices are processed in a fixed order, smallest color class first.
@@ -146,33 +146,28 @@ def automorphism_group(g: Digraph, transitive: PermGroup | None = None) -> PermG
     search is one node; past the node budget (``DIGSYM_SEARCH_BUDGET``,
     else ``DEFAULT_NODE_BUDGET``) SearchBudgetExceeded is raised.
 
-    ``transitive``, if given, is a known transitive group of automorphisms
-    of g, such as the right translations R(T) of a Cayley digraph
-    Cay(T, S).  It is validated (``NotAutomorphismGroup``; ``BadParameter``
-    if intransitive), and then the color refinement is skipped, since an
-    Aut-invariant coloring of a vertex-transitive digraph has one class, and
-    the search starts from its generators: level 0's orbit is every vertex,
-    so no level-0 hunt runs, and the deeper levels run as without it.  The
-    result is the same group on another generator list.
+    On a ``CayleyDigraph`` Cay(T, S) the search starts from its spec's
+    right translations R(T), validated (``NotAutomorphismGroup`` if the spec
+    does not match the arcs), and skips the color refinement, since an
+    Aut-invariant coloring of a vertex-transitive digraph has one class:
+    level 0 hunts nothing, the deeper levels run as on the plain copy
+    ``build(g.n, g.arcs)``, and the group is the plain copy's on other
+    generators.
     """
     budget = default_node_budget()
-    if transitive is not None:
-        check_is_automorphism_group(g, transitive)
-        if not transitive.is_transitive():
-            raise BadParameter("the given group of automorphisms is not transitive")
     n = g.n
-    if n == 0:
-        return PermGroup((), 0)
-    if transitive is None:
+    if isinstance(g, CayleyDigraph):
+        seed = g.spec.translations
+        check_is_automorphism_group(g, seed)
+        domains = dict.fromkeys(range(n), (1 << n) - 1)
+        gens = list(seed.generators)
+    else:
         colors = _refine_colors(g)
         classes = dict.fromkeys(colors, 0)
         for w, color in enumerate(colors):
             classes[color] |= 1 << w
         domains = {v: classes[colors[v]] for v in range(n)}
-        gens: list[Permutation] = []
-    else:
-        domains = dict.fromkeys(range(n), (1 << n) - 1)
-        gens = list(transitive.generators)
+        gens = []
     out_masks, in_masks = [0] * n, [0] * n
     for u, v in g.arcs:
         out_masks[u] |= 1 << v

@@ -427,7 +427,7 @@ def check_regular_normal(facts: InstanceFacts, normal: PermGroup | None = None) 
             return _merge_results("T1.2", [])
         sources = [(facts, facts.group)] if facts.group.is_regular() else []
         if facts.cayley is not None:
-            translations = construct.right_translations(facts.cayley.table)
+            translations = facts.cayley.translations
             holomorph = construct.cayley_holomorph_action(facts.cayley)
             sources += [(InstanceFacts(facts.g, holomorph), translations), (facts, translations)]
         return _merge_results("T1.2", [check_regular_normal(f, N) for f, N in sources])
@@ -762,19 +762,18 @@ def build_instance(descriptor: tuple):
 def _survey_worker(args) -> list[dict]:
     """The records of one instance.
 
-    The automorphism search starts from the right translations R(T) of the
-    instance's group, a regular subgroup of Aut(Cay(T, S)).  An exhausted
-    search budget gives one ``incomplete`` record per requested check, and
-    any other exception one ``error`` record per requested check noting its
-    type and message, so one instance cannot abort a survey.  An instance
-    that could not be built is labelled by its descriptor.
+    The instance is a ``CayleyDigraph``, so the automorphism search starts
+    from the right translations R(T), a regular subgroup of Aut(Cay(T, S)).
+    An exhausted search budget gives one ``incomplete`` record per requested
+    check, and any other exception one ``error`` record per requested check
+    noting its type and message, so one instance cannot abort a survey.  An
+    instance that could not be built is labelled by its descriptor.
     """
     descriptor, checks = args
     label = repr(descriptor)
     try:
         label, g, spec = build_instance(descriptor)
-        right = construct.right_translations(spec.table)
-        group = symmetry.automorphism_group(g, transitive=right)
+        group = symmetry.automorphism_group(g)
         results = run_checks_on_instance(g, group, checks, cayley=spec)
     except SearchBudgetExceeded as exc:
         return _uniform_records(label, checks, INCOMPLETE, str(exc))

@@ -109,6 +109,22 @@ class TestCayley:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
+    def test_plain_file_and_cayley_digraph_give_the_same_counts(self, tmp_path, capsys):
+        # `analyze` reads a plain file and searches from the color
+        # refinement; `cayley --analyze` starts from R(T).  The order and
+        # every orbit count agree.
+        argv = ["cayley", "--group", "cyclic:12", "--conn", "1,4,7,10"]
+        path = tmp_path / "z12.dg"
+        assert main([*argv, "--emit", str(path)]) == 0
+        assert main(["analyze", str(path)]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--analyze"]) == 0
+        seeded = capsys.readouterr().out.splitlines()
+        assert "aut_order=41472" in plain and "group_order=41472" in seeded
+        orbits = [line for line in plain if line.startswith("orbits[")]
+        assert len(orbits) == 7
+        assert orbits == [line for line in seeded if line.startswith("orbits[")]
+
     def test_analyze_exhausted_search_budget_incomplete(self, capsys, monkeypatch):
         monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
         assert main(["cayley", "--group", "cyclic:7", "--conn", "1,2,4", "--analyze"]) == 1

@@ -2,11 +2,14 @@
 
 from itertools import combinations
 
+import pickle
+
 import pytest
 
 import oracles
-from digsym import construct
+from digsym import construct, verify
 from digsym.construct import (
+    CayleyDigraph,
     abelian_table,
     aut_preserving_conn,
     cayley_digraph,
@@ -22,7 +25,7 @@ from digsym.construct import (
     quotient_digraph,
     right_translations,
 )
-from digsym.digraph import DIRECTED, UNDIRECTED, build
+from digsym.digraph import DIRECTED, UNDIRECTED, Digraph, build, from_text, to_text
 from digsym.errors import (
     BadParameter,
     BoundExceeded,
@@ -216,6 +219,51 @@ class TestCayleyDigraph:
                 continue
             g = cayley_digraph(spec)
             assert g.is_strongly_connected() == spec.generates, conn
+
+    def test_equals_hashes_and_prints_like_its_plain_copy(self):
+        # The spec stays out of equality, hashing and repr, so a Cayley
+        # digraph and its plain copy are interchangeable as values.
+        for g in (
+            cayley_digraph(cayley_spec(abelian_table([2, 4]), [1, 5])),
+            circuit(6),
+            paley_tournament(7),
+        ):
+            plain = build(g.n, g.arcs)
+            assert isinstance(g, CayleyDigraph) and type(plain) is Digraph
+            assert g == plain and plain == g and not g != plain
+            assert hash(g) == hash(plain) and len({g, plain}) == 1
+            assert repr(g) == repr(plain)
+            assert to_text(g) == to_text(plain)
+            assert from_text(to_text(g)) == g
+
+    def test_pickles_after_a_search(self):
+        g = paley_tournament(7)
+        assert automorphism_group(g).order() == 21
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.spec.conn == g.spec.conn
+        assert automorphism_group(copy).order() == 21
+
+    def test_other_arcs_or_values_differ(self):
+        assert circuit(6) != cayley_digraph(cayley_spec(cyclic_table(6), [5]))
+        assert circuit(6) != build(7, circuit(6).arcs)
+        assert circuit(6) != "circuit(6)"
+
+    def test_right_translations_built_once_per_instance(self, monkeypatch):
+        # Cay(Z12, {1, 4, 7, 10}) is 2-geodesic-transitive, so T1.2 reads
+        # R(T) twice as a source and once in the holomorph action; the search
+        # started from it too.  The spec builds it once for all four.
+        calls = []
+        for name in ("right_translations", "cayley_holomorph_action"):
+            original = getattr(construct, name)
+
+            def counting(arg, name=name, original=original):
+                calls.append(name)
+                return original(arg)
+
+            monkeypatch.setattr(construct, name, counting)
+        [record] = verify._survey_worker((("circulant", 12, (1, 4, 7, 10)), ("T1.2",)))
+        assert record["check"] == "T1.2" and record["status"] == "not_applicable"
+        assert sorted(calls) == ["cayley_holomorph_action", "right_translations"]
 
     def test_translations_act_vertex_transitively(self):
         spec = cayley_spec(abelian_table([2, 4]), [1, 5])

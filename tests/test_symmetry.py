@@ -1,6 +1,7 @@
 """Tests for automorphism search and the transitivity testers."""
 
 import hashlib
+import json
 import sys
 import tracemalloc
 
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from digsym import symmetry
 from digsym.construct import (
+    CayleyDigraph,
     cayley_digraph,
     cayley_spec,
     circuit,
     complete,
     cyclic_table,
+    dihedral_table,
     paley_tournament,
     right_translations,
 )
@@ -117,8 +120,9 @@ class TestReducedGenerators:
         ],
     )
     def test_pinned_counts(self, descriptor, before, after):
+        # The search without a seed, on the plain copy of the Cayley digraph.
         _, g, _ = build_instance(descriptor)
-        group = automorphism_group(g)
+        group = automorphism_group(build(g.n, g.arcs))
         reduced = group.reduced()
         assert (len(group.generators), len(reduced.generators)) == (before, after)
         assert reduced.order() == group.order()
@@ -159,14 +163,17 @@ def _budget_threshold(search, g):
 
 
 class TestAgainstReferenceSearch:
-    """The single-restriction search matches the earlier three-filter search."""
+    """The single-restriction search matches the earlier three-filter search.
+
+    The reference knows no seed, so the Cayley digraphs are searched as
+    their plain copies."""
 
     @staticmethod
     def corpus():
         descriptors = generate_descriptors(default_config())[::4]
         graphs = [build_instance(d)[1] for d in descriptors]
         graphs += [paley_tournament(23), paley_tournament(31)]
-        return graphs + [complete(k) for k in range(2, 7)]
+        return [build(g.n, g.arcs) for g in graphs] + [complete(k) for k in range(2, 7)]
 
     def test_same_generators(self):
         for g in self.corpus():
@@ -176,7 +183,8 @@ class TestAgainstReferenceSearch:
 
     def test_same_budget_threshold(self, monkeypatch):
         circulant = build_instance(("circulant", 12, (1, 4, 5)))[1]
-        for g in (complete(5), complete(6), paley_tournament(19), circulant):
+        paley = paley_tournament(19)
+        for g in (complete(5), complete(6), build(19, paley.arcs), build(12, circulant.arcs)):
             nodes = _budget_threshold(oracles.reference_automorphism_group, g)
             assert nodes > 1, g
             monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", str(nodes))
@@ -187,11 +195,13 @@ class TestAgainstReferenceSearch:
 
 
 def _assert_seeded_search_agrees(descriptors):
-    """The search from R(T) finds Aut(Cay(T, S)) itself, on other generators."""
+    """The search on Cay(T, S), which starts from R(T), finds the group that
+    the search on its plain copy finds, on other generators."""
     for descriptor in descriptors:
-        label, g, spec = build_instance(descriptor)
-        unseeded = automorphism_group(g)
-        seeded = automorphism_group(g, transitive=right_translations(spec.table))
+        label, g, _ = build_instance(descriptor)
+        assert isinstance(g, CayleyDigraph), label
+        unseeded = automorphism_group(build(g.n, g.arcs))
+        seeded = automorphism_group(g)
         assert seeded.order() == unseeded.order(), label
         assert all(unseeded.contains(p) for p in seeded.generators), label
         assert all(seeded.contains(p) for p in unseeded.generators), label
@@ -227,8 +237,8 @@ class TestTransitiveSeed:
         digest = hashlib.sha256()
         total = 0
         for descriptor in generate_descriptors(default_config())[::4]:
-            _, g, spec = build_instance(descriptor)
-            reduced = automorphism_group(g, transitive=right_translations(spec.table)).reduced()
+            _, g, _ = build_instance(descriptor)
+            reduced = automorphism_group(g).reduced()
             total += len(reduced.generators)
             for p in reduced.generators:
                 digest.update(repr(p.images).encode())
@@ -238,19 +248,60 @@ class TestTransitiveSeed:
             "561934cb4ab51dfa49651a2379332e096597da4d3f126e14b2d93116c79892ac")
 
     def test_seed_must_be_automorphisms(self):
+        # The arcs of the 6-circuit under the spec of a dihedral group: R(D3)
+        # is regular and nonabelian, so it is no subgroup of Aut = Z6.
+        c6 = circuit(6)
+        spec = cayley_spec(dihedral_table(3), [1])
         with pytest.raises(NotAutomorphismGroup):
-            automorphism_group(circuit(6), transitive=PermGroup([parse_cycles("(0 1)", 6)]))
-
-    def test_seed_must_be_transitive(self):
-        rotation = PermGroup([parse_cycles("(0 2 4)(1 3 5)", 6)])
-        with pytest.raises(BadParameter):
-            automorphism_group(circuit(6), transitive=rotation)
+            automorphism_group(CayleyDigraph(c6.n, c6.arcs, c6.symmetry_class, spec))
 
     def test_budget_still_applies_below_level_0(self, monkeypatch):
-        _, g, spec = build_instance(("circulant", 6, (1, 4)))
+        _, g, _ = build_instance(("circulant", 6, (1, 4)))
         monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
         with pytest.raises(SearchBudgetExceeded):
-            automorphism_group(g, transitive=right_translations(spec.table))
+            automorphism_group(g)
+
+
+def _orbit_counts_digest(descriptors) -> str:
+    """sha256 over each instance's label and every orbit count of its
+    report: vertices and both kinds at every level up to the diameter."""
+    digest = hashlib.sha256()
+    for descriptor in descriptors:
+        label, g, _ = build_instance(descriptor)
+        counts = transitivity_report(g).orbit_counts
+        digest.update(json.dumps([label, counts], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+class TestOrbitCountsPinned:
+    """Survey records keep only max_arc_s and max_geodesic_s; these digests
+    pin every deeper count that a new counting engine must reproduce.  They
+    were recorded at commit 7bb0b21, whose search did not start from R(T)
+    in library calls, and every one reads the same from either start."""
+
+    DEFAULT = "8decf2863663129141db0243c8adf429eaacb40e8ca4c59a413c848a35c93ff1"
+    ANALYZE_N20 = "97ddc13f5f001eb1fd86ab54e51d64fc902bf9af6a1cac5a5a1e5f3bb138ab4e"
+    DEFAULT_40 = "dd385606dd10b4e7ff18681fc82cef6fa0274afd2bb811639b4f4acc470f0798"
+    ANALYZE_N20_40 = "a06b93d996857b139cf4bab9c050785868648bf767ff9c9dda697a5f64b15100"
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [(default_config(), DEFAULT_40), (ANALYZE_N20_CONFIG, ANALYZE_N20_40)],
+        ids=["default", "analyze_n20"],
+    )
+    def test_every_40th_instance(self, config, expected):
+        assert _orbit_counts_digest(generate_descriptors(config)[::40]) == expected
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "config, size, expected",
+        [(default_config(), 2071, DEFAULT), (ANALYZE_N20_CONFIG, 616, ANALYZE_N20)],
+        ids=["default", "analyze_n20"],
+    )
+    def test_whole_corpus(self, config, size, expected):
+        descriptors = generate_descriptors(config)
+        assert len(descriptors) == size
+        assert _orbit_counts_digest(descriptors) == expected
 
 
 class TestCountOrbits:
@@ -420,8 +471,7 @@ class TestPaleyTournaments:
     @pytest.mark.parametrize("q", [7, 11, 19, 23, 31, 43])
     def test_aut_order_and_orbits(self, q):
         g = paley_tournament(q)
-        right = right_translations(cyclic_table(q))
-        facts = InstanceFacts(g, automorphism_group(g, transitive=right))
+        facts = InstanceFacts(g, automorphism_group(g))
         assert facts.group.order() == q * (q - 1) // 2
         assert facts.count(S_ARC, 1) == 1
         assert facts.count(S_GEODESIC, 2) == (q + 1) // 4
