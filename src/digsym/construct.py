@@ -12,12 +12,12 @@ returns all of Aut(H).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 from math import prod
 
-from .digraph import Digraph, build
+from .digraph import Digraph, Frozen, build
 from .errors import (
     BadParameter,
     BoundExceeded,
@@ -155,13 +155,24 @@ def parse_group_spec(spec: str) -> GroupTable:
 # Cayley digraphs
 
 
-@dataclass(frozen=True)
-class CayleySpec:
-    """A group table plus a connection set defining a Cayley digraph."""
+class CayleySpec(Frozen):
+    """A group table plus a connection set defining a Cayley digraph: a value,
+    compared and hashed by (table, conn, generates), whose R(T) is cached."""
 
-    table: GroupTable
-    conn: frozenset[int]
-    generates: bool
+    def __init__(self, table: GroupTable, conn: frozenset[int], generates: bool):
+        vars(self).update(table=table, conn=conn, generates=generates)
+
+    def _key(self) -> tuple:
+        return self.table, self.conn, self.generates
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CayleySpec(table={!r}, conn={!r}, generates={!r})".format(*self._key())
 
     @cached_property
     def translations(self) -> PermGroup:
@@ -187,12 +198,13 @@ def cayley_spec(table: GroupTable, conn) -> CayleySpec:
     return CayleySpec(table, conn, generates)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CayleyDigraph(Digraph):
     """Cay(T, S) with its spec, kept out of equality, hashing and repr: it
     equals its plain copy, and ``automorphism_group`` starts from R(T) on it."""
 
-    spec: CayleySpec
+    def __init__(self, n: int, arcs, symmetry_class: str, spec: CayleySpec):
+        super().__init__(n, arcs, symmetry_class)
+        vars(self)["spec"] = spec
 
 
 def cayley_digraph(spec: CayleySpec) -> CayleyDigraph:
@@ -286,14 +298,11 @@ def is_normal_cayley(spec: CayleySpec, group: PermGroup) -> bool:
 # quotient digraphs
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    """Quotient digraph on block indices plus the induced group action."""
+class QuotientResult(namedtuple("QuotientResult", "quotient block_map image_group internal_arcs")):
+    """Quotient digraph on block indices plus the induced group action (a
+    ``PermGroup`` or None) and whether any arc lies inside a block."""
 
-    quotient: Digraph
-    block_map: tuple[int, ...]
-    image_group: PermGroup | None
-    internal_arcs: bool
+    __slots__ = ()
 
     @property
     def num_blocks(self) -> int:

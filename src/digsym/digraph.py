@@ -10,7 +10,6 @@ is directed (breadth-first over out-arcs) and unreachable pairs yield
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import LoopArc, NotStronglyConnected, ParseError, VertexOutOfRange, read_headed
@@ -23,19 +22,32 @@ S_ARC = "s_arc"
 S_GEODESIC = "s_geodesic"
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Frozen:
+    """Base of the immutable records: setting or deleting an attribute raises
+    AttributeError.  Constructors, cached properties and unpickling write to
+    the instance dict directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Digraph(Frozen):
     """Immutable digraph; all operations are pure reads."""
 
-    n: int
-    arcs: frozenset[tuple[int, int]]
-    symmetry_class: str = field(compare=False)
+    def __init__(self, n: int, arcs: frozenset[tuple[int, int]], symmetry_class: str):
+        vars(self).update(n=n, arcs=arcs, symmetry_class=symmetry_class)
 
     def __eq__(self, other):
         """Same n and arcs, whatever the subclass: see ``CayleyDigraph``."""
         if not isinstance(other, Digraph):
             return NotImplemented
         return self.n == other.n and self.arcs == other.arcs
+
+    def __hash__(self):
+        return hash((self.n, self.arcs))
 
     @cached_property
     def _out(self) -> tuple[tuple[int, ...], ...]:

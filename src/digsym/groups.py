@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from collections.abc import Iterable
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable
 
 from .errors import (
     DegreeMismatch,
@@ -532,7 +532,8 @@ class PermGroup:
 
 
 class GroupTable:
-    """A finite group given by its multiplication table over 0..m-1."""
+    """A finite group given by its multiplication table over 0..m-1; two
+    tables are equal, and hash alike, when their tables are."""
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -541,6 +542,7 @@ class GroupTable:
             if len(r) != m or any(not 0 <= x < m for x in r):
                 raise ValueError("multiplication table must be square over 0..m-1")
         self.mul_table = rows
+        self._hash = hash(rows)
         self.order = m
         self.identity = self._find_identity()
         self.inverse_table = self._find_inverses()
@@ -634,6 +636,12 @@ class GroupTable:
                 if len(closure) == self.order:
                     break
         return gens
+
+    def __eq__(self, other):
+        return isinstance(other, GroupTable) and self.mul_table == other.mul_table
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order})"

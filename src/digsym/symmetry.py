@@ -36,7 +36,7 @@ each build one ``InstanceFacts``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import cached_property
 
 from .construct import CayleyDigraph, CayleySpec
@@ -402,17 +402,21 @@ class InstanceFacts:
         )
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
-    """Per-digraph transitivity summary with witnessing orbit counts."""
+class TransitivityReport(namedtuple("TransitivityReport", "digraph group_order vertex_transitive"
+                                    " max_arc_s max_geodesic_s distance_transitive orbit_counts")):
+    """Per-digraph transitivity summary with witnessing orbit counts (a dict
+    of str to int), which equality and the hash ignore."""
 
-    digraph: str
-    group_order: int
-    vertex_transitive: bool
-    max_arc_s: int
-    max_geodesic_s: int
-    distance_transitive: bool
-    orbit_counts: dict[str, int] = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare the counts
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     def to_dict(self) -> dict:
         return {
@@ -454,4 +458,4 @@ def transitivity_report(
     if group is None:
         group = automorphism_group(g)
     report = InstanceFacts(g, group).report
-    return replace(report, digraph=name) if name else report
+    return report._replace(digraph=name) if name else report

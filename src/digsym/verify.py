@@ -24,8 +24,8 @@ hypotheses first, which make the group transitive.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from itertools import combinations
+from collections import namedtuple
+from itertools import combinations, product
 
 from . import construct, symmetry
 from .digraph import DIRECTED, UNDIRECTED, Digraph, build
@@ -42,14 +42,11 @@ ERROR = "error"
 ARC_LOCAL_IDS = ("SC", "L2.1.1", "L2.1.2", "L4.1", "L4.4", "L4.5", "L4.7")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one statement check on one instance."""
+class CheckResult(namedtuple("CheckResult", "check_id status witness notes", defaults=(None, ""))):
+    """Outcome of one statement check on one instance: its id, its status,
+    a witness (None or JSON-ready data) and notes (a string)."""
 
-    check_id: str
-    status: str
-    witness: object = None
-    notes: str = ""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -623,19 +620,14 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    """Corpus families, bounds and check selection for a survey run."""
+class SurveyConfig(namedtuple("SurveyConfig", "circulant_orders cayley_groups paley_primes min_valency"
+                              " max_valency max_vertices checks parallelism seed",
+                              defaults=((), (), (), 1, 5, 14, CHECK_IDS, 1, 0))):
+    """Corpus families (tuples of orders, group specs and primes), valency
+    and vertex bounds, check selection, parallelism and seed for a survey
+    run: an immutable value."""
 
-    circulant_orders: tuple[int, ...] = ()
-    cayley_groups: tuple[str, ...] = ()
-    paley_primes: tuple[int, ...] = ()
-    min_valency: int = 1
-    max_valency: int = 5
-    max_vertices: int = 14
-    checks: tuple[str, ...] = CHECK_IDS
-    parallelism: int = 1
-    seed: int = 0
+    __slots__ = ()
 
     def validate(self) -> None:
         if not (self.circulant_orders or self.cayley_groups or self.paley_primes):
@@ -653,13 +645,14 @@ class SurveyConfig:
             raise BadParameter(f"unknown checks: {sorted(unknown)}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurveyConfig":
+        """The validated config that a JSON object, or ``to_dict``, names."""
         if not isinstance(data, dict):
             raise BadParameter("survey config must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(cls._fields))
         if unknown:
             raise BadParameter(f"unknown survey config keys {unknown}")
         kwargs = dict(data)
@@ -668,7 +661,7 @@ class SurveyConfig:
                 raise BadParameter(f"survey config key {key!r} must be an integer")
         for key in ("circulant_orders", "cayley_groups", "paley_primes", "checks"):
             if key in kwargs:
-                if not isinstance(kwargs[key], list):
+                if not isinstance(kwargs[key], (list, tuple)):
                     raise BadParameter(f"survey config key {key!r} must be a list")
                 kind = str if key in ("cayley_groups", "checks") else int
                 if not all(_is_a(x, kind) for x in kwargs[key]):
@@ -710,10 +703,9 @@ def connection_sets(table, min_valency: int, max_valency: int):
             # generate the same subgroup: test it once.
             if len(table.generated_subset(pair[0] for pair in chosen)) < table.order:
                 continue
-            for mask in range(1 << k):
-                conn = tuple(
-                    pair[(mask >> i) & 1] for i, pair in enumerate(chosen)
-                )
+            # The choices come in the order of a k-bit mask whose bit i picks
+            # from chosen[i]: product varies its last factor fastest.
+            for conn in product(*reversed(chosen)):
                 yield tuple(sorted(conn))
 
 
@@ -808,10 +800,18 @@ def _pool_batches(jobs: list, workers: int, chunksize: int):
     return batches, None
 
 
-@dataclass
 class SurveyReport:
-    config: SurveyConfig
-    records: list[dict] = field(default_factory=list)
+    """A survey's config and its records, in corpus order."""
+
+    def __init__(self, config: SurveyConfig, records: list[dict] | None = None):
+        self.config = config
+        self.records = [] if records is None else records
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"SurveyReport(config={self.config!r}, records={self.records!r})"
 
     def counts(self) -> dict[str, int]:
         """Records per status; ``error`` is listed only when some record has it."""

@@ -240,7 +240,7 @@ class TestCayleyDigraph:
         g = paley_tournament(7)
         assert automorphism_group(g).order() == 21
         copy = pickle.loads(pickle.dumps(g))
-        assert copy == g and copy.spec.conn == g.spec.conn
+        assert copy == g and copy.spec == g.spec
         assert automorphism_group(copy).order() == 21
 
     def test_other_arcs_or_values_differ(self):
