@@ -132,24 +132,15 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_check(args) -> int:
-    check_id = args.id
-    parent = "L2.1" if check_id in verify.ARC_LOCAL_IDS else check_id
-    if parent not in verify.CHECK_IDS:
-        print(f"unknown check id {check_id!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.normal and parent not in verify.SUBGROUP_CHECK_IDS:
-        print(f"--normal applies only to {', '.join(verify.SUBGROUP_CHECK_IDS)}", file=sys.stderr)
-        return EXIT_USAGE
+    verify.resolve_check_id(args.id, args.normal)  # usage errors before any file is read
     g = _load_digraph(args.digraph)
     try:
         group = _load_group(args.group) if args.group else symmetry.automorphism_group(g)
     except SearchBudgetExceeded as exc:
-        incomplete = verify.CheckResult(check_id, verify.INCOMPLETE, notes=str(exc))
-        return _print_check_results([incomplete])
-    normal = _load_group(args.normal) if args.normal else None
-    results = verify.run_check(verify.InstanceFacts(g, group), parent, normal)
-    if check_id != parent:
-        results = [r for r in results if r.check_id == check_id]
+        results = verify.uniform_results([args.id], verify.INCOMPLETE, str(exc))
+    else:
+        normal = _load_group(args.normal) if args.normal else None
+        results = verify.run_check(verify.InstanceFacts(g, group), args.id, normal)
     return _print_check_results(results)
 
 
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_quotient)
 
     p = sub.add_parser("check", help="run one statement check")
-    p.add_argument("--id", required=True, help="e.g. T1.4i, L2.1, L3.1, T1.1")
+    p.add_argument("--id", required=True, help="record id, e.g. T1.4i, L2.1, L4.1, T1.1")
     p.add_argument("digraph")
     p.add_argument("--group", default=None, help="permutation file (default: full Aut)")
     p.add_argument(

@@ -5,10 +5,10 @@ the group as a group of automorphisms once per instance, keeps it on its
 reduced generators and computes every transitivity fact from there, so each
 tuple family is counted at most once per instance and the group-theoretic
 tests share one stabilizer chain.  ``run_check`` is the one dispatch from a
-check id to its records: it looks the id up in ``_CHECKS``, passes a given
-normal subgroup, of the digraph's degree, only to ``SUBGROUP_CHECK_IDS``,
-tests the directed-class hypothesis that every statement shares, and turns
-an exhausted search or candidate budget into ``incomplete``;
+record id to its records: ``resolve_check_id`` names the check that gives
+it (L2.1 gives the arc-local ids), a given normal subgroup, of the digraph's
+degree, goes only to ``SUBGROUP_CHECK_IDS``, the directed-class hypothesis
+is tested once, and an exhausted budget gives ``incomplete``;
 ``run_checks_on_instance`` runs it over a list of ids.  Each check
 evaluates its own hypothesis before its conclusion: inapplicable
 instances come back ``not_applicable`` instead of vacuously
@@ -61,6 +61,12 @@ def _na(check_id: str, notes: str = "") -> CheckResult:
     return CheckResult(check_id, NOT_APPLICABLE, notes=notes)
 
 
+def uniform_results(ids, status: str, notes: str = "") -> list[CheckResult]:
+    """One record per record id of ``ids`` (L2.1 gives its seven), all alike."""
+    expanded = (ARC_LOCAL_IDS if cid == "L2.1" else (cid,) for cid in ids)
+    return [CheckResult(rid, status, notes=notes) for rids in expanded for rid in rids]
+
+
 # ----------------------------------------------------------------------
 # arc-local constraints
 
@@ -87,18 +93,15 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
     g = facts.g
     valency = g.valency()
     if valency is None or valency < 1 or len(g.weak_components()) != 1:
-        return [_na(cid, "needs a connected regular digraph") for cid in ARC_LOCAL_IDS]
+        return uniform_results(ARC_LOCAL_IDS, NOT_APPLICABLE, "needs a connected regular digraph")
     if not facts.s_arc_transitive(1):
-        return [_na(cid, "group is not arc-transitive") for cid in ARC_LOCAL_IDS]
+        return uniform_results(ARC_LOCAL_IDS, NOT_APPLICABLE, "group is not arc-transitive")
 
-    results = []
     # Arc-transitive with connected underlying graph forces strong connectivity.
-    if g.is_strongly_connected():
-        results.append(CheckResult("SC", PASS))
-    else:
-        results.append(CheckResult("SC", FAIL, witness={"strongly_connected": False}))
-        results.extend(_na(cid, "not strongly connected") for cid in ARC_LOCAL_IDS[1:])
-        return results
+    if not g.is_strongly_connected():
+        return [CheckResult("SC", FAIL, witness={"strongly_connected": False}),
+                *uniform_results(ARC_LOCAL_IDS[1:], NOT_APPLICABLE, "not strongly connected")]
+    results = [CheckResult("SC", PASS)]
 
     arcs = sorted(g.arcs)
     commons = {(u, v): g.out_neighbors(u) & g.out_neighbors(v) for u, v in arcs}
@@ -567,34 +570,41 @@ CHECK_IDS = tuple(_CHECKS)
 SUBGROUP_CHECK_IDS = ("L3.1", "L3.2", "T1.1", "T1.2")
 
 
+def resolve_check_id(record_id: str, normal=None) -> str:
+    """The check id that gives ``record_id``: the id, or L2.1 for an arc-local
+    id.  BadParameter for an unknown id or a ``normal`` its check does not take."""
+    check_id = "L2.1" if record_id in ARC_LOCAL_IDS else record_id
+    if check_id not in _CHECKS:
+        raise BadParameter(f"unknown check {record_id!r}")
+    if normal is not None and check_id not in SUBGROUP_CHECK_IDS:
+        raise BadParameter(f"--normal (normal=) applies only to {', '.join(SUBGROUP_CHECK_IDS)}")
+    return check_id
+
+
 def run_check(
-    facts: InstanceFacts, check_id: str, normal: PermGroup | None = None
+    facts: InstanceFacts, record_id: str, normal: PermGroup | None = None
 ) -> list[CheckResult]:
-    """The records of one check id: one record, or L2.1's arc-local batch.
+    """The records of one record id: L2.1 gives its arc-local batch, any
+    other id, an arc-local one such as L4.1 too, its one record.
 
     Every statement is about digraphs, so on a digraph outside the directed
-    class each check, ``report`` too, is ``not_applicable`` (L2.1 once per
-    arc-local id).  ``normal`` is accepted by ``SUBGROUP_CHECK_IDS`` only,
-    and on the digraph's vertices only: another degree raises DegreeMismatch
-    before any hypothesis is tested.  An exhausted search or candidate
-    budget gives ``incomplete``.
+    class each check, ``report`` too, is ``not_applicable``.  ``normal`` is
+    accepted by ``SUBGROUP_CHECK_IDS`` only, and on the digraph's vertices
+    only: another degree raises DegreeMismatch before any hypothesis is
+    tested.  An exhausted search or candidate budget gives ``incomplete``.
     """
-    check = _CHECKS.get(check_id)
-    if check is None:
-        raise BadParameter(f"unknown check {check_id!r}")
-    if normal is not None and check_id not in SUBGROUP_CHECK_IDS:
-        raise BadParameter(
-            f"a given normal subgroup applies only to {', '.join(SUBGROUP_CHECK_IDS)}"
-        )
+    check_id = resolve_check_id(record_id, normal)
     if normal is not None and normal.degree != facts.g.n:
         raise DegreeMismatch(f"degree {normal.degree} != {facts.g.n}")
     if facts.g.symmetry_class != DIRECTED:
-        ids = ARC_LOCAL_IDS if check_id == "L2.1" else (check_id,)
-        return [_na(cid, "not a directed-class digraph") for cid in ids]
+        return uniform_results((record_id,), NOT_APPLICABLE, "not a directed-class digraph")
+    check = _CHECKS[check_id]
     try:
         outcome = check(facts) if normal is None else check(facts, normal)
     except (SearchBudgetExceeded, BoundExceeded) as exc:
-        outcome = CheckResult(check_id, INCOMPLETE, notes=str(exc))
+        return uniform_results((record_id,), INCOMPLETE, str(exc))
+    if record_id != check_id:
+        return [r for r in outcome if r.check_id == record_id]
     return outcome if isinstance(outcome, list) else [outcome]
 
 
@@ -634,6 +644,9 @@ class SurveyConfig(namedtuple("SurveyConfig", "circulant_orders cayley_groups pa
             raise BadParameter("survey needs at least one family")
         if not self.checks:
             raise BadParameter("survey config key 'checks' must name at least one check")
+        repeated = sorted({cid for cid in self.checks if self.checks.count(cid) > 1})
+        if repeated:
+            raise BadParameter(f"survey config key 'checks' repeats {repeated}")
         if self.min_valency < 1 or self.max_valency < self.min_valency:
             raise BadParameter("valency bounds must be positive and ordered")
         if self.max_vertices < 1 or self.parallelism < 1:
@@ -756,9 +769,9 @@ def _survey_worker(args) -> list[dict]:
 
     The instance is a ``CayleyDigraph``, so the automorphism search starts
     from the right translations R(T), a regular subgroup of Aut(Cay(T, S)).
-    An exhausted search budget gives one ``incomplete`` record per requested
-    check, and any other exception one ``error`` record per requested check
-    noting its type and message, so one instance cannot abort a survey.  An
+    An exhausted search budget gives an ``incomplete`` record, and any other
+    exception an ``error`` record noting its type and message, per record id
+    of the requested checks, so one instance cannot abort a survey.  An
     instance that could not be built is labelled by its descriptor.
     """
     descriptor, checks = args
@@ -768,18 +781,15 @@ def _survey_worker(args) -> list[dict]:
         group = symmetry.automorphism_group(g)
         results = run_checks_on_instance(g, group, checks, cayley=spec)
     except SearchBudgetExceeded as exc:
-        return _uniform_records(label, checks, INCOMPLETE, str(exc))
+        results = uniform_results(checks, INCOMPLETE, str(exc))
     except Exception as exc:
-        return _uniform_records(label, checks, ERROR, f"{type(exc).__name__}: {exc}")
+        results = uniform_results(checks, ERROR, f"{type(exc).__name__}: {exc}")
+    return _records(label, results)
+
+
+def _records(label: str, results: list[CheckResult]) -> list[dict]:
+    """The survey records of one instance's results."""
     return [{**result.to_dict(), "instance": label} for result in results]
-
-
-def _uniform_records(label: str, checks, status: str, notes: str) -> list[dict]:
-    """One record per check id, all with the same status and notes."""
-    return [
-        {"instance": label, "check": cid, "status": status, "witness": None, "notes": notes}
-        for cid in checks
-    ]
 
 
 def _pool_batches(jobs: list, workers: int, chunksize: int):
@@ -896,9 +906,8 @@ def run_survey(config: SurveyConfig) -> SurveyReport:
             # kills a pool it ran in alone; the rest rerun one job per task.
             job = jobs[len(batches)]
             alone, broken = _pool_batches([job], 1, chunksize=1)
-            batches += alone or [
-                _uniform_records(repr(job[0]), job[1], ERROR, f"BrokenProcessPool: {broken}")
-            ]
+            errors = uniform_results(job[1], ERROR, f"BrokenProcessPool: {broken}")
+            batches += alone or [_records(repr(job[0]), errors)]
             batches += _pool_batches(jobs[len(batches):], config.parallelism, chunksize=1)[0]
     else:
         batches = [_survey_worker(job) for job in jobs]

@@ -344,6 +344,40 @@ class TestCheck:
     def test_unknown_id(self, paley_file, capsys):
         assert main(["check", "--id", "T9.9", paley_file]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--id", "T9.9"], "error: BadParameter: unknown check 'T9.9'\n"),
+            (["--id", "L4.1", "--normal", "missing.perm"],
+             "error: BadParameter: --normal (normal=) applies only to L3.1, L3.2, T1.1, T1.2\n"),
+        ],
+        ids=["unknown-id", "normal-with-sub-id"],
+    )
+    def test_usage_error_before_any_file_is_read(self, tmp_path, capsys, argv, err):
+        assert main(["check", *argv, str(tmp_path / "missing.dg")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+    def test_sub_id_of_an_incomplete_batch(self, tmp_path, capsys, monkeypatch):
+        def over_budget(facts):
+            raise SearchBudgetExceeded("automorphism search exceeded 1 nodes")
+
+        monkeypatch.setitem(verify._CHECKS, "L2.1", over_budget)
+        c3 = tmp_path / "c3.dg"
+        c3.write_text(to_text(circuit(3)))
+        assert main(["check", "--id", "L4.1", str(c3)]) == 1
+        assert capsys.readouterr().out == (
+            "L4.1: incomplete (automorphism search exceeded 1 nodes)\n"
+        )
+
+    def test_exhausted_search_gives_every_batch_id(self, paley_file, capsys, monkeypatch):
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
+        assert main(["check", "--id", "L2.1", paley_file]) == 1
+        assert capsys.readouterr().out == "".join(
+            f"{cid}: incomplete (automorphism search exceeded 1 nodes)\n"
+            for cid in verify.ARC_LOCAL_IDS
+        )
+
 
 class TestSurvey:
     def config_file(self, tmp_path, **overrides):
@@ -400,6 +434,8 @@ class TestSurvey:
             ({"circulant_orders": [5], "parallelism": 1.5}, "parallelism"),
             ({"circulant_orders": [5], "seed": True}, "seed"),
             ({"circulant_orders": [5], "checks": []}, "checks"),
+            ({"circulant_orders": [5], "min_valency": 2, "max_valency": 2,
+              "checks": ["report", "report"]}, "repeats ['report']"),
         ],
     )
     def test_malformed_config_named(self, tmp_path, capsys, data, named):
@@ -424,6 +460,22 @@ class TestSurvey:
         assert main(["survey", "--config", config, "--out", str(out_path)]) == 1
         summary = json.loads(out_path.read_text())["summary"]
         assert summary["fail"] == 0 and summary["incomplete"] > 0
+
+    def test_exhausted_budget_tally_has_the_record_ids(self, tmp_path, capsys, monkeypatch):
+        # 8 of the 20 instances run out of search budget: each gives one
+        # incomplete record per record id, so every row counts 20 records.
+        monkeypatch.setenv("DIGSYM_SEARCH_BUDGET", "1")
+        config = self.config_file(
+            tmp_path, circulant_orders=[8], min_valency=2, max_valency=3, max_vertices=14,
+            checks=list(verify.CHECK_IDS),
+        )
+        assert main(["survey", "--config", config]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "instances: 20"
+        rows = {line.split()[0]: [int(x) for x in line.split()[1:]] for line in lines[2:17]}
+        assert sorted(rows) == sorted({*verify.CHECK_IDS, *verify.ARC_LOCAL_IDS} - {"L2.1"})
+        assert all(sum(row) == 20 for row in rows.values())
+        assert rows["SC"] == [0, 0, 12, 8]
 
     def test_error_records_exit_1(self, tmp_path, capsys, monkeypatch):
         generate = verify.generate_descriptors

@@ -546,14 +546,17 @@ class TestSurvey:
                 automorphism_group(g)
                 expected += [r for r in unbudgeted if r["instance"] == label]
             except SearchBudgetExceeded as exc:
+                # The record ids of a complete instance: L2.1 gives its seven.
                 assert str(exc) == "automorphism search exceeded 1 nodes"
                 expected += [
-                    {"instance": label, "check": cid, "status": verify.INCOMPLETE,
+                    {"instance": label, "check": r["check"], "status": verify.INCOMPLETE,
                      "witness": None, "notes": str(exc)}
-                    for cid in config.checks
+                    for r in unbudgeted if r["instance"] == label
                 ]
         assert any(r["status"] == verify.INCOMPLETE for r in expected)
-        assert run_survey(config).records == expected
+        records = run_survey(config).records
+        assert records == expected
+        assert "L2.1" not in {r["check"] for r in records}
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_crashing_instance_gives_error_records(self, monkeypatch, parallelism):
@@ -582,8 +585,8 @@ class TestSurvey:
     def test_dead_worker_gives_error_records(self, monkeypatch):
         # The worker process exits on DOOMED: its pool breaks.  The batches
         # that arrived stay, DOOMED kills a pool it runs in alone and gets one
-        # error record per check, and the rest rerun in a fresh pool.  Without
-        # a death, the survey maps its one pool in chunks of 8.
+        # error record per record id, and the rest rerun in a fresh pool.
+        # Without a death, the survey maps its one pool in chunks of 8.
         config = SurveyConfig(
             circulant_orders=(5, 6, 7), min_valency=2, max_valency=2, parallelism=2
         )
@@ -611,12 +614,9 @@ class TestSurvey:
         for record in clean.records:
             if record["instance"] != label:
                 expected.append(record)
-            elif record["check"] == config.checks[0]:
-                expected += [
-                    {"instance": repr(DOOMED), "check": cid, "status": verify.ERROR,
-                     "witness": None, "notes": notes}
-                    for cid in config.checks
-                ]
+            else:  # L2.1 gives one error record per arc-local id
+                expected.append({"instance": repr(DOOMED), "check": record["check"],
+                                 "status": verify.ERROR, "witness": None, "notes": notes})
         assert report.records == expected
         assert f"ERROR {DOOMED!r} report: {notes}" in report.summary_text()
 
@@ -722,6 +722,33 @@ class TestRunCheck:
     def test_unknown_id_rejected(self):
         with pytest.raises(BadParameter):
             verify.run_check(aut_facts(circuit(5)), "T9.9")
+
+    def test_given_subgroup_with_an_arc_local_id_rejected(self):
+        normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
+        with pytest.raises(BadParameter, match="--normal"):
+            verify.run_check(aut_facts(circuit(6)), "L4.1", normal=normal)
+
+    def test_arc_local_id_gives_its_record(self):
+        facts = aut_facts(paley_tournament(7))
+        batch = verify.run_check(facts, "L2.1")
+        assert [r.check_id for r in batch] == list(verify.ARC_LOCAL_IDS)
+        for record in batch:
+            assert verify.run_check(facts, record.check_id) == [record]
+
+    def test_arc_local_id_meets_the_guard(self):
+        assert verify.run_check(aut_facts(complete(4)), "L4.1") == [
+            CheckResult("L4.1", NOT_APPLICABLE, notes="not a directed-class digraph")
+        ]
+
+    @pytest.mark.parametrize("record_id", ["L2.1", "L4.1"])
+    def test_incomplete_batch_gives_one_record_per_record_id(self, monkeypatch, record_id):
+        def over(facts):
+            raise SearchBudgetExceeded("out of budget")
+
+        monkeypatch.setitem(verify._CHECKS, "L2.1", over)
+        results = verify.run_check(aut_facts(circuit(5)), record_id)
+        ids = verify.ARC_LOCAL_IDS if record_id == "L2.1" else (record_id,)
+        assert results == [CheckResult(cid, verify.INCOMPLETE, notes="out of budget") for cid in ids]
 
     @pytest.mark.parametrize("exc", [SearchBudgetExceeded, BoundExceeded])
     def test_exhausted_budget_or_bound_incomplete(self, monkeypatch, exc):
