@@ -130,62 +130,6 @@ class Digraph(Frozen):
         """Largest finite directed distance between any ordered pair."""
         return self._distance_summary[1]
 
-    @cached_property
-    def _arc_geodesic_depth(self) -> int:
-        """Largest s such that, at every level t <= s, each t-arc is a t-geodesic.
-
-        While every shorter arc from u is a geodesic, the t-arcs from u are
-        the geodesics to u's layer t - 1 followed by one arc; so the depth
-        is the least d(u, y) over arcs (y, x) with d(u, x) != d(u, y) + 1,
-        one scan of the distance matrix.  With no such arc, every arc is a
-        geodesic at every level, so none is longer than the longest
-        distance, and the depth is ``max_geodesic_length() + 1``.
-        """
-        return min(
-            (
-                row[y]
-                for row in self._distance_matrix
-                for y, x in self.arcs
-                if row[y] is not None and row[x] != row[y] + 1
-            ),
-            default=self.max_geodesic_length() + 1,
-        )
-
-    def s_arcs(self, s: int) -> list[tuple[int, ...]]:
-        """All s-arcs as vertex tuples in lexicographic order; vertices may repeat."""
-        return self._walks(s, S_ARC)
-
-    def s_geodesics(self, s: int) -> list[tuple[int, ...]]:
-        """All s-arcs whose endpoints are at directed distance exactly s."""
-        return self._walks(s, S_GEODESIC)
-
-    def _walks(self, s: int, kind: str) -> list[tuple[int, ...]]:
-        """The s-walks of ``kind``, grown one start vertex at a time.
-
-        The walks from v are extended one level at a time, so only v's
-        shorter walks live beside the result.  Start vertices are taken in
-        order and out-neighbours are sorted, so the result is lexicographic.
-        Every prefix of a geodesic is a geodesic, so geodesics keep only the
-        extensions whose endpoint is at distance exactly the new length,
-        read from v's distance row.
-        """
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        out = self._out
-        walks = []
-        for v in range(self.n):
-            row = self._distance_matrix[v] if kind == S_GEODESIC else None
-            level = [(v,)]
-            for length in range(1, s + 1):
-                level = [
-                    w + (x,)
-                    for w in level
-                    for x in out[w[-1]]
-                    if row is None or row[x] == length
-                ]
-            walks.extend(level)
-        return walks
-
     def girth(self) -> int | None:
         """Length of a minimal circuit (closed path on >= 3 distinct vertices).
 

@@ -14,10 +14,11 @@ Orbits on points (vertex-transitivity, the search's level orbits and the
 point stabilizer's orbits below) come from ``groups._orbit_mask`` and
 ``groups._orbit_masks``.  Orbits on the s-arcs and s-geodesics, s >= 1, are
 counted on explicit tuple families, and one ``InstanceFacts`` per (digraph,
-group) validates the group once and computes them, counting each distinct
-family at most once: where every s-arc is an s-geodesic the two kinds share
-one count.  Facts of the digraph alone, such as strong connectivity and
-valency, are read from the ``Digraph``, not kept a second time here.
+group) validates the group once, builds the families level by level and
+counts each distinct family at most once: a geodesic level from which the
+distance filter dropped no extension, at it or below, is the arc level and
+shares its count.  Facts of the digraph alone, such as strong connectivity
+and valency, are read from the ``Digraph``, not kept a second time here.
 Distance-transitivity counts no family: a transitive group is
 distance-transitive iff the stabilizer of one vertex b, read off the
 stabilizer chain, has one orbit on each layer of b's distance row.  It
@@ -304,14 +305,15 @@ class InstanceFacts:
     those of ``g`` alone (strong connectivity, valency, distances, the
     components of the underlying graph) are read from ``g``, which caches
     its distance matrix and strong connectivity.  Each fact is computed on
-    first use and kept for the life of the object.  Each distinct tuple
-    family is enumerated and counted at most once: the s-arcs (kind
-    ``S_ARC``) and the s-geodesics (``S_GEODESIC``); up to
-    ``g._arc_geodesic_depth`` every s-arc is an s-geodesic, so there both
-    kinds read the one s-arc count.  Orbits on the vertices are the group's
-    own (``PermGroup.orbits_count``), and distance-transitivity counts no
-    family: it reads the first two levels of the chain and one distance
-    row.  The transitivity facts need the
+    first use and kept for the life of the object.  The tuple families are
+    the s-arcs (kind ``S_ARC``) and the s-geodesics (``S_GEODESIC``), built
+    here and nowhere else: the last level built is kept, one list per start
+    vertex, and grown in place to the next.  Each distinct family is counted
+    at most once, and a geodesic level built with no extension dropped, at
+    it or below, is the arc level and reads the one s-arc count.  Orbits on
+    the vertices are the group's own (``PermGroup.orbits_count``), and
+    distance-transitivity counts no family: it reads the first two levels of
+    the chain and one distance row.  The transitivity facts need the
     directed class, which ``verify.run_check`` tests once for every check
     id, and ``report`` also strong connectivity, which its callers test
     first.
@@ -324,21 +326,51 @@ class InstanceFacts:
         self.group = group.reduced()
         self.cayley = cayley
         self._counts: dict[tuple[str, int], int] = {}
-
-    def _key(self, kind: str, s: int) -> tuple[str, int]:
-        """The key of the family that the s-walks of ``kind`` are."""
-        if kind == S_GEODESIC and s <= self.g._arc_geodesic_depth:
-            return S_ARC, s
-        return kind, s
+        self._level = None, 0, None, True  # kind, s, walks per start, unfiltered
 
     def count(self, kind: str, s: int) -> int:
-        """Number of orbits on the s-walks of ``kind``, s >= 1; 0 when there
-        are none.  Orbits on the vertices are the group's, not a count here."""
-        key = self._key(kind, s)
-        if key not in self._counts:
-            family = self.g.s_arcs(s) if key[0] == S_ARC else self.g.s_geodesics(s)
-            self._counts[key] = _count_orbits(self.group, family)
-        return self._counts[key]
+        """Number of orbits on the s-walks of ``kind``, s >= 1 (ValueError
+        below); 0 when there are none.  Orbits on the vertices are the
+        group's, not a count here."""
+        if s < 1:
+            raise ValueError(f"s must be at least 1, got {s}")
+        if (kind, s) not in self._counts:
+            walks, unfiltered = self._walks(kind, s)
+            key = (S_ARC, s) if unfiltered else (kind, s)  # unfiltered: the arc level
+            if key not in self._counts:
+                self._counts[key] = _count_orbits(self.group, [w for ws in walks for w in ws])
+            self._counts[kind, s] = self._counts[key]
+        return self._counts[kind, s]
+
+    def _walks(self, kind: str, s: int) -> tuple[list[list[tuple[int, ...]]], bool]:
+        """The s-walks of ``kind``, one lexicographic list per start vertex,
+        and whether no extension of a level 1..s was dropped.
+
+        The last level built is kept.  A higher level of its kind grows each
+        start's list in place, one level at a time, so only one start's
+        shorter walks live beside the new level; a lower level or the other
+        kind starts again from the vertices.  Every prefix of a geodesic is
+        a geodesic, so geodesics keep only the extensions whose endpoint is
+        at distance exactly the new length, read from the start's distance
+        row.  A level that dropped none, above levels that dropped none, is
+        the arc level.
+        """
+        built, length, walks, unfiltered = self._level
+        if built != kind or length > s:
+            length, walks, unfiltered = 0, [[(v,)] for v in range(self.g.n)], True
+        out = self.g._out
+        rows = self.g._distance_matrix if kind == S_GEODESIC else None
+        while length < s:
+            length += 1
+            for v, level in enumerate(walks):
+                row = rows[v] if rows else None
+                walks[v] = [
+                    w + (x,) for w in level for x in out[w[-1]] if row is None or row[x] == length
+                ]
+                if unfiltered and rows:
+                    unfiltered = len(walks[v]) == sum(len(out[w[-1]]) for w in level)
+        self._level = kind, length, walks, unfiltered
+        return walks, unfiltered
 
     def s_arc_transitive(self, s: int) -> bool:
         return self.count(S_ARC, s) <= 1

@@ -8,7 +8,7 @@ search, kept to pin the current search's generators and node counts.
 """
 
 from collections import Counter, deque
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 from digsym import symmetry
 from digsym.digraph import S_ARC, S_GEODESIC, build
@@ -36,12 +36,17 @@ def brute_distance(arcs, n, source, target):
 
 
 def brute_s_arcs(arcs, n, s):
-    """Every vertex sequence of length s+1 whose consecutive pairs are arcs."""
+    """Every vertex sequence of length s+1 whose consecutive pairs are arcs,
+    in lexicographic order.
+
+    Every vertex is tried after each such sequence one shorter, so a
+    sequence is dropped at its first pair that is no arc rather than
+    enumerated to full length.
+    """
     arcset = set(arcs)
-    found = []
-    for seq in product(range(n), repeat=s + 1):
-        if all((seq[i], seq[i + 1]) in arcset for i in range(s)):
-            found.append(seq)
+    found = [(v,) for v in range(n)]
+    for _ in range(s):
+        found = [seq + (v,) for seq in found for v in range(n) if (seq[-1], v) in arcset]
     return found
 
 
@@ -388,14 +393,15 @@ def brute_block_systems(gens, degree):
 
 
 def orbits_of_tuples(elements, family):
-    """Orbit partition of a tuple family under explicit group elements."""
-    remaining = set(family)
+    """Orbit partition of a tuple family under explicit group elements, each
+    orbit found from its least tuple, in increasing order of that tuple."""
+    seen = set()
     orbits = []
-    while remaining:
-        t = min(remaining)
-        orbit = {tuple(g[v] for v in t) for g in elements}
-        orbits.append(orbit)
-        remaining -= orbit
+    for t in sorted(set(family)):
+        if t not in seen:
+            orbit = {tuple(g[v] for v in t) for g in elements}
+            orbits.append(orbit)
+            seen |= orbit
     return orbits
 
 

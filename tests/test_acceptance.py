@@ -220,7 +220,9 @@ def test_criterion_7_tester_cross_validation():
         cap = g.max_geodesic_length()
         for s in range(1, min(3, cap) + 1):
             brute = all(
-                oracles.brute_single_orbit(elements, g.s_geodesics(i))
+                oracles.brute_single_orbit(
+                    elements, oracles.brute_s_geodesics(g.arcs, g.n, i)
+                )
                 for i in range(1, s + 1)
             )
             assert is_s_geodesic_transitive(g, group, s) == brute, (g, s)
@@ -231,7 +233,7 @@ def test_criterion_7_tester_cross_validation():
 def _brute_geodesic_transitive(elements, g, s):
     cap = min(s, g.max_geodesic_length())
     return cap > 0 and all(
-        oracles.brute_single_orbit(elements, g.s_geodesics(i))
+        oracles.brute_single_orbit(elements, oracles.brute_s_geodesics(g.arcs, g.n, i))
         for i in range(1, cap + 1)
     )
 
@@ -254,7 +256,7 @@ def test_proper_subgroup_cross_validation():
             checked += 1
             elements = [p.images for p in group.elements()]
             for s in (1, 2):
-                arcs = g.s_arcs(s)
+                arcs = oracles.brute_s_arcs(g.arcs, g.n, s)
                 assert is_s_arc_transitive(g, group, s) == oracles.brute_single_orbit(
                     elements, arcs
                 ), (g, s)
@@ -272,9 +274,9 @@ def test_proper_subgroup_cross_validation():
                 if key == "vertices":
                     family = [(v,) for v in range(g.n)]
                 elif kind == "arcs":
-                    family = g.s_arcs(int(level))
+                    family = oracles.brute_s_arcs(g.arcs, g.n, int(level))
                 else:
-                    family = g.s_geodesics(int(level))
+                    family = oracles.brute_s_geodesics(g.arcs, g.n, int(level))
                 assert count == len(oracles.orbits_of_tuples(elements, family)), (g, key)
     assert checked == 2 * len(specs)
     print(f"\nPROPER SUBGROUPS (R(T) and holomorph, {checked} pairs): PASS")

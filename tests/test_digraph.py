@@ -1,6 +1,4 @@
-"""Tests for the digraph core: neighborhoods, distance, walks, girth, I/O."""
-
-import gc
+"""Tests for the digraph core: neighborhoods, distance, walk families, girth, I/O."""
 
 import pytest
 from hypothesis import given, settings
@@ -125,55 +123,39 @@ class TestDiameter:
         assert not build(2, [(0, 1)]).is_strongly_connected()
 
 
-class TestWalkEnumeration:
+class TestWalkFamilies:
+    """The oracles' walk families, against which every orbit count is
+    checked, pinned on small digraphs."""
+
     def test_circuit_closed_three_arcs(self):
-        walks = circuit(3).s_arcs(3)
+        walks = oracles.brute_s_arcs(circuit(3).arcs, 3, 3)
         assert len(walks) == 3
         assert all(w[0] == w[-1] for w in walks)
 
     def test_paley_two_arcs(self):
-        assert len(paley7().s_arcs(2)) == 63
+        assert len(oracles.brute_s_arcs(paley7().arcs, 7, 2)) == 63
 
     def test_zero_arcs_are_vertices(self):
-        g = paley7()
-        assert len(g.s_arcs(0)) == 7
+        assert oracles.brute_s_arcs(paley7().arcs, 7, 0) == [(v,) for v in range(7)]
 
     def test_lexicographic_order(self):
-        walks = paley7().s_arcs(2)
+        walks = oracles.brute_s_arcs(paley7().arcs, 7, 2)
         assert walks == sorted(walks)
 
     def test_paley_two_geodesics(self):
-        assert len(paley7().s_geodesics(2)) == 42
+        assert len(oracles.brute_s_geodesics(paley7().arcs, 7, 2)) == 42
 
     def test_circuit_geodesics(self):
-        assert len(circuit(3).s_geodesics(2)) == 3
-        assert len(circuit(3).s_geodesics(3)) == 0
-        assert len(circuit(6).s_geodesics(5)) == 6
+        assert len(oracles.brute_s_geodesics(circuit(3).arcs, 3, 2)) == 3
+        assert len(oracles.brute_s_geodesics(circuit(3).arcs, 3, 3)) == 0
+        assert len(oracles.brute_s_geodesics(circuit(6).arcs, 6, 5)) == 6
 
     def test_arc_geodesic_depth(self):
-        assert circuit(6)._arc_geodesic_depth == 5
-        assert paley7()._arc_geodesic_depth == 1
-        assert build(2, [(0, 1), (1, 0)])._arc_geodesic_depth == 1
+        assert oracles.brute_arc_geodesic_depth(circuit(6).arcs, 6) == 5
+        assert oracles.brute_arc_geodesic_depth(paley7().arcs, 7) == 1
+        assert oracles.brute_arc_geodesic_depth([(0, 1), (1, 0)], 2) == 1
         # The 2-arc 0->1->2 is a geodesic and no 3-arc exists.
-        assert build(3, [(0, 1), (1, 2)])._arc_geodesic_depth == 3
-
-    def test_dropped_family_leaves_no_cyclic_garbage(self):
-        # A family must be freed by reference counting alone as soon as it
-        # is dropped, not kept alive until the cyclic collector runs.
-        g = build(20, [(u, (u + d) % 20) for u in range(20) for d in (1, 11)])
-        gc.collect()
-        gc.disable()
-        try:
-            assert len(g.s_arcs(8)) == 20 * 2**8
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-
-    def test_against_oracle(self):
-        for g in (circuit(5), paley7(), build(4, [(0, 1), (1, 0), (1, 2), (2, 3)])):
-            for s in range(4):
-                assert g.s_arcs(s) == sorted(oracles.brute_s_arcs(g.arcs, g.n, s))
-                assert g.s_geodesics(s) == sorted(oracles.brute_s_geodesics(g.arcs, g.n, s))
+        assert oracles.brute_arc_geodesic_depth([(0, 1), (1, 2)], 3) == 3
 
 
 class TestGirth:
@@ -246,8 +228,8 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(digraphs(), st.integers(min_value=0, max_value=3))
     def test_geodesics_are_arcs(self, g, s):
-        arcs = set(g.s_arcs(s))
-        geos = set(g.s_geodesics(s))
+        arcs = set(oracles.brute_s_arcs(g.arcs, g.n, s))
+        geos = set(oracles.brute_s_geodesics(g.arcs, g.n, s))
         assert geos <= arcs
 
     @settings(max_examples=60, deadline=None)
@@ -260,11 +242,6 @@ class TestProperties:
                     if duv is not None and dvw is not None:
                         assert duw is not None and duw <= duv + dvw
 
-    @settings(max_examples=60, deadline=None)
-    @given(digraphs())
-    def test_arc_geodesic_depth_matches_brute_levels(self, g):
-        assert g._arc_geodesic_depth == oracles.brute_arc_geodesic_depth(g.arcs, g.n)
-
     @settings(max_examples=40, deadline=None)
     @given(digraphs())
     def test_girth_matches_minimal_closed_arc(self, g):
@@ -275,8 +252,8 @@ class TestProperties:
     def test_diameter_is_max_nonempty_geodesic_level(self, g):
         if g.is_strongly_connected() and g.n > 1:
             diam = g.diameter()
-            assert g.s_geodesics(diam)
-            assert not g.s_geodesics(diam + 1)
+            assert oracles.brute_s_geodesics(g.arcs, g.n, diam)
+            assert not oracles.brute_s_geodesics(g.arcs, g.n, diam + 1)
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs())

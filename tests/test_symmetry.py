@@ -1,9 +1,11 @@
 """Tests for automorphism search and the transitivity testers."""
 
+import gc
 import hashlib
 import json
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from digsym.construct import (
     paley_tournament,
     right_translations,
 )
-from digsym.digraph import S_ARC, S_GEODESIC, Digraph, build
+from digsym.digraph import S_ARC, S_GEODESIC, build
 from digsym.errors import (
     BadParameter,
     NotAutomorphismGroup,
@@ -312,7 +314,7 @@ class TestCountOrbits:
 
     def test_paley_two_geodesic_orbits(self):
         g = paley_tournament(7)
-        family = g.s_geodesics(2)
+        family = oracles.brute_s_geodesics(g.arcs, g.n, 2)
         assert len(family) == 42
         assert _count_orbits(automorphism_group(g), family) == 2
 
@@ -329,7 +331,7 @@ class TestCountOrbits:
     def test_matches_brute_orbits(self):
         g = paley_tournament(7)
         group = automorphism_group(g)
-        family = g.s_arcs(2)
+        family = oracles.brute_s_arcs(g.arcs, g.n, 2)
         elements = [p.images for p in group.elements()]
         assert _count_orbits(group, family) == len(oracles.orbits_of_tuples(elements, family))
 
@@ -338,7 +340,10 @@ class TestCountOrbits:
             for group in (automorphism_group(g), PermGroup((), degree=g.n)):
                 elements = [p.images for p in group.elements()]
                 for s in range(4):
-                    for family in (g.s_arcs(s), g.s_geodesics(s)):
+                    for family in (
+                        oracles.brute_s_arcs(g.arcs, g.n, s),
+                        oracles.brute_s_geodesics(g.arcs, g.n, s),
+                    ):
                         brute = oracles.orbits_of_tuples(elements, family)
                         assert _count_orbits(group, family) == len(brute), (g, s)
 
@@ -360,7 +365,7 @@ class TestCountOrbits:
         # generators' image tables; neither calls a permutation.
         _, g, _ = build_instance(("circulant", 20, (1, 11)))
         group = automorphism_group(g).reduced()
-        family = g.s_arcs(5)
+        family = oracles.brute_s_arcs(g.arcs, g.n, 5)
         calls = 0
         call = Permutation.__call__
 
@@ -378,7 +383,7 @@ class TestCountOrbits:
         # a second copy of the tuples or a list per orbit.
         _, g, _ = build_instance(("circulant", 20, (1, 11)))
         group = automorphism_group(g).reduced()
-        family = g.s_arcs(10)
+        family = oracles.brute_s_arcs(g.arcs, g.n, 10)
         family_bytes = sum(map(sys.getsizeof, family))
         tracemalloc.start()
         try:
@@ -387,6 +392,95 @@ class TestCountOrbits:
         finally:
             tracemalloc.stop()
         assert peak < family_bytes, (peak, family_bytes)
+
+
+def _walk_oracle(kind):
+    return oracles.brute_s_arcs if kind == S_ARC else oracles.brute_s_geodesics
+
+
+def _recording_count_orbits(counted):
+    """``_count_orbits``, appending each family it counts to ``counted``."""
+    count_orbits = symmetry._count_orbits
+
+    def recording_count(group, family):
+        counted.append(family)
+        return count_orbits(group, family)
+
+    return recording_count
+
+
+class TestWalkLevels:
+    """``InstanceFacts`` builds the walk levels it counts: it grows the last
+    level of a kind, rebuilds for a lower level or the other kind, and lets
+    a geodesic level read the arc count while no extension was dropped."""
+
+    def test_levels_match_oracle_families(self):
+        for g in (circuit(5), paley_tournament(7), build(4, [(0, 1), (1, 0), (1, 2), (2, 3)])):
+            facts = InstanceFacts(g, PermGroup((), degree=g.n))
+            for kind, s in [(S_ARC, 2), (S_GEODESIC, 3), (S_ARC, 4), (S_ARC, 1),
+                            (S_GEODESIC, 2), (S_GEODESIC, 4), (S_ARC, 3), (S_GEODESIC, 1)]:
+                walks, _ = facts._walks(kind, s)
+                flat = [w for ws in walks for w in ws]
+                assert flat == _walk_oracle(kind)(g.arcs, g.n, s), (g, kind, s)
+
+    def test_dropped_facts_leave_no_cyclic_garbage(self):
+        # The kept level must be freed by reference counting alone as soon
+        # as the facts are dropped, not kept alive until the cyclic
+        # collector runs.
+        g = build(20, [(u, (u + d) % 20) for u in range(20) for d in (1, 11)])
+        group = automorphism_group(g)
+        family = oracles.brute_s_arcs(g.arcs, g.n, 8)
+        assert len(family) == 20 * 2**8
+        expected = _count_orbits(group, family)
+        del family
+        gc.collect()
+        gc.disable()
+        try:
+            facts = InstanceFacts(g, group)
+            assert facts.count(S_ARC, 8) == expected
+            del facts
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_count_rejects_level_below_one(self):
+        g = circuit(5)
+        facts = InstanceFacts(g, automorphism_group(g))
+        for kind in (S_ARC, S_GEODESIC):
+            for s in (0, -1):
+                with pytest.raises(ValueError, match="at least 1"):
+                    facts.count(kind, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_counts_match_oracle_in_any_order(self, data):
+        # Every level 1..n of both kinds, in random order, so that lower
+        # levels after higher ones and switches of kind take the rebuild path.
+        g = data.draw(digraphs())
+        requests = data.draw(st.permutations(
+            [(kind, s) for kind in (S_ARC, S_GEODESIC) for s in range(1, g.n + 1)]
+        ))
+        group = automorphism_group(g)
+        elements = [p.images for p in group.elements()]
+        depth = oracles.brute_arc_geodesic_depth(g.arcs, g.n)
+        # The oracle puts an acyclic digraph's depth at its first empty
+        # level.  Past it no extension is dropped either and both families
+        # are empty, so those geodesic levels read the arc count too.
+        past_empty = not oracles.brute_s_arcs(g.arcs, g.n, depth)
+        counted = []
+        facts = InstanceFacts(g, group)
+        done = set()
+        with mock.patch.object(symmetry, "_count_orbits", _recording_count_orbits(counted)):
+            for kind, s in requests:
+                family = _walk_oracle(kind)(g.arcs, g.n, s)
+                before = len(counted)
+                expected = len(oracles.orbits_of_tuples(elements, family))
+                assert facts.count(kind, s) == expected, (kind, s)
+                key = (S_ARC, s) if kind == S_ARC or s <= depth or past_empty else (kind, s)
+                assert len(counted) - before == (key not in done), (kind, s, depth)
+                if len(counted) > before:
+                    assert counted[-1] == family
+                done.add(key)
 
 
 class TestTransitivityTesters:
@@ -458,7 +552,7 @@ class TestTransitivityTesters:
             group = automorphism_group(g)
             elements = [p.images for p in group.elements()]
             for s in (1, 2):
-                family = g.s_arcs(s)
+                family = oracles.brute_s_arcs(g.arcs, g.n, s)
                 assert is_s_arc_transitive(g, group, s) == oracles.brute_single_orbit(
                     elements, family
                 )
@@ -594,33 +688,14 @@ class TestTransitivityReport:
         # geodesic orbit, and no pair family is counted.  The vertex orbits
         # are the group's own, so level 0 is no tuple family.
         g = circuit(6)
-        assert g._arc_geodesic_depth == 5
-        arc_families = []
+        assert oracles.brute_arc_geodesic_depth(g.arcs, g.n) == 5
         counted = []
-        s_arcs = Digraph.s_arcs
-        count_orbits = symmetry._count_orbits
-
-        def recording_s_arcs(self, s):
-            arc_families.append(s_arcs(self, s))
-            return arc_families[-1]
-
-        def no_geodesics(self, s):
-            raise AssertionError(f"{s}-geodesics enumerated")
-
-        def recording_count(group, family):
-            counted.append(family)
-            return count_orbits(group, family)
-
-        monkeypatch.setattr(Digraph, "s_arcs", recording_s_arcs)
-        monkeypatch.setattr(Digraph, "s_geodesics", no_geodesics)
-        monkeypatch.setattr(symmetry, "_count_orbits", recording_count)
+        monkeypatch.setattr(symmetry, "_count_orbits", _recording_count_orbits(counted))
         report = transitivity_report(g)
         assert report.group_order == 6 and report.max_geodesic_s == 5
         assert report.distance_transitive
         assert report.orbit_counts["vertices"] == 1
-        assert len(arc_families) == 5
-        assert len(counted) == 5
-        assert all(any(f is a for a in arc_families) for f in counted)
+        assert counted == [oracles.brute_s_arcs(g.arcs, g.n, s) for s in range(1, 6)]
         # The standalone tester reads the stabilizer's orbits on the distance
         # layers, so it counts no family and enumerates no geodesics.
         assert is_distance_transitive(g, automorphism_group(g))
@@ -635,9 +710,23 @@ class TestTransitivityReport:
 
 
 class TestCorpusInvariants:
-    def test_arc_geodesic_depth_matches_brute_levels(self):
+    def test_geodesic_levels_read_arc_counts_to_brute_depth(self, monkeypatch):
+        # With every arc level counted, a geodesic level is counted exactly
+        # when it lies above the depth where the arcs and geodesics part.
+        counted = []
+        monkeypatch.setattr(symmetry, "_count_orbits", _recording_count_orbits(counted))
         for g in SMALL_CORPUS:
-            assert g._arc_geodesic_depth == oracles.brute_arc_geodesic_depth(g.arcs, g.n), g
+            depth = oracles.brute_arc_geodesic_depth(g.arcs, g.n)
+            facts = InstanceFacts(g, PermGroup((), degree=g.n))
+            for s in range(1, g.n + 1):
+                facts.count(S_ARC, s)
+            geodesic_counted = []
+            for s in range(1, g.n + 1):
+                before = len(counted)
+                facts.count(S_GEODESIC, s)
+                if len(counted) > before:
+                    geodesic_counted.append(s)
+            assert geodesic_counted == list(range(depth + 1, g.n + 1)), g
 
     def test_arc_transitive_implies_geodesic_transitive(self):
         for g in SMALL_CORPUS:

@@ -22,7 +22,7 @@ from digsym.construct import (
     paley_tournament,
     right_translations,
 )
-from digsym.digraph import S_ARC, S_GEODESIC, Digraph, build
+from digsym.digraph import build
 from digsym.errors import (
     BadParameter,
     BoundExceeded,
@@ -109,29 +109,28 @@ class TestInstanceFacts:
         assert chains == []
         assert aut.reduced()._chain is aut.chain
 
-    def test_each_tuple_family_enumerated_once_per_instance(self, monkeypatch):
+    def test_each_tuple_family_counted_once_per_instance(self, monkeypatch):
         # Without a Cayley spec T1.2 builds no holomorph facts, so every
-        # s-arc and s-geodesic family of g is counted by the one facts object.
+        # s-arc and s-geodesic family of g is counted by the one facts
+        # object; the quotients' families are on fewer vertices.
         g = cayley_digraph(cayley_spec(cyclic_table(12), [1, 4, 7, 10]))
         group = automorphism_group(g)
-        enumerated = Counter()
+        counted = Counter()
+        count_orbits = symmetry._count_orbits
 
-        def counting(method, kind):
-            def wrapper(self, s):
-                if self is g:
-                    enumerated[kind, s] += 1
-                return method(self, s)
+        def recording_count(group, family):
+            if group.degree == g.n:
+                counted[tuple(family)] += 1
+            return count_orbits(group, family)
 
-            return wrapper
-
-        monkeypatch.setattr(Digraph, "s_arcs", counting(Digraph.s_arcs, S_ARC))
-        monkeypatch.setattr(Digraph, "s_geodesics", counting(Digraph.s_geodesics, S_GEODESIC))
+        monkeypatch.setattr(symmetry, "_count_orbits", recording_count)
         results = verify.run_checks_on_instance(g, group, verify.CHECK_IDS)
         # Every 2-arc of this digraph is a 2-geodesic, so the 2-geodesic
-        # family is the 2-arc family and is not enumerated a second time.
-        assert (S_ARC, 2) in enumerated and (S_ARC, 1) in enumerated
-        assert (S_GEODESIC, 2) not in enumerated
-        assert max(enumerated.values()) == 1, enumerated
+        # level reads the 2-arc count and is not counted a second time.
+        arcs_1, arcs_2 = (tuple(oracles.brute_s_arcs(g.arcs, g.n, s)) for s in (1, 2))
+        assert tuple(oracles.brute_s_geodesics(g.arcs, g.n, 2)) == arcs_2
+        assert counted[arcs_1] == counted[arcs_2] == 1
+        assert max(counted.values()) == 1, counted
         assert by_id(results, "T1.4i").notes == "both True"
         assert by_id(results, "T1.1").status == PASS
 
