@@ -157,13 +157,14 @@ def parse_group_spec(spec: str) -> GroupTable:
 
 class CayleySpec(Frozen):
     """A group table plus a connection set defining a Cayley digraph: a value,
-    compared and hashed by (table, conn, generates), whose R(T) is cached."""
+    compared and hashed by (table, conn), whose R(T) and ``generates`` are
+    computed when first read."""
 
-    def __init__(self, table: GroupTable, conn: frozenset[int], generates: bool):
-        vars(self).update(table=table, conn=conn, generates=generates)
+    def __init__(self, table: GroupTable, conn: frozenset[int]):
+        vars(self).update(table=table, conn=conn)
 
     def _key(self) -> tuple:
-        return self.table, self.conn, self.generates
+        return self.table, self.conn
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self._key() == other._key()
@@ -172,7 +173,12 @@ class CayleySpec(Frozen):
         return hash(self._key())
 
     def __repr__(self):
-        return "CayleySpec(table={!r}, conn={!r}, generates={!r})".format(*self._key())
+        return "CayleySpec(table={!r}, conn={!r})".format(*self._key())
+
+    @cached_property
+    def generates(self) -> bool:
+        """Whether S generates T, that is whether Cay(T, S) is strongly connected."""
+        return len(self.table.generated_subset(self.conn)) == self.table.order
 
     @cached_property
     def translations(self) -> PermGroup:
@@ -194,8 +200,7 @@ def cayley_spec(table: GroupTable, conn) -> CayleySpec:
     inverses = {table.inverse(x) for x in conn}
     if conn & inverses:
         raise NotAntisymmetric(f"connection set meets its inverses: {sorted(conn & inverses)}")
-    generates = table.generated_subset(conn) == frozenset(range(table.order))
-    return CayleySpec(table, conn, generates)
+    return CayleySpec(table, conn)
 
 
 class CayleyDigraph(Digraph):
@@ -215,12 +220,9 @@ def cayley_digraph(spec: CayleySpec) -> CayleyDigraph:
 
 
 def right_translations(table: GroupTable) -> PermGroup:
-    """The right regular representation h -> h*g as a permutation group."""
-    gens = [
-        Permutation([table.mul(h, g) for h in range(table.order)])
-        for g in table.generating_set()
-    ]
-    return PermGroup(gens, table.order)
+    """The right regular representation h -> h*g as a permutation group, on
+    the table's columns at its greedy generating set."""
+    return PermGroup([Permutation(table.columns[g]) for g in table.generating_set()], table.order)
 
 
 def aut_preserving_conn(spec: CayleySpec) -> list[Permutation]:

@@ -11,12 +11,13 @@ tuples, sifting takes and returns one, and products are composed with
 actions.  Orbits on points are computed here and nowhere else:
 ``_orbit_mask`` grows one orbit as a bitset from a point under generator
 image tuples, and ``_orbit_masks`` yields every orbit in order of its least
-point; ``PermGroup``'s orbit methods, the automorphism search and the
-distance-transitivity test all read them.  ``validate_partition`` is the
-one place that checks a partition and builds its block index.  Block
-systems come from Atkinson's minimal-block closure, and their kernels are
-the one source of intransitive normal subgroups that the quasiprimitivity
-predicates and the verification checks quantify over.
+point; ``PermGroup``'s orbit methods, ``GroupTable``'s subgroup closures
+and element orders, the automorphism search and the distance-transitivity
+test all read them.  ``validate_partition`` is the one place that checks
+a partition and builds its block index.  Block systems come from Atkinson's
+minimal-block closure, and their kernels are the one source of
+intransitive normal subgroups that the quasiprimitivity predicates and the
+verification checks quantify over.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from collections.abc import Iterable
 from itertools import chain
 from operator import itemgetter
 
+from .digraph import Frozen
 from .errors import (
     DegreeMismatch,
     NotSubgroupElement,
@@ -531,9 +533,15 @@ class PermGroup:
 # abstract groups as multiplication tables
 
 
-class GroupTable:
+class GroupTable(Frozen):
     """A finite group given by its multiplication table over 0..m-1; two
-    tables are equal, and hash alike, when their tables are."""
+    tables are equal, and hash alike, when their tables are.
+
+    The group acts on itself by right translation, and ``columns[g]`` is
+    the image tuple of h -> h*g, kept once per table.  The subgroup that
+    some elements generate and the order of an element are orbits of the
+    identity under their columns, read with ``_orbit_mask``.
+    """
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -541,11 +549,9 @@ class GroupTable:
         for r in rows:
             if len(r) != m or any(not 0 <= x < m for x in r):
                 raise ValueError("multiplication table must be square over 0..m-1")
-        self.mul_table = rows
-        self._hash = hash(rows)
-        self.order = m
-        self.identity = self._find_identity()
-        self.inverse_table = self._find_inverses()
+        vars(self).update(mul_table=rows, columns=tuple(zip(*rows)), order=m, _hash=hash(rows))
+        vars(self)["identity"] = self._find_identity()
+        vars(self)["inverse_table"] = self._find_inverses()
         self._check_associativity()
 
     def _find_identity(self) -> int:
@@ -571,15 +577,12 @@ class GroupTable:
         The elements a passing the test are closed under products, so the
         test over a generating set decides associativity exactly.
         """
-        m = self.order
         mul = self.mul_table
         for a in self.generating_set():
-            col_a = [row[a] for row in mul]
             row_a = mul[a]
-            for x in range(m):
-                xa_row = mul[col_a[x]]
-                x_row = mul[x]
-                for y in range(m):
+            for x, xa in enumerate(self.columns[a]):
+                xa_row, x_row = mul[xa], mul[x]
+                for y in range(self.order):
                     if xa_row[y] != x_row[row_a[y]]:
                         raise ValueError(f"table is not associative at ({x},{a},{y})")
 
@@ -589,51 +592,35 @@ class GroupTable:
     def inverse(self, x: int) -> int:
         return self.inverse_table[x]
 
+    def _closure(self, seeds) -> int:
+        """The orbit of the identity under right multiplication by the seeds,
+        as a bitset: in a finite group, the subgroup they generate.  It holds
+        only products of the seeds, so it keeps Light's test exact on a table
+        not yet known to be associative."""
+        return _orbit_mask([self.columns[s] for s in seeds], self.identity)
+
     def order_of(self, x: int) -> int:
-        """Least r >= 1 with x^r equal to the identity."""
+        """Least r >= 1 with x^r equal to the identity: the size of the
+        identity's orbit under right multiplication by x."""
         if not 0 <= x < self.order:
             raise ValueError(f"element {x} out of range")
-        power = x
-        r = 1
-        while power != self.identity:
-            power = self.mul_table[power][x]
-            r += 1
-        return r
+        return self._closure((x,)).bit_count()
 
     def generated_subset(self, seeds) -> frozenset[int]:
-        """Subgroup generated by ``seeds``: a BFS from the identity that
-        multiplies on the right by the seeds only, O(|H|·|seeds|) lookups.
-
-        In a finite group the monoid the seeds generate is the subgroup they
-        generate, so this is exact.  Light's test in the constructor stays
-        exact on a table not yet known to be associative: the closure holds
-        only products of the seeds, so a set whose closure is the whole table
-        generates the table under products, and the elements passing the
-        test are closed under products.
-        """
-        seeds = tuple(seeds)
-        closure = {self.identity}
-        queue = deque(closure)
-        while queue:
-            row = self.mul_table[queue.popleft()]
-            for s in seeds:
-                product = row[s]
-                if product not in closure:
-                    closure.add(product)
-                    queue.append(product)
-        return frozenset(closure)
+        """The subgroup generated by ``seeds``."""
+        return frozenset(_bits(self._closure(seeds)))
 
     def generating_set(self, first=()) -> list[int]:
         """A small generating set found greedily: the elements of ``first`` in
         their order, then every element in index order, each kept when it lies
         outside the subgroup generated by those kept before it."""
         gens: list[int] = []
-        closure = self.generated_subset(())
+        closure, whole = self._closure(()), (1 << self.order) - 1
         for x in chain(first, range(self.order)):
-            if x not in closure:
+            if not closure >> x & 1:
                 gens.append(x)
-                closure = self.generated_subset(gens)
-                if len(closure) == self.order:
+                closure = self._closure(gens)
+                if closure == whole:
                     break
         return gens
 

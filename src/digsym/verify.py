@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations, product
 
 from . import construct, symmetry
@@ -644,9 +645,11 @@ class SurveyConfig(namedtuple("SurveyConfig", "circulant_orders cayley_groups pa
             raise BadParameter("survey needs at least one family")
         if not self.checks:
             raise BadParameter("survey config key 'checks' must name at least one check")
-        repeated = sorted({cid for cid in self.checks if self.checks.count(cid) > 1})
-        if repeated:
-            raise BadParameter(f"survey config key 'checks' repeats {repeated}")
+        for key in ("circulant_orders", "cayley_groups", "paley_primes", "checks"):
+            values = getattr(self, key)
+            repeated = sorted({x for x in values if values.count(x) > 1})
+            if repeated:
+                raise BadParameter(f"survey config key {key!r} repeats {repeated}")
         if self.min_valency < 1 or self.max_valency < self.min_valency:
             raise BadParameter("valency bounds must be positive and ordered")
         if self.max_vertices < 1 or self.parallelism < 1:
@@ -744,23 +747,29 @@ def generate_descriptors(config: SurveyConfig) -> list[tuple]:
     return descriptors
 
 
+@lru_cache(maxsize=None)
+def _shared_table(group_text: str):
+    return construct.parse_group_spec(group_text)
+
+
 def build_instance(descriptor: tuple):
-    """Materialize (label, digraph, cayley spec) from a descriptor."""
+    """Materialize (label, digraph, cayley spec) from a descriptor.  The
+    instances of one group spec share one table, built once per process;
+    a ``table:<path>`` file is read on every call."""
     kind = descriptor[0]
     if kind == "circulant":
         _, n, conn = descriptor
-        spec = construct.cayley_spec(construct.cyclic_table(n), conn)
-        label = f"circulant:n={n}:S={','.join(map(str, conn))}"
+        group_text, label = f"cyclic:{n}", f"circulant:n={n}:S={','.join(map(str, conn))}"
     elif kind == "cayley":
         _, group_text, conn = descriptor
-        spec = construct.cayley_spec(construct.parse_group_spec(group_text), conn)
         label = f"cayley:{group_text}:S={','.join(map(str, conn))}"
     elif kind == "paley":
         _, q = descriptor
-        spec = construct.cayley_spec(construct.cyclic_table(q), construct.paley_residues(q))
-        label = f"paley:{q}"
+        group_text, conn, label = f"cyclic:{q}", construct.paley_residues(q), f"paley:{q}"
     else:
         raise BadParameter(f"unknown descriptor {descriptor!r}")
+    read = construct.parse_group_spec if group_text.startswith("table:") else _shared_table
+    spec = construct.cayley_spec(read(group_text), conn)
     return label, construct.cayley_digraph(spec), spec
 
 

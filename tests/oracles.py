@@ -58,6 +58,41 @@ def brute_s_geodesics(arcs, n, s):
     ]
 
 
+def walk_counts(arcs, n, s):
+    """The numbers of s-arcs and of s-geodesics, by dynamic programming: no
+    walk is listed.
+
+    Walks are counted by end vertex, one step along the out-neighbours at a
+    time.  A walk from a start is a geodesic exactly when its i-th vertex
+    lies at distance i from the start for every i, so the geodesics from
+    each start step only into the next of its breadth-first distance layers.
+    """
+    out = {v: [] for v in range(n)}
+    for u, v in arcs:
+        out[u].append(v)
+
+    def step(ends, admissible):
+        longer = Counter()
+        for v, count in ends.items():
+            for w in out[v]:
+                if admissible(w):
+                    longer[w] += count
+        return longer
+
+    ends = Counter(range(n))
+    for _ in range(s):
+        ends = step(ends, lambda w: True)
+    geodesics = 0
+    for start in range(n):
+        layer, seen, paths = {start}, {start}, Counter([start])
+        for _ in range(s):
+            layer = {w for v in layer for w in out[v]} - seen
+            seen |= layer
+            paths = step(paths, layer.__contains__)
+        geodesics += sum(paths.values())
+    return sum(ends.values()), geodesics
+
+
 def symmetric_closure(g):
     """The digraph on g's vertices with both directions of every arc of g."""
     return build(g.n, set(g.arcs) | {(v, u) for u, v in g.arcs})

@@ -359,6 +359,11 @@ def test_block_systems_against_all_partitions():
     print(f"\nBLOCK SYSTEMS (vs all set partitions, {compared} groups): PASS")
 
 
+def records_digest(report):
+    """The SHA-256 of a survey's records as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(report.records, sort_keys=True).encode()).hexdigest()
+
+
 def test_theorem_consistency_full_default_corpus():
     """Every selected check reports zero failures over the default corpus."""
     config = verify.default_config()
@@ -377,8 +382,7 @@ def test_theorem_consistency_full_default_corpus():
         "L3.1": 82, "T1.1": 42, "L3.2": 16, "L4.5": 8, "L4.7": 3,
     }
     # Every record, byte for byte; the same digest serially and at parallelism 2.
-    digest = hashlib.sha256(json.dumps(report.records, sort_keys=True).encode()).hexdigest()
-    assert digest == "dc92e0173bbc7a352201baa0eaaf566ae1984af00b9a64952bd638c13dbbfa09"
+    assert records_digest(report) == "dc92e0173bbc7a352201baa0eaaf566ae1984af00b9a64952bd638c13dbbfa09"
     summary = report.summary_text().splitlines()
     assert sum(line.startswith("n/a ") for line in summary) == 23
     assert "never exercised: L4.4, P3.4, T1.2, T1.4ii" in summary
@@ -411,6 +415,35 @@ def test_theorem_consistency_circuits():
     summary = report.summary_text().splitlines()
     assert "never exercised: L2.1.1, L4.1, L4.4, L4.5, L4.7" in summary
     print(f"\nTHEOREM CONSISTENCY (circuits, {counts['pass']} passing records, 0 failures): PASS")
+
+
+def test_survey_par2_records_pinned():
+    """The records of the benchmark's survey_par2 config, through the
+    process pool: the default families with circulants up to n = 11 and
+    abelian:2x6 as the one Cayley group."""
+    config = verify.SurveyConfig(
+        **{**verify.default_config().to_dict(), "circulant_orders": tuple(range(4, 12)),
+           "cayley_groups": ("abelian:2x6",), "parallelism": 2}
+    )
+    report = verify.run_survey(config)
+    assert len(report.records) == 7245
+    assert records_digest(report) == "28c96c83c9b834b1ca85bcf3faa59f979f4cd49e3c9a504e453c3c7a48027359"
+
+
+@pytest.mark.slow
+def test_analyze_n20_records_pinned():
+    """The records of the benchmark's analyze_n20 config."""
+    config = verify.SurveyConfig(
+        circulant_orders=tuple(range(15, 21)),
+        paley_primes=(23, 31, 43, 47),
+        min_valency=2,
+        max_valency=2,
+        max_vertices=20,
+        checks=("report", "L2.1", "T1.4i", "T1.4ii"),
+    )
+    report = verify.run_survey(config)
+    assert len(report.records) == 6160
+    assert records_digest(report) == "204b1d5b45b0e8bf55c0f12e12b32a84bb6a0fea1d62016d6c499906a0121908"
 
 
 def burnside_cross_check(descriptors, group_of):

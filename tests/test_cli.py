@@ -436,6 +436,11 @@ class TestSurvey:
             ({"circulant_orders": [5], "checks": []}, "checks"),
             ({"circulant_orders": [5], "min_valency": 2, "max_valency": 2,
               "checks": ["report", "report"]}, "repeats ['report']"),
+            ({"circulant_orders": [5, 5], "cayley_groups": ["abelian:2x4", "abelian:2x4"],
+              "paley_primes": [7, 7]}, "survey config key 'circulant_orders' repeats [5]"),
+            ({"cayley_groups": ["abelian:2x4", "abelian:2x4"]},
+             "survey config key 'cayley_groups' repeats ['abelian:2x4']"),
+            ({"paley_primes": [7, 7]}, "survey config key 'paley_primes' repeats [7]"),
         ],
     )
     def test_malformed_config_named(self, tmp_path, capsys, data, named):

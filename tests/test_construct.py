@@ -197,6 +197,14 @@ class TestCayleySpec:
         assert cayley_spec(cyclic_table(6), [1, 2]).generates
         assert not cayley_spec(cyclic_table(6), [2]).generates
 
+    def test_generates_read_when_first_asked(self):
+        # Kept out of the spec's equality key and repr, and computed once.
+        spec = cayley_spec(cyclic_table(6), [2])
+        assert "generates" not in vars(spec) and "generates" not in repr(spec)
+        assert spec.generates is False and vars(spec)["generates"] is False
+        assert spec == cayley_spec(cyclic_table(6), [2])
+        assert hash(spec) == hash(cayley_spec(cyclic_table(6), [2]))
+
 
 class TestCayleyDigraph:
     def test_z5_circuit(self):

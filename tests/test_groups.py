@@ -400,6 +400,36 @@ class TestGroupTable:
         assert z7.order_of(3) == 7
         assert z7.order_of(0) == 1
 
+    def test_order_of_matches_powers(self):
+        for table in closure_tables():
+            for x in range(table.order):
+                power, r = x, 1
+                while power != table.identity:
+                    power, r = table.mul(power, x), r + 1
+                assert table.order_of(x) == r, (table, x)
+
+    def test_columns_are_right_translations(self):
+        for table in closure_tables():
+            m = table.order
+            assert table.columns == tuple(
+                tuple(table.mul(h, g) for h in range(m)) for g in range(m)
+            ), table
+
+    def test_immutable(self):
+        from digsym.construct import cyclic_table
+
+        with pytest.raises(AttributeError):
+            cyclic_table(4).columns = ()
+
+    def test_generating_set_is_greedy(self):
+        from digsym.construct import abelian_table, dihedral_table
+
+        d4, z2z6 = dihedral_table(4), abelian_table([2, 6])
+        assert d4.generating_set() == [1, 4]
+        assert d4.generating_set(first=[2, 3]) == [2, 3, 4]
+        assert z2z6.generating_set() == [1, 6]
+        assert z2z6.generating_set(first=[3]) == [3, 1, 6]
+
     def test_inverse_and_identity(self):
         from digsym.construct import cyclic_table
 

@@ -306,6 +306,33 @@ class TestOrbitCountsPinned:
         assert _orbit_counts_digest(descriptors) == expected
 
 
+class TestWalkCounts:
+    """``oracles.walk_counts`` counts the s-arcs and s-geodesics without
+    listing them: it agrees with the brute-force lists, and with the levels
+    ``InstanceFacts`` builds."""
+
+    def test_matches_brute_enumeration(self):
+        for g in SMALL_CORPUS:
+            for s in range(1, g.max_geodesic_length() + 2):
+                arcs, geodesics = oracles.walk_counts(g.arcs, g.n, s)
+                assert arcs == len(oracles.brute_s_arcs(g.arcs, g.n, s)), (g, s)
+                assert geodesics == len(oracles.brute_s_geodesics(g.arcs, g.n, s)), (g, s)
+
+    @pytest.mark.parametrize(
+        "config", [default_config(), ANALYZE_N20_CONFIG], ids=["default", "analyze_n20"]
+    )
+    def test_matches_instance_facts_every_40th_instance(self, config):
+        for descriptor in generate_descriptors(config)[::40]:
+            _, g, _ = build_instance(descriptor)
+            levels = range(1, g.diameter() + 1)
+            expected = [oracles.walk_counts(g.arcs, g.n, s) for s in levels]
+            facts = InstanceFacts(g, PermGroup((), g.n))
+            for i, kind in enumerate((S_ARC, S_GEODESIC)):
+                for s in levels:
+                    walks, _ = facts._walks(kind, s)
+                    assert sum(map(len, walks)) == expected[s - 1][i], (descriptor, kind, s)
+
+
 class TestCountOrbits:
     def test_arcs_single_orbit(self):
         g = circuit(6)

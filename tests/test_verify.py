@@ -489,6 +489,35 @@ def _dying_worker(args):
     return _survey_worker(args)
 
 
+class TestBuildInstance:
+    def test_one_table_per_group_spec(self):
+        descriptors = verify.generate_descriptors(verify.default_config())
+        for family, size in ((("cayley", "abelian:2x6"), 60), (("circulant", 12), 228)):
+            tables = [verify.build_instance(d)[2].table for d in descriptors if d[:2] == family]
+            assert len(tables) == size, family
+            assert all(table is tables[0] for table in tables), family
+        paley = verify.build_instance(("paley", 7))[2].table
+        assert paley is verify.build_instance(("circulant", 7, (1, 2)))[2].table
+        # The public builders stay uncached.
+        assert cyclic_table(12) is not cyclic_table(12)
+
+    def test_table_file_read_on_every_call(self, tmp_path):
+        path = tmp_path / "group.table"
+        descriptor = ("cayley", f"table:{path}", (1,))
+        orders = []
+        for n in (3, 5):
+            path.write_text(groups.table_to_text(cyclic_table(n)))
+            orders.append(verify.build_instance(descriptor)[2].table.order)
+        assert orders == [3, 5]
+
+    def test_survey_instance_runs_no_subgroup_closure(self, monkeypatch):
+        # Only `digsym cayley --analyze` prints whether S generates T.
+        descriptor = ("cayley", "abelian:2x4", (1, 5))
+        monkeypatch.setattr(groups.GroupTable, "generated_subset", None)
+        records = verify._survey_worker((descriptor, verify.CHECK_IDS))
+        assert {r["status"] for r in records} <= {PASS, NOT_APPLICABLE}
+
+
 class TestSurvey:
     def small_config(self, **overrides):
         base = dict(
@@ -513,6 +542,17 @@ class TestSurvey:
     def test_paley_entry_must_be_prime_3_mod_4(self, q):
         with pytest.raises(BadParameter, match=f"got {q}$"):
             SurveyConfig.from_dict({"paley_primes": [7, q]})
+
+    def test_repeated_family_entry_named(self):
+        # A repeat would survey its instances twice under one tally.
+        for key, values, repeated in (
+            ("circulant_orders", (5, 6, 5), [5]),
+            ("cayley_groups", ("abelian:2x4", "abelian:3x3", "abelian:2x4"), ["abelian:2x4"]),
+            ("paley_primes", (11, 7, 11, 7), [7, 11]),
+        ):
+            with pytest.raises(BadParameter) as exc:
+                self.small_config(**{key: values}).validate()
+            assert str(exc.value) == f"survey config key {key!r} repeats {repeated}"
 
     def test_zero_failures_on_small_corpus(self):
         report = run_survey(self.small_config())
