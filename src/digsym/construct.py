@@ -166,12 +166,6 @@ class CayleySpec(Frozen):
     def _key(self) -> tuple:
         return self.table, self.conn
 
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return "CayleySpec(table={!r}, conn={!r})".format(*self._key())
 
@@ -184,10 +178,6 @@ class CayleySpec(Frozen):
     def translations(self) -> PermGroup:
         """R(T), built once for the search's seed, T1.2 and the holomorph."""
         return right_translations(self.table)
-
-    def __getstate__(self):
-        # A PermGroup holds a lock, so a pickled spec rebuilds R(T) on use.
-        return {k: v for k, v in self.__dict__.items() if k != "translations"}
 
 
 def cayley_spec(table: GroupTable, conn) -> CayleySpec:

@@ -23,9 +23,12 @@ S_GEODESIC = "s_geodesic"
 
 
 class Frozen:
-    """Base of the immutable records: setting or deleting an attribute raises
-    AttributeError.  Constructors, cached properties and unpickling write to
-    the instance dict directly."""
+    """Base of the immutable values: setting or deleting an attribute raises
+    AttributeError, and instances of one class, or a subclass, are equal and
+    hash alike when their ``_key()`` values are.  Constructors, cached
+    properties and unpickling write to the instance dict or slot directly."""
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -33,21 +36,21 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 class Digraph(Frozen):
-    """Immutable digraph; all operations are pure reads."""
+    """Immutable digraph, keyed by its n and arcs; all operations are pure reads."""
 
     def __init__(self, n: int, arcs: frozenset[tuple[int, int]], symmetry_class: str):
         vars(self).update(n=n, arcs=arcs, symmetry_class=symmetry_class)
 
-    def __eq__(self, other):
-        """Same n and arcs, whatever the subclass: see ``CayleyDigraph``."""
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash((self.n, self.arcs))
+    def _key(self) -> tuple:
+        return self.n, self.arcs
 
     @cached_property
     def _out(self) -> tuple[tuple[int, ...], ...]:

@@ -525,6 +525,10 @@ class PermGroup:
             self._kernels = kernels
         return list(self._kernels)
 
+    def __reduce__(self):
+        # The chain, kernels and lock are rebuilt on first use.
+        return self.__class__, (self.generators, self.degree)
+
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 
@@ -549,7 +553,7 @@ class GroupTable(Frozen):
         for r in rows:
             if len(r) != m or any(not 0 <= x < m for x in r):
                 raise ValueError("multiplication table must be square over 0..m-1")
-        vars(self).update(mul_table=rows, columns=tuple(zip(*rows)), order=m, _hash=hash(rows))
+        vars(self).update(mul_table=rows, columns=tuple(zip(*rows)), order=m)
         vars(self)["identity"] = self._find_identity()
         vars(self)["inverse_table"] = self._find_inverses()
         self._check_associativity()
@@ -624,11 +628,8 @@ class GroupTable(Frozen):
                     break
         return gens
 
-    def __eq__(self, other):
-        return isinstance(other, GroupTable) and self.mul_table == other.mul_table
-
-    def __hash__(self):
-        return self._hash
+    def _key(self) -> tuple:
+        return self.mul_table
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order})"

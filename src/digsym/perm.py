@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import index
 
+from .digraph import Frozen
 from .errors import DegreeMismatch, ParseError, read_headed
 
 _CYCLE_RE = re.compile(r"\(([\d\s,]*)\)")
 
 
-class Permutation:
-    """An immutable bijection of {0..n-1}, stored as a tuple of images.
+class Permutation(Frozen):
+    """An immutable bijection of {0..n-1}, keyed by its tuple of images; an
+    image that is no integer raises TypeError.
 
     Composition is left-to-right: ``(a * b)(x) == b(a(x))``, so right actions
     ``x^g`` read in application order.
@@ -20,13 +23,16 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = tuple(map(index, images))
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation: {images!r}")
         object.__setattr__(self, "images", images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+    def _key(self) -> tuple:
+        return self.images
+
+    def __reduce__(self):
+        return self.__class__, (self.images,)
 
     @classmethod
     def _unchecked(cls, images: tuple) -> "Permutation":
@@ -94,12 +100,6 @@ class Permutation:
 
     def order(self) -> int:
         return lcm(*map(len, self.cycles()))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({format_cycles(self)!r}, degree={self.degree})"

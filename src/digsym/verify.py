@@ -802,15 +802,18 @@ def _records(label: str, results: list[CheckResult]) -> list[dict]:
 
 
 def _pool_batches(jobs: list, workers: int, chunksize: int):
-    """The batches of ``jobs`` from a process pool of ``workers``, in job
-    order, up to the first that did not arrive because a worker died; and
-    the ``BrokenProcessPool`` that stopped them, or None."""
+    """The batches of ``jobs`` from a process pool of ``workers``, at most
+    one per job, in job order, up to the first that did not arrive because
+    a worker died; and the ``BrokenProcessPool`` that stopped them, or None."""
+    batches = []
+    if not jobs:
+        return batches, None
     # Imported here so that serial runs and `import digsym` skip its cost.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    batches = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # A forked pool starts all its workers at the first task.
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         try:
             for batch in pool.map(_survey_worker, jobs, chunksize=chunksize):
                 batches.append(batch)

@@ -440,6 +440,14 @@ def orbits_of_tuples(elements, family):
     return orbits
 
 
+def orbit_length_sum(group, reps):
+    """The sum of |G| / |G_t| over the tuples t in ``reps``, with G_t from
+    ``PermGroup.tuple_stabilizer``: by the orbit-stabilizer theorem, the
+    number of tuples in their orbits when no two lie in one orbit."""
+    order = group.order()
+    return sum(order // group.tuple_stabilizer(t).order() for t in reps)
+
+
 def burnside_counts(arcs, n, elements, depth):
     """Orbit counts of explicit group elements by Burnside's lemma.
 

@@ -54,6 +54,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
 
+    def test_images_must_be_integers(self):
+        # Floats equal to 0..n-1 would pass the bijection test and fail
+        # later, as table indices.
+        for images in ([1.0, 0.0, 2.0], ["0"], [None]):
+            with pytest.raises(TypeError):
+                Permutation(images)
+        p = Permutation([True, False])
+        assert p.images == (1, 0) and type(p.images[0]) is int
+
 
 class TestCycleText:
     def test_identity(self):

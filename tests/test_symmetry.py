@@ -333,6 +333,34 @@ class TestWalkCounts:
                     assert sum(map(len, walks)) == expected[s - 1][i], (descriptor, kind, s)
 
 
+class TestOrbitLengthSums:
+    """The least tuple of each brute-force orbit, one per orbit: their orbit
+    lengths, read from their stabilizers, add up to the independent walk
+    count, and there are as many as ``InstanceFacts`` counts orbits."""
+
+    def digraphs(self):
+        yield from SMALL_CORPUS
+        for config in (default_config(), ANALYZE_N20_CONFIG):
+            for descriptor in generate_descriptors(config)[::40]:
+                yield build_instance(descriptor)[1]
+
+    def test_every_40th_instance_and_small_corpus(self):
+        for g in self.digraphs():
+            group = automorphism_group(g)
+            if group.order() > 2000:
+                continue
+            elements = oracles.brute_closure([p.images for p in group.generators], g.n)
+            facts = InstanceFacts(g, group)
+            for s in range(1, min(3, g.max_geodesic_length()) + 1):
+                expected = oracles.walk_counts(g.arcs, g.n, s)
+                for i, kind in enumerate((S_ARC, S_GEODESIC)):
+                    family = [w for ws in facts._walks(kind, s)[0] for w in ws]
+                    orbits = oracles.orbits_of_tuples(elements, family)
+                    reps = [min(orbit) for orbit in orbits]
+                    assert oracles.orbit_length_sum(group, reps) == expected[i], (g, kind, s)
+                    assert len(reps) == facts.count(kind, s), (g, kind, s)
+
+
 class TestCountOrbits:
     def test_arcs_single_orbit(self):
         g = circuit(6)

@@ -659,6 +659,42 @@ class TestSurvey:
         assert report.records == expected
         assert f"ERROR {DOOMED!r} report: {notes}" in report.summary_text()
 
+    def test_pools_have_at_most_one_worker_per_job(self, monkeypatch):
+        # A forked pool starts all its workers at its first task, so each
+        # pool, first or rerun, is sized to the jobs it is given.  The
+        # stand-in maps in this process and breaks at DOOMED, as a pool
+        # whose worker died does: no process is started.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                for job in jobs:
+                    if job[0] == DOOMED:
+                        raise BrokenProcessPool("a worker died")
+                    yield fn(job)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = SurveyConfig(circulant_orders=(5,), min_valency=2, max_valency=2, parallelism=64)
+        assert run_survey(config).records == run_survey(config._replace(parallelism=1)).records
+        assert sizes == [4]
+        sizes.clear()
+        # 20 jobs, DOOMED the ninth: it reruns alone, the last 11 in a pool of their own.
+        config = config._replace(circulant_orders=(5, 6, 7))
+        errors = run_survey(config).counts()[verify.ERROR]
+        assert sizes == [20, 1, 11] and errors == len(config.checks) + 6  # L2.1 gives seven
+
     def test_pooled_records_share_strings(self):
         config = self.small_config(checks=("report", "T1.4i", "L2.1"), parallelism=2)
         records = run_survey(config).records
