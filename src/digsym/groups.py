@@ -494,8 +494,9 @@ class PermGroup:
         join of the minimal ones that put 0 together with some b, so the
         Atkinson closures of {0, b} are joined until nothing new appears; the
         join of two systems is the closure of the union of their blocks at 0.
+        A group with no points has none.
         """
-        if not self.is_transitive():
+        if self.degree and not self.is_transitive():
             raise NotTransitive("block systems are enumerated for transitive groups")
         found: set[tuple[tuple[int, ...], ...]] = set()
         seeds = [(0, b) for b in range(1, self.degree)]

@@ -14,11 +14,12 @@ Orbits on points (vertex-transitivity, the search's level orbits and the
 point stabilizer's orbits below) come from ``groups._orbit_mask`` and
 ``groups._orbit_masks``.  Orbits on the s-arcs and s-geodesics, s >= 1, are
 counted on explicit tuple families, and one ``InstanceFacts`` per (digraph,
-group) validates the group once, builds the families level by level and
-counts each distinct family at most once: a geodesic level from which the
-distance filter dropped no extension, at it or below, is the arc level and
-shares its count.  Facts of the digraph alone, such as strong connectivity
-and valency, are read from the ``Digraph``, not kept a second time here.
+group) validates the group once and builds one walk family per level, the
+s-arcs.  The s-geodesics are the s-arcs whose ends lie at distance s, which
+makes every prefix a geodesic too, so they are filtered out of the arcs,
+and a level the filter leaves whole reads the s-arc count.  Facts of the
+digraph alone, such as strong connectivity and valency, are read from the
+``Digraph``, not kept a second time here.
 Distance-transitivity counts no family: a transitive group is
 distance-transitive iff the stabilizer of one vertex b, read off the
 stabilizer chain, has one orbit on each layer of b's distance row.  It
@@ -307,10 +308,12 @@ class InstanceFacts:
     its distance matrix and strong connectivity.  Each fact is computed on
     first use and kept for the life of the object.  The tuple families are
     the s-arcs (kind ``S_ARC``) and the s-geodesics (``S_GEODESIC``), built
-    here and nowhere else: the last level built is kept, one list per start
-    vertex, and grown in place to the next.  Each distinct family is counted
-    at most once, and a geodesic level built with no extension dropped, at
-    it or below, is the arc level and reads the one s-arc count.  Orbits on
+    here and nowhere else.  Only the s-arcs are built, as one lexicographic
+    list, and the last level built is kept and grown to the next.  The
+    s-geodesics are the s-arcs w with d(w[0], w[-1]) = s, filtered from the
+    arc level, so a geodesic tester builds the arcs up to its first failing
+    level.  Each distinct family is counted at most once, and a geodesic
+    level that keeps every s-arc reads the one s-arc count.  Orbits on
     the vertices are the group's own (``PermGroup.orbits_count``), and
     distance-transitivity counts no family: it reads the first two levels of
     the chain and one distance row.  The transitivity facts need the
@@ -326,7 +329,7 @@ class InstanceFacts:
         self.group = group.reduced()
         self.cayley = cayley
         self._counts: dict[tuple[str, int], int] = {}
-        self._level = None, 0, None, True  # kind, s, walks per start, unfiltered
+        self._level = 0, [(v,) for v in range(g.n)]  # the last s-arc level built
 
     def count(self, kind: str, s: int) -> int:
         """Number of orbits on the s-walks of ``kind``, s >= 1 (ValueError
@@ -335,42 +338,29 @@ class InstanceFacts:
         if s < 1:
             raise ValueError(f"s must be at least 1, got {s}")
         if (kind, s) not in self._counts:
-            walks, unfiltered = self._walks(kind, s)
-            key = (S_ARC, s) if unfiltered else (kind, s)  # unfiltered: the arc level
+            family, key = self._arcs(s), (S_ARC, s)
+            if kind == S_GEODESIC:
+                rows = self.g._distance_matrix
+                geodesics = [w for w in family if rows[w[0]][w[-1]] == s]
+                if len(geodesics) < len(family):  # else every s-arc is a geodesic
+                    family, key = geodesics, (kind, s)
             if key not in self._counts:
-                self._counts[key] = _count_orbits(self.group, [w for ws in walks for w in ws])
+                self._counts[key] = _count_orbits(self.group, family)
             self._counts[kind, s] = self._counts[key]
         return self._counts[kind, s]
 
-    def _walks(self, kind: str, s: int) -> tuple[list[list[tuple[int, ...]]], bool]:
-        """The s-walks of ``kind``, one lexicographic list per start vertex,
-        and whether no extension of a level 1..s was dropped.
-
-        The last level built is kept.  A higher level of its kind grows each
-        start's list in place, one level at a time, so only one start's
-        shorter walks live beside the new level; a lower level or the other
-        kind starts again from the vertices.  Every prefix of a geodesic is
-        a geodesic, so geodesics keep only the extensions whose endpoint is
-        at distance exactly the new length, read from the start's distance
-        row.  A level that dropped none, above levels that dropped none, is
-        the arc level.
-        """
-        built, length, walks, unfiltered = self._level
-        if built != kind or length > s:
-            length, walks, unfiltered = 0, [[(v,)] for v in range(self.g.n)], True
+    def _arcs(self, s: int) -> list[tuple[int, ...]]:
+        """The s-arcs, in lexicographic order: the last level built is kept
+        and grown to a higher one; a lower one starts again from the vertices."""
+        length, arcs = self._level
+        if length > s:
+            length, arcs = 0, [(v,) for v in range(self.g.n)]
         out = self.g._out
-        rows = self.g._distance_matrix if kind == S_GEODESIC else None
         while length < s:
             length += 1
-            for v, level in enumerate(walks):
-                row = rows[v] if rows else None
-                walks[v] = [
-                    w + (x,) for w in level for x in out[w[-1]] if row is None or row[x] == length
-                ]
-                if unfiltered and rows:
-                    unfiltered = len(walks[v]) == sum(len(out[w[-1]]) for w in level)
-        self._level = kind, length, walks, unfiltered
-        return walks, unfiltered
+            arcs = [w + (x,) for w in arcs for x in out[w[-1]]]
+        self._level = length, arcs
+        return arcs
 
     def s_arc_transitive(self, s: int) -> bool:
         return self.count(S_ARC, s) <= 1
@@ -416,10 +406,9 @@ class InstanceFacts:
         g = self.g
         diam = g.diameter()
         counts = {"vertices": self.group.orbits_count()}
-        best = {}
-        for kind, label in ((S_ARC, "arcs"), (S_GEODESIC, "geodesics")):
-            best[kind] = 0
-            for s in range(1, diam + 1):
+        best = dict.fromkeys((S_ARC, S_GEODESIC), 0)
+        for s in range(1, diam + 1):  # s outermost: each arc level is built once
+            for kind, label in ((S_ARC, "arcs"), (S_GEODESIC, "geodesics")):
                 orbits = counts[f"{s}-{label}"] = self.count(kind, s)
                 if orbits == 1 and best[kind] == s - 1:
                     best[kind] = s

@@ -631,6 +631,10 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+# The list-valued keys of a survey config and the type of their entries.
+_LIST_KEYS = {"circulant_orders": int, "cayley_groups": str, "paley_primes": int, "checks": str}
+
+
 class SurveyConfig(namedtuple("SurveyConfig", "circulant_orders cayley_groups paley_primes min_valency"
                               " max_valency max_vertices checks parallelism seed",
                               defaults=((), (), (), 1, 5, 14, CHECK_IDS, 1, 0))):
@@ -641,11 +645,21 @@ class SurveyConfig(namedtuple("SurveyConfig", "circulant_orders cayley_groups pa
     __slots__ = ()
 
     def validate(self) -> None:
+        """Raise BadParameter at the first malformed or inconsistent key."""
+        for key in ("min_valency", "max_valency", "max_vertices", "parallelism", "seed"):
+            if not _is_a(getattr(self, key), int):
+                raise BadParameter(f"survey config key {key!r} must be an integer")
+        for key, kind in _LIST_KEYS.items():
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)):
+                raise BadParameter(f"survey config key {key!r} must be a list")
+            if not all(_is_a(x, kind) for x in values):
+                raise BadParameter(f"survey config key {key!r} must list {kind.__name__} values")
         if not (self.circulant_orders or self.cayley_groups or self.paley_primes):
             raise BadParameter("survey needs at least one family")
         if not self.checks:
             raise BadParameter("survey config key 'checks' must name at least one check")
-        for key in ("circulant_orders", "cayley_groups", "paley_primes", "checks"):
+        for key in _LIST_KEYS:
             values = getattr(self, key)
             repeated = sorted({x for x in values if values.count(x) > 1})
             if repeated:
@@ -671,20 +685,7 @@ class SurveyConfig(namedtuple("SurveyConfig", "circulant_orders cayley_groups pa
         unknown = sorted(set(data) - set(cls._fields))
         if unknown:
             raise BadParameter(f"unknown survey config keys {unknown}")
-        kwargs = dict(data)
-        for key in ("min_valency", "max_valency", "max_vertices", "parallelism", "seed"):
-            if key in kwargs and not _is_a(kwargs[key], int):
-                raise BadParameter(f"survey config key {key!r} must be an integer")
-        for key in ("circulant_orders", "cayley_groups", "paley_primes", "checks"):
-            if key in kwargs:
-                if not isinstance(kwargs[key], (list, tuple)):
-                    raise BadParameter(f"survey config key {key!r} must be a list")
-                kind = str if key in ("cayley_groups", "checks") else int
-                if not all(_is_a(x, kind) for x in kwargs[key]):
-                    raise BadParameter(
-                        f"survey config key {key!r} must list {kind.__name__} values"
-                    )
-                kwargs[key] = tuple(kwargs[key])
+        kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in data.items()}
         config = cls(**kwargs)
         config.validate()
         return config
@@ -731,11 +732,11 @@ def generate_descriptors(config: SurveyConfig) -> list[tuple]:
     for n in sorted(config.circulant_orders):
         if n > config.max_vertices:
             continue
-        table = construct.cyclic_table(n)
+        table = _group_table(f"cyclic:{n}")
         for conn in sorted(connection_sets(table, config.min_valency, config.max_valency)):
             descriptors.append(("circulant", n, conn))
     for spec_text in config.cayley_groups:
-        table = construct.parse_group_spec(spec_text)
+        table = _group_table(spec_text)
         if table.order > config.max_vertices:
             continue
         for conn in sorted(connection_sets(table, config.min_valency, config.max_valency)):
@@ -752,10 +753,17 @@ def _shared_table(group_text: str):
     return construct.parse_group_spec(group_text)
 
 
+def _group_table(group_text: str):
+    """The table of a group spec, built once per process and shared by the
+    survey's descriptors and instances; a ``table:<path>`` file is read on
+    every call."""
+    read = construct.parse_group_spec if group_text.startswith("table:") else _shared_table
+    return read(group_text)
+
+
 def build_instance(descriptor: tuple):
     """Materialize (label, digraph, cayley spec) from a descriptor.  The
-    instances of one group spec share one table, built once per process;
-    a ``table:<path>`` file is read on every call."""
+    instances of one group spec share one table (``_group_table``)."""
     kind = descriptor[0]
     if kind == "circulant":
         _, n, conn = descriptor
@@ -768,8 +776,7 @@ def build_instance(descriptor: tuple):
         group_text, conn, label = f"cyclic:{q}", construct.paley_residues(q), f"paley:{q}"
     else:
         raise BadParameter(f"unknown descriptor {descriptor!r}")
-    read = construct.parse_group_spec if group_text.startswith("table:") else _shared_table
-    spec = construct.cayley_spec(read(group_text), conn)
+    spec = construct.cayley_spec(_group_table(group_text), conn)
     return label, construct.cayley_digraph(spec), spec
 
 

@@ -13,7 +13,7 @@ from digsym import symmetry, verify
 from digsym.cli import main
 from digsym.construct import circuit, complete, paley_tournament
 from digsym.digraph import build, from_text, to_text
-from digsym.errors import SearchBudgetExceeded
+from digsym.errors import BadParameter, SearchBudgetExceeded
 from digsym.perm import parse_cycles, write_permutations
 from digsym.symmetry import automorphism_group
 
@@ -278,6 +278,17 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: DegreeMismatch: degree 4 != 3\n"
 
+    @pytest.mark.parametrize("record_id", verify.CHECK_IDS + verify.ARC_LOCAL_IDS)
+    def test_every_id_exits_0_on_the_empty_digraph(self, tmp_path, capsys, record_id):
+        path = tmp_path / "empty.dg"
+        path.write_text("n 0\n")
+        assert main(["check", "--id", record_id, str(path)]) == 0
+        out = capsys.readouterr().out
+        first = "SC" if record_id == "L2.1" else record_id  # L2.1 prints its batch
+        assert out.startswith(f"{first}: ")
+        if record_id == "L3.1":
+            assert out == "L3.1: not_applicable (no applicable normal subgroup)\n"
+
     def test_undirected_digraph_meets_the_guard(self, tmp_path, capsys):
         k4 = tmp_path / "k4.dg"
         k4.write_text(to_text(complete(4)))
@@ -430,6 +441,7 @@ class TestSurvey:
             ([{"circulant_orders": [5]}], "JSON object"),
             ({"circulant_orders": [5], "min_valency": "2"}, "min_valency"),
             ({"circulant_orders": ["5"]}, "circulant_orders"),
+            ({"circulant_orders": [5.0]}, "circulant_orders"),
             ({"cayley_groups": [5]}, "cayley_groups"),
             ({"circulant_orders": [5], "parallelism": 1.5}, "parallelism"),
             ({"circulant_orders": [5], "seed": True}, "seed"),
@@ -447,7 +459,13 @@ class TestSurvey:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["survey", "--config", str(path)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        # A config built in Python meets the same validator and message.
+        if isinstance(data, dict) and set(data) <= set(verify.SurveyConfig._fields):
+            with pytest.raises(BadParameter) as exc:
+                verify.run_survey(verify.SurveyConfig(**data))
+            assert err == f"error: BadParameter: {exc.value}\n"
 
     def test_bad_search_budget_env_named(self, tmp_path, capsys, monkeypatch):
         for value in ("abc", "0", "-3"):

@@ -320,6 +320,11 @@ class TestNormalKernels:
         assert s4().block_systems() == []
         assert s4().intransitive_normal_kernels() == []
 
+    def test_no_points_no_block_system(self):
+        empty = PermGroup((), 0)
+        assert empty.block_systems() == []
+        assert empty.intransitive_normal_kernels() == []
+
     def test_all_kernels_normal(self):
         d4 = group("(0 1 2 3)", "(1 3)", degree=4)
         kernels = d4.intransitive_normal_kernels()

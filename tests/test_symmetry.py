@@ -308,8 +308,8 @@ class TestOrbitCountsPinned:
 
 class TestWalkCounts:
     """``oracles.walk_counts`` counts the s-arcs and s-geodesics without
-    listing them: it agrees with the brute-force lists, and with the levels
-    ``InstanceFacts`` builds."""
+    listing them: it agrees with the brute-force lists, and with the kept
+    arc levels of ``InstanceFacts`` and their distance filter."""
 
     def test_matches_brute_enumeration(self):
         for g in SMALL_CORPUS:
@@ -329,8 +329,8 @@ class TestWalkCounts:
             facts = InstanceFacts(g, PermGroup((), g.n))
             for i, kind in enumerate((S_ARC, S_GEODESIC)):
                 for s in levels:
-                    walks, _ = facts._walks(kind, s)
-                    assert sum(map(len, walks)) == expected[s - 1][i], (descriptor, kind, s)
+                    family = _facts_family(facts, kind, s)
+                    assert len(family) == expected[s - 1][i], (descriptor, kind, s)
 
 
 class TestOrbitLengthSums:
@@ -354,7 +354,7 @@ class TestOrbitLengthSums:
             for s in range(1, min(3, g.max_geodesic_length()) + 1):
                 expected = oracles.walk_counts(g.arcs, g.n, s)
                 for i, kind in enumerate((S_ARC, S_GEODESIC)):
-                    family = [w for ws in facts._walks(kind, s)[0] for w in ws]
+                    family = _facts_family(facts, kind, s)
                     orbits = oracles.orbits_of_tuples(elements, family)
                     reps = [min(orbit) for orbit in orbits]
                     assert oracles.orbit_length_sum(group, reps) == expected[i], (g, kind, s)
@@ -453,6 +453,16 @@ def _walk_oracle(kind):
     return oracles.brute_s_arcs if kind == S_ARC else oracles.brute_s_geodesics
 
 
+def _facts_family(facts, kind, s):
+    """The family ``facts.count(kind, s)`` reads: the kept s-arc level, for
+    geodesics filtered to the arcs whose ends lie at distance s."""
+    arcs = facts._arcs(s)
+    if kind == S_ARC:
+        return arcs
+    rows = facts.g._distance_matrix
+    return [w for w in arcs if rows[w[0]][w[-1]] == s]
+
+
 def _recording_count_orbits(counted):
     """``_count_orbits``, appending each family it counts to ``counted``."""
     count_orbits = symmetry._count_orbits
@@ -465,18 +475,18 @@ def _recording_count_orbits(counted):
 
 
 class TestWalkLevels:
-    """``InstanceFacts`` builds the walk levels it counts: it grows the last
-    level of a kind, rebuilds for a lower level or the other kind, and lets
-    a geodesic level read the arc count while no extension was dropped."""
+    """``InstanceFacts`` builds one walk family per level, the s-arcs: it
+    grows the last level built, rebuilds a lower one from the vertices, and
+    filters the s-geodesics out of the s-arcs by the distance of their ends.
+    A geodesic level the filter leaves whole reads the arc count."""
 
     def test_levels_match_oracle_families(self):
         for g in (circuit(5), paley_tournament(7), build(4, [(0, 1), (1, 0), (1, 2), (2, 3)])):
             facts = InstanceFacts(g, PermGroup((), degree=g.n))
             for kind, s in [(S_ARC, 2), (S_GEODESIC, 3), (S_ARC, 4), (S_ARC, 1),
                             (S_GEODESIC, 2), (S_GEODESIC, 4), (S_ARC, 3), (S_GEODESIC, 1)]:
-                walks, _ = facts._walks(kind, s)
-                flat = [w for ws in walks for w in ws]
-                assert flat == _walk_oracle(kind)(g.arcs, g.n, s), (g, kind, s)
+                family = _facts_family(facts, kind, s)
+                assert family == _walk_oracle(kind)(g.arcs, g.n, s), (g, kind, s)
 
     def test_dropped_facts_leave_no_cyclic_garbage(self):
         # The kept level must be freed by reference counting alone as soon
@@ -506,22 +516,30 @@ class TestWalkLevels:
                 with pytest.raises(ValueError, match="at least 1"):
                     facts.count(kind, s)
 
+    def test_empty_geodesic_level_past_the_walks_reads_the_arc_count(self):
+        # The transitive triangle: its one 2-arc (0, 1, 2) is no 2-geodesic,
+        # and it has no 3-arc.  The empty 3-geodesic level is the empty
+        # 3-arc level, so it reads the arc count and counts no family.
+        g = build(3, [(0, 1), (0, 2), (1, 2)])
+        facts = InstanceFacts(g, automorphism_group(g))
+        counted = []
+        with mock.patch.object(symmetry, "_count_orbits", _recording_count_orbits(counted)):
+            assert facts.count(S_ARC, 3) == 0
+            assert facts.count(S_GEODESIC, 3) == 0
+        assert counted == [[]]
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_counts_match_oracle_in_any_order(self, data):
         # Every level 1..n of both kinds, in random order, so that lower
-        # levels after higher ones and switches of kind take the rebuild path.
+        # levels after higher ones take the rebuild path.  A geodesic level
+        # counts no family of its own exactly when its geodesics are its arcs.
         g = data.draw(digraphs())
         requests = data.draw(st.permutations(
             [(kind, s) for kind in (S_ARC, S_GEODESIC) for s in range(1, g.n + 1)]
         ))
         group = automorphism_group(g)
         elements = [p.images for p in group.elements()]
-        depth = oracles.brute_arc_geodesic_depth(g.arcs, g.n)
-        # The oracle puts an acyclic digraph's depth at its first empty
-        # level.  Past it no extension is dropped either and both families
-        # are empty, so those geodesic levels read the arc count too.
-        past_empty = not oracles.brute_s_arcs(g.arcs, g.n, depth)
         counted = []
         facts = InstanceFacts(g, group)
         done = set()
@@ -531,8 +549,9 @@ class TestWalkLevels:
                 before = len(counted)
                 expected = len(oracles.orbits_of_tuples(elements, family))
                 assert facts.count(kind, s) == expected, (kind, s)
-                key = (S_ARC, s) if kind == S_ARC or s <= depth or past_empty else (kind, s)
-                assert len(counted) - before == (key not in done), (kind, s, depth)
+                shared = kind == S_ARC or family == oracles.brute_s_arcs(g.arcs, g.n, s)
+                key = (S_ARC, s) if shared else (kind, s)
+                assert len(counted) - before == (key not in done), (kind, s)
                 if len(counted) > before:
                     assert counted[-1] == family
                 done.add(key)

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import oracles
-from digsym import groups, symmetry, verify
+from digsym import construct, groups, symmetry, verify
 from digsym.construct import (
     QuotientResult,
     cayley_digraph,
@@ -501,6 +501,22 @@ class TestBuildInstance:
         # The public builders stay uncached.
         assert cyclic_table(12) is not cyclic_table(12)
 
+    def test_survey_builds_each_cyclic_table_once(self, monkeypatch):
+        # The descriptors and the instances read one memo: each order's
+        # cyclic table is built once, n = 4..14 and the Paley 19.
+        built = Counter()
+        cyclic = construct.cyclic_table
+
+        def counting_cyclic(n):
+            built[n] += 1
+            return cyclic(n)
+
+        monkeypatch.setattr(construct, "cyclic_table", counting_cyclic)
+        verify._shared_table.cache_clear()
+        for descriptor in verify.generate_descriptors(verify.default_config()):
+            verify.build_instance(descriptor)
+        assert built == Counter(range(4, 15)) + Counter([19])
+
     def test_table_file_read_on_every_call(self, tmp_path):
         path = tmp_path / "group.table"
         descriptor = ("cayley", f"table:{path}", (1,))
@@ -766,6 +782,18 @@ class TestRunCheck:
         results = verify.run_check(aut_facts(complete(4)), check_id)
         assert results and all(r.status == NOT_APPLICABLE for r in results)
         assert {r.notes for r in results} == {"not a directed-class digraph"}
+
+    @pytest.mark.parametrize("record_id", verify.CHECK_IDS + verify.ARC_LOCAL_IDS)
+    def test_every_id_gives_records_on_the_empty_digraph(self, record_id):
+        # The 0-vertex digraph is vacuously strongly connected and
+        # arc-transitive, so L3.1 reaches the kernels of a group with no
+        # points; it has no block system, and L3.1 reads as on one vertex.
+        results = verify.run_check(aut_facts(build(0, [])), record_id)
+        assert results and {r.check_id for r in results} <= {record_id, *verify.ARC_LOCAL_IDS}
+        if record_id == "L3.1":
+            assert results == verify.run_check(aut_facts(build(1, [])), "L3.1") == [
+                CheckResult("L3.1", NOT_APPLICABLE, notes="no applicable normal subgroup")
+            ]
 
     def test_report_on_a_digraph_that_is_not_strongly_connected(self):
         path = build(3, [(0, 1), (1, 2)])
