@@ -82,9 +82,6 @@ class Digraph(Frozen):
         sizes |= {len(self._in[v]) for v in range(self.n)}
         return sizes.pop() if len(sizes) == 1 else None
 
-    def is_regular(self) -> bool:
-        return self.valency() is not None
-
     @cached_property
     def _distance_matrix(self) -> tuple[tuple[int | None, ...], ...]:
         return tuple(self._bfs_row(u) for u in range(self.n))
@@ -137,44 +134,31 @@ class Digraph(Frozen):
         """Length of a minimal circuit (closed path on >= 3 distinct vertices).
 
         Returns None when the digraph has no circuit.  Two-vertex digons never
-        count, in any symmetry class.
-        """
-        return min(self._circuit_lengths.values(), default=None)
-
-    @cached_property
-    def _circuit_lengths(self) -> dict[tuple[int, int], int]:
-        """Length of a shortest circuit through each arc that lies on one.
-
-        A shortest y->x path avoiding the single arc (y, x) closes a circuit
-        of length >= 3 through (x, y).  When (y, x) is no arc, that path is
-        any shortest y->x path, read from the distance matrix; only digon
-        arcs need the banned-arc search.
+        count, in any symmetry class.  A shortest y->x path avoiding the
+        single arc (y, x) closes a circuit of length >= 3 through the arc
+        (x, y).  When (y, x) is no arc, that path is any shortest y->x path,
+        read from the distance matrix; only a digon arc needs a search.
         """
         dist = self._distance_matrix
-        lengths = {}
-        for x, y in self.arcs:
-            if (y, x) in self.arcs:
-                path = self._shortest_path(y, x, banned=(y, x))
-                if path is not None:
-                    lengths[x, y] = len(path)
-            elif dist[y][x] is not None:
-                lengths[x, y] = dist[y][x] + 1
-        return lengths
+        lengths = (
+            self._detour(y, x) if (y, x) in self.arcs else dist[y][x]
+            for x, y in self.arcs
+        )
+        return min((d + 1 for d in lengths if d is not None), default=None)
 
-    def _shortest_path(self, source: int, target: int, banned) -> list[int] | None:
-        prev: dict[int, int] = {source: source}
+    def _detour(self, source: int, target: int) -> int | None:
+        """Length of a shortest source->target path that avoids the arc
+        (source, target); None when there is none."""
+        dist = {source: 0}
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            if u == target:
-                path = [u]
-                while path[-1] != source:
-                    path.append(prev[path[-1]])
-                return path[::-1]
             for w in self._out[u]:
-                if (u, w) == banned or w in prev:
+                if w in dist or (u, w) == (source, target):
                     continue
-                prev[w] = u
+                if w == target:
+                    return dist[u] + 1
+                dist[w] = dist[u] + 1
                 queue.append(w)
         return None
 

@@ -14,10 +14,11 @@ Orbits on points (vertex-transitivity, the search's level orbits and the
 point stabilizer's orbits below) come from ``groups._orbit_mask`` and
 ``groups._orbit_masks``.  Orbits on the s-arcs and s-geodesics, s >= 1, are
 counted on explicit tuple families, and one ``InstanceFacts`` per (digraph,
-group) validates the group once and builds one walk family per level, the
-s-arcs.  The s-geodesics are the s-arcs whose ends lie at distance s, which
-makes every prefix a geodesic too, so they are filtered out of the arcs,
-and a level the filter leaves whole reads the s-arc count.  Facts of the
+group) validates the group once and counts the levels in order, each once
+and both kinds at a time, on one walk family per level, the s-arcs.  The
+s-geodesics are the s-arcs whose ends lie at distance s, which makes every
+prefix a geodesic too, so they are filtered out of the arcs, and a level
+the filter leaves whole reads the s-arc count.  Facts of the
 digraph alone, such as strong connectivity and valency, are read from the
 ``Digraph``, not kept a second time here.
 Distance-transitivity counts no family: a transitive group is
@@ -271,7 +272,8 @@ def _require_tester_input(g: Digraph, s: int) -> None:
 
 
 def is_s_arc_transitive(g: Digraph, group: PermGroup, s: int) -> bool:
-    """Single orbit on the s-arcs; vacuously true when no s-arc exists."""
+    """Single orbit on the s-arcs; vacuously true when no s-arc exists.
+    Counts every level up to s, both kinds (``InstanceFacts.count``)."""
     _require_tester_input(g, s)
     return InstanceFacts(g, group).s_arc_transitive(s)
 
@@ -308,12 +310,15 @@ class InstanceFacts:
     its distance matrix and strong connectivity.  Each fact is computed on
     first use and kept for the life of the object.  The tuple families are
     the s-arcs (kind ``S_ARC``) and the s-geodesics (``S_GEODESIC``), built
-    here and nowhere else.  Only the s-arcs are built, as one lexicographic
-    list, and the last level built is kept and grown to the next.  The
-    s-geodesics are the s-arcs w with d(w[0], w[-1]) = s, filtered from the
-    arc level, so a geodesic tester builds the arcs up to its first failing
-    level.  Each distinct family is counted at most once, and a geodesic
-    level that keeps every s-arc reads the one s-arc count.  Orbits on
+    here and nowhere else.  ``count`` counts the levels in order, from the
+    last one counted up to the one asked for.  Level t grows the kept
+    (t-1)-arcs, one lexicographic list, to the t-arcs, filters out of them
+    the t-geodesics, the t-arcs w with d(w[0], w[-1]) = t, and sets both
+    counts of level t; a geodesic level that keeps every t-arc reads the
+    one t-arc count.  So in any request order each level is built and
+    counted at most once.  The one trade: ``is_s_arc_transitive`` alone
+    counts every level up to s, both kinds, where only the s-arcs decide
+    it; a survey asks for those levels anyway.  Orbits on
     the vertices are the group's own (``PermGroup.orbits_count``), and
     distance-transitivity counts no family: it reads the first two levels of
     the chain and one distance row.  The transitivity facts need the
@@ -329,38 +334,31 @@ class InstanceFacts:
         self.group = group.reduced()
         self.cayley = cayley
         self._counts: dict[tuple[str, int], int] = {}
-        self._level = 0, [(v,) for v in range(g.n)]  # the last s-arc level built
+        self._level = [(v,) for v in range(g.n)]  # the t-arcs, t the last level counted
 
     def count(self, kind: str, s: int) -> int:
-        """Number of orbits on the s-walks of ``kind``, s >= 1 (ValueError
-        below); 0 when there are none.  Orbits on the vertices are the
-        group's, not a count here."""
+        """Number of orbits on the s-walks of ``kind``, s >= 1; 0 when there
+        are none.  ValueError for s below 1 or another kind.  Orbits on the
+        vertices are the group's, not a count here.
+
+        The levels not yet counted are counted in order, t = last + 1 .. s:
+        the kept level grows to the t-arcs, the t-geodesics are filtered
+        out of them, and both counts of level t are set.
+        """
         if s < 1:
             raise ValueError(f"s must be at least 1, got {s}")
-        if (kind, s) not in self._counts:
-            family, key = self._arcs(s), (S_ARC, s)
-            if kind == S_GEODESIC:
-                rows = self.g._distance_matrix
-                geodesics = [w for w in family if rows[w[0]][w[-1]] == s]
-                if len(geodesics) < len(family):  # else every s-arc is a geodesic
-                    family, key = geodesics, (kind, s)
-            if key not in self._counts:
-                self._counts[key] = _count_orbits(self.group, family)
-            self._counts[kind, s] = self._counts[key]
-        return self._counts[kind, s]
-
-    def _arcs(self, s: int) -> list[tuple[int, ...]]:
-        """The s-arcs, in lexicographic order: the last level built is kept
-        and grown to a higher one; a lower one starts again from the vertices."""
-        length, arcs = self._level
-        if length > s:
-            length, arcs = 0, [(v,) for v in range(self.g.n)]
-        out = self.g._out
-        while length < s:
-            length += 1
-            arcs = [w + (x,) for w in arcs for x in out[w[-1]]]
-        self._level = length, arcs
-        return arcs
+        if kind not in (S_ARC, S_GEODESIC):
+            raise ValueError(f"kind must be {S_ARC!r} or {S_GEODESIC!r}, got {kind!r}")
+        counts, out, rows = self._counts, self.g._out, self.g._distance_matrix
+        for t in range(len(counts) // 2 + 1, s + 1):  # two counts per level
+            self._level = arcs = [w + (x,) for w in self._level for x in out[w[-1]]]
+            counts[S_ARC, t] = _count_orbits(self.group, arcs)
+            geodesics = [w for w in arcs if rows[w[0]][w[-1]] == t]
+            counts[S_GEODESIC, t] = (
+                counts[S_ARC, t] if len(geodesics) == len(arcs)  # every t-arc is a geodesic
+                else _count_orbits(self.group, geodesics)
+            )
+        return counts[kind, s]
 
     def s_arc_transitive(self, s: int) -> bool:
         return self.count(S_ARC, s) <= 1
@@ -407,7 +405,7 @@ class InstanceFacts:
         diam = g.diameter()
         counts = {"vertices": self.group.orbits_count()}
         best = dict.fromkeys((S_ARC, S_GEODESIC), 0)
-        for s in range(1, diam + 1):  # s outermost: each arc level is built once
+        for s in range(1, diam + 1):
             for kind, label in ((S_ARC, "arcs"), (S_GEODESIC, "geodesics")):
                 orbits = counts[f"{s}-{label}"] = self.count(kind, s)
                 if orbits == 1 and best[kind] == s - 1:

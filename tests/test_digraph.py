@@ -249,6 +249,14 @@ class TestProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(digraphs())
+    def test_girth_of_undirected_digraphs(self, g):
+        # Every arc of an undirected digraph lies on a digon, so each one
+        # takes the search that avoids its reverse arc.
+        u = oracles.symmetric_closure(g)
+        assert u.girth() == oracles.brute_girth(u.arcs, u.n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs())
     def test_diameter_is_max_nonempty_geodesic_level(self, g):
         if g.is_strongly_connected() and g.n > 1:
             diam = g.diameter()

@@ -324,13 +324,11 @@ class TestWalkCounts:
     def test_matches_instance_facts_every_40th_instance(self, config):
         for descriptor in generate_descriptors(config)[::40]:
             _, g, _ = build_instance(descriptor)
-            levels = range(1, g.diameter() + 1)
-            expected = [oracles.walk_counts(g.arcs, g.n, s) for s in levels]
             facts = InstanceFacts(g, PermGroup((), g.n))
-            for i, kind in enumerate((S_ARC, S_GEODESIC)):
-                for s in levels:
-                    family = _facts_family(facts, kind, s)
-                    assert len(family) == expected[s - 1][i], (descriptor, kind, s)
+            for s, families in _facts_levels(facts, g.diameter()):
+                expected = oracles.walk_counts(g.arcs, g.n, s)
+                for i, kind in enumerate((S_ARC, S_GEODESIC)):
+                    assert len(families[kind]) == expected[i], (descriptor, kind, s)
 
 
 class TestOrbitLengthSums:
@@ -351,11 +349,10 @@ class TestOrbitLengthSums:
                 continue
             elements = oracles.brute_closure([p.images for p in group.generators], g.n)
             facts = InstanceFacts(g, group)
-            for s in range(1, min(3, g.max_geodesic_length()) + 1):
+            for s, families in _facts_levels(facts, min(3, g.max_geodesic_length())):
                 expected = oracles.walk_counts(g.arcs, g.n, s)
                 for i, kind in enumerate((S_ARC, S_GEODESIC)):
-                    family = _facts_family(facts, kind, s)
-                    orbits = oracles.orbits_of_tuples(elements, family)
+                    orbits = oracles.orbits_of_tuples(elements, families[kind])
                     reps = [min(orbit) for orbit in orbits]
                     assert oracles.orbit_length_sum(group, reps) == expected[i], (g, kind, s)
                     assert len(reps) == facts.count(kind, s), (g, kind, s)
@@ -453,14 +450,16 @@ def _walk_oracle(kind):
     return oracles.brute_s_arcs if kind == S_ARC else oracles.brute_s_geodesics
 
 
-def _facts_family(facts, kind, s):
-    """The family ``facts.count(kind, s)`` reads: the kept s-arc level, for
-    geodesics filtered to the arcs whose ends lie at distance s."""
-    arcs = facts._arcs(s)
-    if kind == S_ARC:
-        return arcs
+def _facts_levels(facts, top):
+    """Levels 1..top of ``facts``, counted in order: each s with the
+    families of its two counts, the kept s-arc level by kind ``S_ARC`` and
+    its s-geodesics, the arcs whose ends lie at distance s, by
+    ``S_GEODESIC``."""
     rows = facts.g._distance_matrix
-    return [w for w in arcs if rows[w[0]][w[-1]] == s]
+    for s in range(1, top + 1):
+        facts.count(S_ARC, s)
+        arcs = facts._level
+        yield s, {S_ARC: arcs, S_GEODESIC: [w for w in arcs if rows[w[0]][w[-1]] == s]}
 
 
 def _recording_count_orbits(counted):
@@ -475,18 +474,17 @@ def _recording_count_orbits(counted):
 
 
 class TestWalkLevels:
-    """``InstanceFacts`` builds one walk family per level, the s-arcs: it
-    grows the last level built, rebuilds a lower one from the vertices, and
-    filters the s-geodesics out of the s-arcs by the distance of their ends.
-    A geodesic level the filter leaves whole reads the arc count."""
+    """``InstanceFacts`` counts the levels in order, each once: it grows the
+    kept level to the s-arcs, filters the s-geodesics out of them by the
+    distance of their ends, and sets both counts of the level.  A geodesic
+    level the filter leaves whole reads the arc count."""
 
     def test_levels_match_oracle_families(self):
         for g in (circuit(5), paley_tournament(7), build(4, [(0, 1), (1, 0), (1, 2), (2, 3)])):
             facts = InstanceFacts(g, PermGroup((), degree=g.n))
-            for kind, s in [(S_ARC, 2), (S_GEODESIC, 3), (S_ARC, 4), (S_ARC, 1),
-                            (S_GEODESIC, 2), (S_GEODESIC, 4), (S_ARC, 3), (S_GEODESIC, 1)]:
-                family = _facts_family(facts, kind, s)
-                assert family == _walk_oracle(kind)(g.arcs, g.n, s), (g, kind, s)
+            for s, families in _facts_levels(facts, 4):
+                for kind, family in families.items():
+                    assert family == _walk_oracle(kind)(g.arcs, g.n, s), (g, kind, s)
 
     def test_dropped_facts_leave_no_cyclic_garbage(self):
         # The kept level must be freed by reference counting alone as soon
@@ -516,45 +514,59 @@ class TestWalkLevels:
                 with pytest.raises(ValueError, match="at least 1"):
                     facts.count(kind, s)
 
+    def test_count_rejects_unknown_kind(self):
+        g = circuit(5)
+        facts = InstanceFacts(g, automorphism_group(g))
+        for kind in ("vertices", "arcs", ""):
+            with pytest.raises(ValueError, match="kind must be"):
+                facts.count(kind, 1)
+
     def test_empty_geodesic_level_past_the_walks_reads_the_arc_count(self):
         # The transitive triangle: its one 2-arc (0, 1, 2) is no 2-geodesic,
-        # and it has no 3-arc.  The empty 3-geodesic level is the empty
-        # 3-arc level, so it reads the arc count and counts no family.
+        # so level 2 counts both families, and it has no 3-arc.  The empty
+        # 3-geodesic level is the empty 3-arc level, so level 3 counts one
+        # family, and the geodesic count reads the arc count.
         g = build(3, [(0, 1), (0, 2), (1, 2)])
         facts = InstanceFacts(g, automorphism_group(g))
         counted = []
         with mock.patch.object(symmetry, "_count_orbits", _recording_count_orbits(counted)):
-            assert facts.count(S_ARC, 3) == 0
             assert facts.count(S_GEODESIC, 3) == 0
-        assert counted == [[]]
+            assert facts.count(S_ARC, 3) == 0
+        assert counted == [sorted(g.arcs), [(0, 1, 2)], [], []]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_counts_match_oracle_in_any_order(self, data):
-        # Every level 1..n of both kinds, in random order, so that lower
-        # levels after higher ones take the rebuild path.  A geodesic level
-        # counts no family of its own exactly when its geodesics are its arcs.
+        # Some of the levels 1..n of both kinds, in random order, then the
+        # same requests again.  Whatever the order, the counted families are
+        # the arc levels up to the highest asked for, in order, each with
+        # its geodesic level where that leaves the arcs, which it never does
+        # up to the depth where the arcs and geodesics part: each level is
+        # built and counted at most once.
         g = data.draw(digraphs())
         requests = data.draw(st.permutations(
             [(kind, s) for kind in (S_ARC, S_GEODESIC) for s in range(1, g.n + 1)]
         ))
+        requests = requests[:data.draw(st.integers(1, len(requests)))]
         group = automorphism_group(g)
         elements = [p.images for p in group.elements()]
         counted = []
         facts = InstanceFacts(g, group)
-        done = set()
         with mock.patch.object(symmetry, "_count_orbits", _recording_count_orbits(counted)):
-            for kind, s in requests:
+            for kind, s in requests + requests:
                 family = _walk_oracle(kind)(g.arcs, g.n, s)
-                before = len(counted)
                 expected = len(oracles.orbits_of_tuples(elements, family))
                 assert facts.count(kind, s) == expected, (kind, s)
-                shared = kind == S_ARC or family == oracles.brute_s_arcs(g.arcs, g.n, s)
-                key = (S_ARC, s) if shared else (kind, s)
-                assert len(counted) - before == (key not in done), (kind, s)
-                if len(counted) > before:
-                    assert counted[-1] == family
-                done.add(key)
+        top = max(s for _, s in requests)
+        depth = oracles.brute_arc_geodesic_depth(g.arcs, g.n)
+        expected = []
+        for s in range(1, top + 1):
+            arcs, geodesics = (_walk_oracle(kind)(g.arcs, g.n, s) for kind in (S_ARC, S_GEODESIC))
+            expected.append(arcs)
+            if geodesics != arcs:
+                assert s > depth
+                expected.append(geodesics)
+        assert counted == expected
 
 
 class TestTransitivityTesters:
@@ -785,20 +797,20 @@ class TestTransitivityReport:
 
 class TestCorpusInvariants:
     def test_geodesic_levels_read_arc_counts_to_brute_depth(self, monkeypatch):
-        # With every arc level counted, a geodesic level is counted exactly
-        # when it lies above the depth where the arcs and geodesics part.
+        # Each level counts its arcs, then its geodesics only when they
+        # leave the arcs: on this corpus, exactly above the depth where the
+        # arcs and geodesics part.
         counted = []
         monkeypatch.setattr(symmetry, "_count_orbits", _recording_count_orbits(counted))
         for g in SMALL_CORPUS:
             depth = oracles.brute_arc_geodesic_depth(g.arcs, g.n)
             facts = InstanceFacts(g, PermGroup((), degree=g.n))
-            for s in range(1, g.n + 1):
-                facts.count(S_ARC, s)
             geodesic_counted = []
             for s in range(1, g.n + 1):
                 before = len(counted)
-                facts.count(S_GEODESIC, s)
-                if len(counted) > before:
+                facts.count(S_ARC, s)
+                assert counted[before] == oracles.brute_s_arcs(g.arcs, g.n, s), (g, s)
+                if len(counted) - before == 2:
                     geodesic_counted.append(s)
             assert geodesic_counted == list(range(depth + 1, g.n + 1)), g
 
