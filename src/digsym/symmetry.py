@@ -228,9 +228,9 @@ def check_is_automorphism_group(g: Digraph, group: PermGroup) -> None:
 def _count_orbits(group: PermGroup, family) -> int:
     """Number of orbits of ``group`` on a G-invariant list of vertex tuples.
 
-    The action is diagonal.  A duplicate tuple raises ValueError, and a
-    family that is not invariant raises SetNotInvariant naming its first
-    tuple, in family order, with an image outside the family.  The orbits
+    The action is diagonal; the family has no duplicate tuple.  A family
+    that is not invariant raises SetNotInvariant naming its first tuple, in
+    family order, with an image outside the family.  The orbits
     are then searched over positions in the family: a dict from tuple to
     position, one mark per position and a stack of positions, so no image
     outlives its lookup and no orbit is listed.  The invariance scan and the
@@ -238,8 +238,6 @@ def _count_orbits(group: PermGroup, family) -> int:
     image.
     """
     index = {t: i for i, t in enumerate(family)}
-    if len(index) != len(family):
-        raise ValueError("tuple family contains duplicates")
     tables = [perm.images.__getitem__ for perm in group.generators]
     for t in family:
         for table in tables:

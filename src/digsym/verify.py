@@ -416,21 +416,22 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
 def check_regular_normal(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
     """A regular normal subgroup under 2-geodesic-transitivity forces a circuit.
 
-    Without ``normal``, the named sources are checked and merged: the group
-    itself when it is regular and, for a Cayley digraph, the right
-    translations R(T) inside the holomorph action and inside the group.  A
-    group that is not 2-geodesic-transitive has no subgroup that is, so then
-    no source applies.  The holomorph action lies in Aut(g); skipping it too
-    is exact when the group is Aut(g), as in surveys.
+    Without ``normal``, one source is checked: for Cay(T, S), R(T) inside
+    the holomorph action R(T)⋊Aut(T, S), the normalizer of R(T) in Aut(g)
+    (Godsil, Combinatorica 1, 1981), which contains every G ≤ Aut(g) that
+    normalizes R(T); without a spec, the group itself when it is regular.
+    A pass reads ``normal subgroups=1``.  No source applies to a group that
+    is not 2-geodesic-transitive, since no subgroup of it is; skipping the
+    holomorph then is exact when the group is Aut(g), as in surveys.
     """
     if normal is None:
         if not facts.s_geodesic_transitive(2):
             return _merge_results("T1.2", [])
-        sources = [(facts, facts.group)] if facts.group.is_regular() else []
         if facts.cayley is not None:
-            translations = facts.cayley.translations
             holomorph = construct.cayley_holomorph_action(facts.cayley)
-            sources += [(InstanceFacts(facts.g, holomorph), translations), (facts, translations)]
+            sources = [(InstanceFacts(facts.g, holomorph), facts.cayley.translations)]
+        else:
+            sources = [(facts, facts.group)] if facts.group.is_regular() else []
         return _merge_results("T1.2", [check_regular_normal(f, N) for f, N in sources])
     if normal.is_trivial() or not normal.is_regular():
         return _na("T1.2", "normal subgroup must be nontrivial and regular")

@@ -329,6 +329,18 @@ def brute_subgroup_closure(elements, degree):
     return frozenset(brute_closure(list(elements), degree))
 
 
+def brute_normalizer(gens, sub_gens, degree):
+    """The elements of the group generated by ``gens`` that conjugate every
+    generator in ``sub_gens`` into the subgroup it generates, as image
+    tuples: the normalizer of that subgroup."""
+    sub = brute_closure(sub_gens, degree)
+    return {
+        x
+        for x in brute_closure(gens, degree)
+        if all(mult(mult(inv(x), h), x) in sub for h in sub_gens)
+    }
+
+
 def brute_generated_subset(table, seeds):
     """Closure of a subset of a GroupTable under two-sided products,
     rescanning the whole closure for each element popped."""

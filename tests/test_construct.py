@@ -35,7 +35,7 @@ from digsym.errors import (
     TranslationNotInG,
 )
 from digsym.groups import GroupTable, PermGroup
-from digsym.perm import parse_cycles
+from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import automorphism_group, is_s_arc_transitive, is_vertex_transitive
 
 
@@ -343,6 +343,31 @@ class TestHolomorphAction:
                         frontier.append(y)
             conn_transitive = orbit == set(conn)
             assert conn_transitive == is_s_arc_transitive(g, action, 1), spec
+
+    def test_holomorph_is_normalizer_of_translations(self):
+        # Godsil (1981): the normalizer of R(T) in Aut(Cay(T, S)) is
+        # R(T)⋊Aut(T, S), the one source T1.2 reads for a Cayley digraph.
+        specs = [paley_tournament(q).spec for q in (7, 11, 19)]
+        specs.append(cayley_spec(cyclic_table(9), [1, 4, 7]))
+        for descriptor in verify.generate_descriptors(verify.default_config())[::40]:
+            specs.append(verify.build_instance(descriptor)[2])
+        checked = 0
+        for spec in specs:
+            g = cayley_digraph(spec)
+            aut = automorphism_group(g)
+            if aut.order() > 10**4:
+                continue
+            normalizer = oracles.brute_normalizer(
+                [p.images for p in aut.generators],
+                [p.images for p in spec.translations.generators],
+                g.n,
+            )
+            action = cayley_holomorph_action(spec)
+            assert action.order() == len(normalizer), spec
+            assert all(p.images in normalizer for p in action.generators), spec
+            assert all(Permutation(x) in action for x in normalizer), spec
+            checked += 1
+        assert checked == 56
 
 
 class TestNormalCayley:

@@ -399,11 +399,6 @@ class TestCountOrbits:
                         brute = oracles.orbits_of_tuples(elements, family)
                         assert _count_orbits(group, family) == len(brute), (g, s)
 
-    def test_duplicates_rejected(self):
-        group = automorphism_group(circuit(3))
-        with pytest.raises(ValueError, match="duplicates"):
-            _count_orbits(group, [(0, 1), (1, 2), (2, 0), (1, 2)])
-
     def test_first_offender_named(self):
         # (0 1 2) maps (3, 0) to (3, 1) and (1, 2) to (2, 0), both outside the
         # family; a search from (0, 1) would meet (1, 2) first.

@@ -1,6 +1,7 @@
 """Tests for the statement checks and the survey driver."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -386,13 +387,13 @@ class TestRegularNormal:
         assert check_regular_normal(InstanceFacts(g, group), rot3).status == NOT_APPLICABLE
 
     def test_named_sources_on_cayley_circuit(self):
-        # Aut(C5) is regular and equals R(Z5), which is normal both in Aut
-        # and in the holomorph action: all three sources apply.
+        # Aut(C5) is regular and equals R(Z5); with the spec the one source is
+        # R(Z5) inside the holomorph action, its normalizer in Aut.
         spec = cayley_spec(cyclic_table(5), [1])
         g = cayley_digraph(spec)
         [result] = verify.run_checks_on_instance(g, automorphism_group(g), ["T1.2"], cayley=spec)
         assert result.status == PASS
-        assert result.notes == "normal subgroups=3"
+        assert result.notes == "normal subgroups=1"
 
     def test_named_sources_on_cayley_circuit_of_order_65(self):
         # Aut(Z65) has 48 elements, each a candidate image of the generator
@@ -400,7 +401,51 @@ class TestRegularNormal:
         spec = cayley_spec(cyclic_table(65), [1])
         g = cayley_digraph(spec)
         [result] = verify.run_checks_on_instance(g, automorphism_group(g), ["T1.2"], cayley=spec)
-        assert result == CheckResult("T1.2", PASS, notes="normal subgroups=3")
+        assert result == CheckResult("T1.2", PASS, notes="normal subgroups=1")
+
+    def test_subgroup_without_translations(self, monkeypatch):
+        # G of order 81 is 2-geodesic-transitive on Cay(Z9, {1, 4, 7}) but
+        # does not contain R(Z9).  T1.2 asks R(Z9) inside its normalizer,
+        # where it is not 2-geodesic-transitive, and never asks whether R(Z9)
+        # is normal in G.
+        spec = cayley_spec(cyclic_table(9), [1, 4, 7])
+        g = cayley_digraph(spec)
+        G = PermGroup(
+            [parse_cycles("(0 3 6)(1 4 7)(2 5 8)", 9), parse_cycles("(0 1 5)(2 6 4)(3 7 8)", 9)]
+        )
+        assert G.order() == 81 and not G.contains(spec.translations.generators[0])
+        assert symmetry.is_s_geodesic_transitive(g, G, 2)
+        is_normal = PermGroup.is_normal
+        asked = []
+
+        def recording_is_normal(group, sub):
+            asked.append(group.order())
+            return is_normal(group, sub)
+
+        monkeypatch.setattr(PermGroup, "is_normal", recording_is_normal)
+        [result] = verify.run_checks_on_instance(g, G, ["T1.2"], cayley=spec)
+        assert result == CheckResult("T1.2", NOT_APPLICABLE, notes="no applicable normal subgroup")
+        assert asked == [cayley_holomorph_action(spec).order()]
+
+    @pytest.mark.slow
+    def test_random_transitive_subgroups_raise_nothing(self):
+        # Every 5th default instance with n < |Aut| <= 5000: the transitive
+        # subgroups generated by two random automorphisms, four draws each,
+        # through every check with the spec.  R(T) is often not in them.
+        rng = random.Random(0)
+        subgroups = 0
+        for descriptor in verify.generate_descriptors(verify.default_config())[::5]:
+            _, g, spec = verify.build_instance(descriptor)
+            aut = automorphism_group(g)
+            if not g.n < aut.order() <= 5000:
+                continue
+            elements = aut.elements()
+            for _ in range(4):
+                G = PermGroup([rng.choice(elements), rng.choice(elements)], g.n)
+                if G.is_transitive():
+                    verify.run_checks_on_instance(g, G, verify.CHECK_IDS, cayley=spec)
+                    subgroups += 1
+        assert subgroups == 135
 
     def test_paley_not_geodesic_transitive(self):
         spec = cayley_spec(cyclic_table(7), [1, 2, 4])
