@@ -28,7 +28,6 @@ from .construct import (
     complete,
     cyclic_table,
     dihedral_table,
-    is_normal_cayley,
     paley_tournament,
     quotient_digraph,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "dihedral_table",
     "format_cycles",
     "is_distance_transitive",
-    "is_normal_cayley",
     "is_s_arc_transitive",
     "is_s_geodesic_transitive",
     "is_vertex_transitive",

@@ -24,7 +24,6 @@ from .errors import (
     IdentityInConnectionSet,
     NotAntisymmetric,
     ParseError,
-    TranslationNotInG,
 )
 from .groups import GroupTable, PermGroup, table_from_text, validate_partition
 from .perm import Permutation
@@ -275,15 +274,6 @@ def cayley_holomorph_action(spec: CayleySpec) -> PermGroup:
     group automorphisms, acting on the Cayley digraph's vertices."""
     auts = aut_preserving_conn(spec)
     return PermGroup(list(spec.translations.generators) + auts, spec.table.order)
-
-
-def is_normal_cayley(spec: CayleySpec, group: PermGroup) -> bool:
-    """Whether the right-translation copy of the group is normal in ``group``."""
-    translations = spec.translations
-    for g in translations.generators:
-        if not group.contains(g):
-            raise TranslationNotInG("right translations are not inside the given group")
-    return group.is_normal(translations)
 
 
 # ----------------------------------------------------------------------

@@ -204,16 +204,21 @@ def classify_arcs(arcs) -> str:
     return MIXED
 
 
+def _check_arc(n: int, u: int, v: int) -> None:
+    """Raise LoopArc or VertexOutOfRange unless (u, v) is an arc on 0..n-1."""
+    if u == v:
+        raise LoopArc(f"loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexOutOfRange(f"arc ({u},{v}) not within 0..{n - 1}")
+
+
 def build(n: int, arcs) -> Digraph:
     """Validate, deduplicate and classify an arc list into a Digraph."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     arcset = set()
     for u, v in arcs:
-        if u == v:
-            raise LoopArc(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"arc ({u},{v}) not within 0..{n - 1}")
+        _check_arc(n, u, v)
         arcset.add((u, v))
     return Digraph(n, frozenset(arcset), classify_arcs(arcset))
 
@@ -231,10 +236,7 @@ def from_text(text: str) -> Digraph:
         except ValueError:
             raise ParseError(f"non-integer arc {line!r}", line=lineno) from None
         try:
-            if u == v:
-                raise LoopArc(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"arc ({u},{v}) not within 0..{n - 1}")
+            _check_arc(n, u, v)
         except (LoopArc, VertexOutOfRange) as exc:
             raise ParseError(str(exc), line=lineno) from exc
         arcs.append((u, v))

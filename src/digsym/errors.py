@@ -104,9 +104,5 @@ class BoundExceeded(DigsymError):
     pass
 
 
-class TranslationNotInG(DigsymError):
-    pass
-
-
 class NotNormal(DigsymError):
     pass

@@ -15,8 +15,9 @@ point; ``PermGroup``'s orbit methods, ``GroupTable``'s subgroup closures
 and element orders, the automorphism search and the distance-transitivity
 test all read them.  ``validate_partition`` is the one place that checks
 a partition and builds its block index.  Block systems come from Atkinson's
-minimal-block closure, and their kernels are the one source of
-intransitive normal subgroups that the quasiprimitivity predicates and the
+minimal-block closure.  ``normal_partitions`` maps each orbit partition of
+a nontrivial intransitive normal subgroup to its block kernel: the one
+source of normal subgroups that the quasiprimitivity predicates and the
 verification checks quantify over.
 """
 
@@ -295,7 +296,7 @@ class PermGroup:
             g for g in dict.fromkeys(gens) if not g.is_identity())
         self._chain: _Chain | None = None
         self._chain_lock = threading.Lock()
-        self._kernels: list[PermGroup] | None = None
+        self._partitions: dict[tuple[tuple[int, ...], ...], PermGroup] | None = None
 
     @property
     def chain(self) -> _Chain:
@@ -439,12 +440,12 @@ class PermGroup:
 
     def is_quasiprimitive(self) -> bool:
         """Every nontrivial normal subgroup is transitive."""
-        return not self.intransitive_normal_kernels()
+        return not self.normal_partitions()
 
     def is_biquasiprimitive(self) -> bool:
         """Every nontrivial normal subgroup has <= 2 orbits, some exactly 2."""
-        kernels = self.intransitive_normal_kernels()
-        return bool(kernels) and all(k.orbits_count() == 2 for k in kernels)
+        partitions = self.normal_partitions()
+        return bool(partitions) and all(len(p) == 2 for p in partitions)
 
     # ------------------------------------------------------------------
     # block systems and their kernels
@@ -507,27 +508,29 @@ class PermGroup:
                 found.add(system)
         return sorted(found)
 
-    def intransitive_normal_kernels(self) -> list["PermGroup"]:
-        """One normal subgroup per orbit partition of the nontrivial
-        intransitive normal subgroups, ordered by that partition.
+    def normal_partitions(self) -> dict[tuple[tuple[int, ...], ...], "PermGroup"]:
+        """Each orbit partition of a nontrivial intransitive normal subgroup,
+        mapped to the kernel of the action on its blocks, in the order of
+        the partitions.
 
         The orbits of such a subgroup N form a block system B, and the
         kernel K_B of the action on B contains N and has the same orbits.
         So the partitions are exactly the systems B with K_B != 1 whose
         kernel's orbits are B itself, and K_B is the largest normal
-        subgroup with those orbits.
+        subgroup with those orbits.  A system is fixed by its block at 0,
+        so K_B <= K_C iff B refines C iff B[0] is inside C[0].
         """
-        if self._kernels is None:
-            kernels = []
+        if self._partitions is None:
+            partitions = {}
             for system in self.block_systems():
                 kernel = self.block_action_kernel(system)
                 if not kernel.is_trivial() and tuple(kernel.orbit_partition()) == system:
-                    kernels.append(kernel)
-            self._kernels = kernels
-        return list(self._kernels)
+                    partitions[system] = kernel
+            self._partitions = partitions
+        return dict(self._partitions)
 
     def __reduce__(self):
-        # The chain, kernels and lock are rebuilt on first use.
+        # The chain, partitions and lock are rebuilt on first use.
         return self.__class__, (self.generators, self.degree)
 
     def __repr__(self) -> str:

@@ -15,10 +15,11 @@ instances come back ``not_applicable`` instead of vacuously
 passing and failures carry a replayable witness; in a survey, an instance
 that raises any other exception, or whose pool worker dies, gives
 ``error`` records instead of aborting it.
-Checks that quantify over intransitive normal subgroups take them from the
-group's block-system kernels (``PermGroup.intransitive_normal_kernels``),
-one per orbit partition, which is exhaustive; they test their own
-hypotheses first, which make the group transitive.
+L3.1, L3.2 and T1.1 read only the orbit partitions of intransitive normal
+subgroups, and take them from ``_subgroup_partitions``: the group's own
+(``PermGroup.normal_partitions``, which is exhaustive) or a given
+subgroup's.  They test their own hypotheses first, which make the group
+transitive.
 """
 
 from __future__ import annotations
@@ -220,9 +221,28 @@ def check_small_valency(facts: InstanceFacts) -> CheckResult:
 # normal subgroup orbit structure
 
 
-def _arc_inside_orbit(g: Digraph, normal: PermGroup) -> dict | None:
-    """An arc with both ends in one orbit of ``normal``, as a witness."""
-    for block in normal.orbit_partition():
+def _subgroup_partitions(check_id: str, facts: InstanceFacts, normal, admits, shape: str):
+    """The orbit partitions that a subgroup check runs over, or its
+    ``not_applicable`` record.
+
+    Without ``normal``, the group's normal partitions whose number of
+    blocks ``admits`` accepts; with it, that subgroup's partition alone,
+    once it is nontrivial, admitted and normal (``shape`` describes the
+    admitted ones).
+    """
+    if normal is None:
+        return [p for p in facts.group.normal_partitions() if admits(len(p))]
+    partition = tuple(normal.orbit_partition())
+    if normal.is_trivial() or not admits(len(partition)):
+        return _na(check_id, f"normal subgroup must be nontrivial {shape}")
+    if not facts.group.is_normal(normal):
+        return _na(check_id, "subgroup is not normal")
+    return [partition]
+
+
+def _arc_inside_orbit(g: Digraph, partition) -> dict | None:
+    """An arc with both ends in one block of ``partition``, as a witness."""
+    for block in partition:
         members = set(block)
         for u in block:
             for v in g.out_neighbors(u):
@@ -234,59 +254,38 @@ def _arc_inside_orbit(g: Digraph, normal: PermGroup) -> dict | None:
 def check_no_arc_in_orbit(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
     """Orbits of an intransitive normal subgroup contain no arc.
 
-    Without ``normal``, every intransitive normal subgroup of the group is
-    checked through its block-system kernels.
-    """
-    g, group = facts.g, facts.group
-    if not g.is_strongly_connected():
+    Without ``normal``, the orbits of every intransitive normal subgroup of
+    the group are checked."""
+    if not facts.g.is_strongly_connected():
         return _na("L3.1", "not strongly connected")
     if not facts.s_arc_transitive(1):
         return _na("L3.1", "group is not arc-transitive")
-    if normal is None:
-        return _merge_results(
-            "L3.1", [_no_arc_in_orbit(g, N) for N in group.intransitive_normal_kernels()]
-        )
-    if normal.is_trivial() or normal.is_transitive():
-        return _na("L3.1", "normal subgroup must be nontrivial and intransitive")
-    if not group.is_normal(normal):
-        return _na("L3.1", "subgroup is not normal")
-    return _no_arc_in_orbit(g, normal)
-
-
-def _no_arc_in_orbit(g: Digraph, normal: PermGroup) -> CheckResult:
-    witness = _arc_inside_orbit(g, normal)
-    return CheckResult("L3.1", FAIL, witness=witness) if witness else CheckResult("L3.1", PASS)
+    partitions = _subgroup_partitions("L3.1", facts, normal, lambda k: k >= 2, "and intransitive")
+    if isinstance(partitions, CheckResult):
+        return partitions
+    witnesses = [_arc_inside_orbit(facts.g, p) for p in partitions]
+    return _merge_results(
+        "L3.1", [CheckResult("L3.1", FAIL if w else PASS, witness=w) for w in witnesses], normal)
 
 
 def check_two_orbit_normal(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
     """A 2-orbit normal subgroup forces bipartite plus 2-arc-transitive.
 
     Without ``normal``, every 2-orbit normal subgroup of the group is
-    checked through its block-system kernels.
-    """
-    group = facts.group
+    checked."""
     if not facts.g.is_strongly_connected():
         return _na("L3.2", "not strongly connected")
     if not facts.s_geodesic_transitive(2):
         return _na("L3.2", "not 2-geodesic-transitive")
-    if normal is None:
-        return _merge_results(
-            "L3.2",
-            [
-                _two_orbit_conclusion(facts, N)
-                for N in group.intransitive_normal_kernels()
-                if N.orbits_count() == 2
-            ],
-        )
-    if normal.is_trivial() or normal.orbits_count() != 2:
-        return _na("L3.2", "normal subgroup must be nontrivial with exactly 2 orbits")
-    if not group.is_normal(normal):
-        return _na("L3.2", "subgroup is not normal")
-    return _two_orbit_conclusion(facts, normal)
+    partitions = _subgroup_partitions(
+        "L3.2", facts, normal, lambda k: k == 2, "with exactly 2 orbits")
+    if isinstance(partitions, CheckResult):
+        return partitions
+    return _merge_results("L3.2", [_two_orbit_conclusion(facts, p) for p in partitions], normal)
 
 
-def _two_orbit_conclusion(facts: InstanceFacts, normal: PermGroup) -> CheckResult:
-    witness = _arc_inside_orbit(facts.g, normal)
+def _two_orbit_conclusion(facts: InstanceFacts, partition) -> CheckResult:
+    witness = _arc_inside_orbit(facts.g, partition)
     if witness:
         return CheckResult("L3.2", FAIL, witness={**witness, "reason": "not bipartite"})
     if not facts.s_arc_transitive(2):
@@ -302,53 +301,56 @@ def _is_complete_undirected(g: Digraph) -> bool:
     return g.symmetry_class == UNDIRECTED and len(g.arcs) == g.n * (g.n - 1)
 
 
-def _has_larger_overgroup(N: PermGroup, groups: list[PermGroup]) -> bool:
-    """Whether some member of ``groups`` properly contains N."""
-    return any(
-        M.order() > N.order() and all(M.contains(x) for x in N.generators) for M in groups
-    )
+def _is_maximal(kernels: dict, partition, order: int) -> bool:
+    """Whether a normal subgroup of ``order`` with orbits ``partition`` is
+    maximal subject to having >= 3 orbits: it is the partition's kernel, and
+    no other partition of ``kernels`` with >= 3 blocks has a block at 0
+    strictly containing its own, so no such kernel contains it."""
+    return order == kernels[partition].order() and not any(
+        len(q) >= 3 and set(partition[0]) < set(q[0]) for q in kernels)
 
 
 def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
     """Quotient by a normal subgroup with >= 3 orbits: the quotient stays
     connected and geodesic-transitive at the truncated level, is directed or
     complete undirected, and for a maximal subgroup the induced action is
-    quasiprimitive or bi-quasiprimitive.
+    quasiprimitive or bi-quasiprimitive, and quasiprimitive when the group
+    is not 2-arc-transitive.
 
     Without ``normal``, every normal subgroup maximal subject to having
-    >= 3 orbits is checked, taken from the block-system kernels."""
+    >= 3 orbits is checked; maximality is read from the normal partitions
+    (``_is_maximal``)."""
     g, group = facts.g, facts.group
     if not g.is_strongly_connected():
         return _na("T1.1", "not strongly connected")
     s = facts.report.max_geodesic_s
     if s < 2:
         return _na("T1.1", f"needs 2-geodesic-transitivity, best s={s}")
+    partitions = _subgroup_partitions("T1.1", facts, normal, lambda k: k >= 3, "with >= 3 orbits")
+    if isinstance(partitions, CheckResult):
+        return partitions
+    if not partitions:
+        return _na("T1.1", "no normal subgroup with >= 3 orbits")
 
-    kernels = group.intransitive_normal_kernels()
-    eligible = [N for N in kernels if N.orbits_count() >= 3]
-    if normal is None:
-        if not eligible:
-            return _na("T1.1", "no normal subgroup with >= 3 orbits")
-        targets = [(N, True) for N in eligible if not _has_larger_overgroup(N, eligible)]
-    else:
-        if normal.is_trivial() or normal.orbits_count() < 3:
-            return _na("T1.1", "normal subgroup must be nontrivial with >= 3 orbits")
-        if not group.is_normal(normal):
-            return _na("T1.1", "subgroup is not normal")
-        # A larger eligible normal subgroup lies in the kernel with its orbits.
-        targets = [(normal, not _has_larger_overgroup(normal, eligible))]
+    kernels = group.normal_partitions()
+    targets = []
+    for p in partitions:
+        order = kernels[p].order() if normal is None else normal.order()
+        maximal = _is_maximal(kernels, p, order)
+        if maximal or normal is not None:
+            targets.append((p, order, maximal))
+    notes = [] if normal is not None else [f"maximal normal subgroups={len(targets)}"]
 
     failures = []
-    notes = [f"maximal normal subgroups={len(targets)}"] if normal is None else []
-    for N, n_is_maximal in targets:
-        # The facts validated the group, and N is a kernel or was tested for
-        # normality above, so quotient by its orbits without checking again.
+    for partition, order, maximal in targets:
+        # The facts validated the group, and the partition is a normal
+        # subgroup's orbits, so quotient by it without checking again.
         # The induced action permutes the quotient's arcs; its counts and
         # primitivity tests share one facts object.
-        result = construct.quotient_digraph(g, N.orbit_partition(), group=group)
+        result = construct.quotient_digraph(g, partition, group=group)
         quotient = result.quotient
         image = InstanceFacts(quotient, result.image_group)
-        here = {"normal_order": N.order()}
+        here = {"normal_order": order}
         if result.internal_arcs:
             failures.append({**here, "reason": "arc inside a normal-subgroup orbit"})
         if not (quotient.symmetry_class == DIRECTED or _is_complete_undirected(quotient)):
@@ -374,34 +376,19 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
                 )
             notes.append("quotient is complete undirected")
 
-        if n_is_maximal:
-            quasi = image.group.is_quasiprimitive()
-            if not (quasi or image.group.is_biquasiprimitive()):
-                failures.append(
-                    {**here,
-                     "reason": "induced action neither quasiprimitive nor bi-quasiprimitive"}
-                )
-            else:
-                kind = "quasiprimitive" if quasi else "bi-quasiprimitive"
-                notes.append(f"induced action {kind}")
-        else:
+        if not maximal:
             notes.append("given subgroup not maximal; primitivity not asserted")
-
-    # Reduction corollary: without 2-arc-transitivity, a maximal intransitive
-    # normal subgroup has >= 3 orbits and induces a quasiprimitive action.
-    if not facts.s_arc_transitive(2):
-        for N in kernels:
-            if _has_larger_overgroup(N, kernels):
-                continue
-            here = {"normal_order": N.order()}
-            if N.orbits_count() < 3:
-                failures.append(
-                    {**here, "reason": "corollary: maximal intransitive subgroup has only 2 orbits"}
-                )
-            elif not group.induced_block_action(N.orbit_partition()).is_quasiprimitive():
-                failures.append({**here, "reason": "corollary: induced action not quasiprimitive"})
-            else:
-                notes.append("corollary: quasiprimitive")
+            continue
+        quasi = image.group.is_quasiprimitive()
+        if quasi or image.group.is_biquasiprimitive():
+            notes.append(f"induced action {'quasiprimitive' if quasi else 'bi-quasiprimitive'}")
+        else:
+            failures.append(
+                {**here, "reason": "induced action neither quasiprimitive nor bi-quasiprimitive"}
+            )
+        # The corollary: without 2-arc-transitivity it is quasiprimitive.
+        if not quasi and not facts.s_arc_transitive(2):
+            failures.append({**here, "reason": "corollary: induced action not quasiprimitive"})
 
     notes_text = "; ".join(dict.fromkeys(notes))
     if failures:
@@ -544,8 +531,11 @@ def analysis_record(facts: InstanceFacts) -> CheckResult:
     return CheckResult("report", PASS, notes=notes)
 
 
-def _merge_results(check_id: str, results: list[CheckResult]) -> CheckResult:
-    """Aggregate per-subgroup results into a single record."""
+def _merge_results(check_id: str, results: list[CheckResult], normal=None) -> CheckResult:
+    """Aggregate per-subgroup results into a single record; the one result
+    of a given ``normal`` subgroup is its record."""
+    if normal is not None:
+        return results[0]
     applicable = [r for r in results if r.status != NOT_APPLICABLE]
     failures = [r for r in results if r.status == FAIL]
     if failures:

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive and self-contained: plain tuple
 arithmetic, exhaustive scans and breadth-first closures, with no reliance
-on the package's stabilizer chains or pruned searches.  The one exception is
+on the package's stabilizer chains or pruned searches.  The exceptions are
 ``reference_automorphism_group``, the earlier form of the automorphism
-search, kept to pin the current search's generators and node counts.
+search, kept to pin the current search's generators and node counts, and
+``larger_normal_subgroup``, the earlier containment test behind T1.1's
+maximality, kept as the reference for its block inclusion.
 """
 
 from collections import Counter, deque
@@ -412,6 +414,15 @@ def brute_normal_subgroups(gens, degree):
                     lattice.add(join)
                     changed = True
     return lattice
+
+
+def larger_normal_subgroup(sub, groups):
+    """Whether some member of ``groups`` (``PermGroup``s) properly contains
+    the ``PermGroup`` ``sub``: a larger order, and every generator of
+    ``sub`` sifts through the member's stabilizer chain."""
+    return any(
+        M.order() > sub.order() and all(M.contains(x) for x in sub.generators) for M in groups
+    )
 
 
 def set_partitions(points):

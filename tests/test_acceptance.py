@@ -8,6 +8,7 @@ S meeting -S trivially, within the stated order and valency bounds.
 import hashlib
 import json
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -331,14 +332,15 @@ def test_criterion_8_quasiprimitivity_against_full_lattice():
         )
         assert group.is_quasiprimitive() == oracle_quasi, name
         assert group.is_biquasiprimitive() == oracle_biquasi, name
-        # The kernels' orbit partitions are exactly those of the intransitive
-        # nontrivial normal subgroups.
-        kernel_partitions = [
-            frozenset(frozenset(o) for o in k.orbit_partition())
-            for k in group.intransitive_normal_kernels()
-        ]
-        assert len(set(kernel_partitions)) == len(kernel_partitions), name
-        assert set(kernel_partitions) == {p for p in partitions if len(p) > 1}, name
+        # The normal partitions are exactly the orbit partitions of the
+        # intransitive nontrivial normal subgroups, each mapped to a normal
+        # subgroup with those orbits.
+        normal_partitions = group.normal_partitions()
+        keys = {frozenset(map(frozenset, p)) for p in normal_partitions}
+        assert keys == {p for p in partitions if len(p) > 1}, name
+        for partition, kernel in normal_partitions.items():
+            assert group.is_normal(kernel), name
+            assert tuple(kernel.orbit_partition()) == partition, name
     assert agreed >= 14
     print(f"\nACCEPTANCE 8 (quasiprimitivity vs full lattice, {agreed} groups): PASS")
 
@@ -523,3 +525,47 @@ def test_burnside_counts_analyze_n20_corpus():
         max_vertices=20,
     )
     assert burnside_cross_check(verify.generate_descriptors(config), _aut) == (616, 10240)
+
+
+def block_inclusion_cross_check(descriptors):
+    """T1.1's maximality by block inclusion against chain containment
+    (``oracles.larger_normal_subgroup``) on each instance's Aut.
+
+    For every ordered pair of normal partitions P != Q, the kernel K_Q
+    properly contains K_P iff Q's block at 0 strictly contains P's.  Each
+    partition with >= 3 blocks, and the normal closure of each kernel
+    generator with >= 3 orbits, is maximal by ``verify._is_maximal`` iff no
+    kernel with >= 3 orbits properly contains it.  Returns (instances,
+    pairs, closures).
+    """
+    pairs = closures = 0
+    for descriptor in descriptors:
+        _, g, _ = verify.build_instance(descriptor)
+        group = automorphism_group(g)
+        kernels = group.normal_partitions()
+        for (p, k_p), (q, k_q) in permutations(kernels.items(), 2):
+            inside = set(p[0]) < set(q[0])
+            assert inside == oracles.larger_normal_subgroup(k_p, [k_q]), (descriptor, p, q)
+            pairs += 1
+        eligible = [k for p, k in kernels.items() if len(p) >= 3]
+        subgroups = list(eligible)
+        for kernel in kernels.values():
+            for x in kernel.generators:
+                closure = group.normal_closure([x])
+                if closure.orbits_count() >= 3:
+                    subgroups.append(closure)
+                    closures += 1
+        for sub in subgroups:
+            partition = tuple(sub.orbit_partition())
+            maximal = verify._is_maximal(kernels, partition, sub.order())
+            assert maximal == (not oracles.larger_normal_subgroup(sub, eligible)), descriptor
+    return len(descriptors), pairs, closures
+
+
+def test_block_inclusion_every_40th_default_instance():
+    assert block_inclusion_cross_check(DEFAULT_DESCRIPTORS[::40]) == (52, 156, 68)
+
+
+@pytest.mark.slow
+def test_block_inclusion_full_default_corpus():
+    assert block_inclusion_cross_check(DEFAULT_DESCRIPTORS) == (2071, 5012, 2778)

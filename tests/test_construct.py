@@ -19,7 +19,6 @@ from digsym.construct import (
     complete,
     cyclic_table,
     dihedral_table,
-    is_normal_cayley,
     paley_tournament,
     parse_group_spec,
     quotient_digraph,
@@ -31,8 +30,8 @@ from digsym.errors import (
     BoundExceeded,
     IdentityInConnectionSet,
     NotAntisymmetric,
+    NotSubgroupElement,
     PartitionInvalid,
-    TranslationNotInG,
 )
 from digsym.groups import GroupTable, PermGroup
 from digsym.perm import Permutation, parse_cycles
@@ -373,21 +372,21 @@ class TestHolomorphAction:
 class TestNormalCayley:
     def test_c5_normal(self):
         spec = cayley_spec(cyclic_table(5), [1])
-        assert is_normal_cayley(spec, cayley_holomorph_action(spec))
+        assert cayley_holomorph_action(spec).is_normal(spec.translations)
 
     def test_paley_normal_in_holomorph(self):
         spec = cayley_spec(cyclic_table(7), [1, 2, 4])
-        assert is_normal_cayley(spec, cayley_holomorph_action(spec))
+        assert cayley_holomorph_action(spec).is_normal(spec.translations)
 
     def test_paley_normal_in_full_aut(self):
         spec = cayley_spec(cyclic_table(7), [1, 2, 4])
         g = cayley_digraph(spec)
-        assert is_normal_cayley(spec, automorphism_group(g))
+        assert automorphism_group(g).is_normal(spec.translations)
 
     def test_translations_must_lie_inside(self):
         spec = cayley_spec(cyclic_table(5), [1])
-        with pytest.raises(TranslationNotInG):
-            is_normal_cayley(spec, PermGroup((), degree=5))
+        with pytest.raises(NotSubgroupElement):
+            PermGroup((), degree=5).is_normal(spec.translations)
 
 
 class TestQuotient:

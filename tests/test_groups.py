@@ -298,42 +298,47 @@ class TestBlockAction:
             s4().block_action_kernel([(0, 1), (2, 3)])
 
 
-class TestNormalKernels:
+class TestNormalPartitions:
     def test_c6(self):
         c6 = group("(0 1 2 3 4 5)", degree=6)
         assert c6.block_systems() == [
             ((0, 2, 4), (1, 3, 5)),
             ((0, 3), (1, 4), (2, 5)),
         ]
-        kernels = c6.intransitive_normal_kernels()
-        assert [k.order() for k in kernels] == [3, 2]
-        assert [k.orbit_partition() for k in kernels] == [
-            [(0, 2, 4), (1, 3, 5)],
-            [(0, 3), (1, 4), (2, 5)],
-        ]
+        partitions = c6.normal_partitions()
+        assert list(partitions) == c6.block_systems()
+        assert [k.order() for k in partitions.values()] == [3, 2]
+        assert all(tuple(k.orbit_partition()) == p for p, k in partitions.items())
 
     def test_a5_primitive(self):
         assert a5().block_systems() == []
-        assert a5().intransitive_normal_kernels() == []
+        assert a5().normal_partitions() == {}
 
     def test_s4_primitive(self):
         assert s4().block_systems() == []
-        assert s4().intransitive_normal_kernels() == []
+        assert s4().normal_partitions() == {}
 
     def test_no_points_no_block_system(self):
         empty = PermGroup((), 0)
         assert empty.block_systems() == []
-        assert empty.intransitive_normal_kernels() == []
+        assert empty.normal_partitions() == {}
 
     def test_all_kernels_normal(self):
         d4 = group("(0 1 2 3)", "(1 3)", degree=4)
-        kernels = d4.intransitive_normal_kernels()
-        assert [k.order() for k in kernels] == [4]
-        assert all(d4.is_normal(k) for k in kernels)
+        partitions = d4.normal_partitions()
+        assert list(partitions) == [((0, 2), (1, 3))]
+        assert [k.order() for k in partitions.values()] == [4]
+        assert all(d4.is_normal(k) for k in partitions.values())
+
+    def test_cached_and_copied(self):
+        c6 = group("(0 1 2 3 4 5)", degree=6)
+        partitions = c6.normal_partitions()
+        partitions.clear()
+        assert len(c6.normal_partitions()) == 2
 
     def test_requires_transitive(self):
         with pytest.raises(NotTransitive):
-            group("(0 1)", degree=3).intransitive_normal_kernels()
+            group("(0 1)", degree=3).normal_partitions()
 
 
 class TestChainConcurrency:

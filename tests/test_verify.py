@@ -357,19 +357,30 @@ class TestQuotientTheorem:
 
     def test_corollary_without_two_arc_transitivity(self, monkeypatch):
         # No corpus instance is 2-geodesic- but not 2-arc-transitive, so
-        # report C6 as not 2-arc-transitive.  Aut(C6) = Z6 has two maximal
-        # intransitive normal subgroups: Z3 with 2 orbits, and Z2, whose 3
-        # orbits carry the quasiprimitive action of Z3.
-        facts = aut_facts(circuit(6))
-        arc_transitive = facts.s_arc_transitive
-        monkeypatch.setattr(facts, "s_arc_transitive", lambda s: s != 2 and arc_transitive(s))
+        # report circuits as not 2-arc-transitive.  The corollary asks each
+        # maximal normal subgroup with >= 3 orbits for a quasiprimitive
+        # induced action.  Aut(C6) = Z6 has one, Z2, whose 3 orbits carry Z3;
+        # its 2-orbit Z3 is left to L3.2, which fails on it.
+        def without_two_arcs(g):
+            facts = aut_facts(g)
+            arc_transitive = facts.s_arc_transitive
+            monkeypatch.setattr(facts, "s_arc_transitive", lambda s: s != 2 and arc_transitive(s))
+            return facts
+
+        facts = without_two_arcs(circuit(6))
         result = check_quotient_theorem(facts)
+        assert result.status == PASS
+        assert result.notes == "maximal normal subgroups=1; s'=2; induced action quasiprimitive"
+        two_orbit = check_two_orbit_normal(facts)
+        assert two_orbit.status == FAIL
+        assert two_orbit.witness == {"reason": "not 2-arc-transitive"}
+        # Aut(C12) = Z12: Z4 induces Z3 on 3 blocks, but Z3 induces Z4 on 4
+        # blocks, which is bi-quasiprimitive only.
+        result = check_quotient_theorem(without_two_arcs(circuit(12)))
         assert result.status == FAIL
         assert result.witness == {"failures": [
-            {"normal_order": 3,
-             "reason": "corollary: maximal intransitive subgroup has only 2 orbits"},
+            {"normal_order": 3, "reason": "corollary: induced action not quasiprimitive"},
         ]}
-        assert result.notes.endswith("; corollary: quasiprimitive")
 
 
 class TestRegularNormal:
