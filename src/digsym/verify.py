@@ -19,7 +19,9 @@ L3.1, L3.2 and T1.1 read only the orbit partitions of intransitive normal
 subgroups, and take them from ``_subgroup_partitions``: the group's own
 (``PermGroup.normal_partitions``, which is exhaustive) or a given
 subgroup's.  They test their own hypotheses first, which make the group
-transitive.
+transitive.  Under an arc-transitive group every arc looks like the least
+one, so the arc-local batch (L2.1) and L3.1-L3.2's test for an arc inside
+a block read that one arc (``check_arc_local_constraints``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from . import construct, symmetry
-from .digraph import DIRECTED, UNDIRECTED, Digraph, build
+from .digraph import DIRECTED, UNDIRECTED, Digraph
 from .errors import BadParameter, BoundExceeded, DegreeMismatch, SearchBudgetExceeded
 from .groups import PermGroup
 from .symmetry import InstanceFacts
@@ -73,25 +75,15 @@ def uniform_results(ids, status: str, notes: str = "") -> list[CheckResult]:
 # arc-local constraints
 
 
-def _connected_isomorphic(a: Digraph, b: Digraph) -> bool:
-    """Isomorphism test for weakly connected digraphs.
-
-    An automorphism of the disjoint union maps components onto components,
-    so a and b are isomorphic iff the orbit of vertex 0 (in a) meets b.
-    """
-    if a.n != b.n or len(a.arcs) != len(b.arcs):
-        return False
-    union = build(a.n + b.n, [*a.arcs, *((u + a.n, v + a.n) for u, v in b.arcs)])
-    return max(symmetry.automorphism_group(union).orbit(0)) >= a.n
-
-
-def _arc_with_common(commons: dict, size: int) -> list[int] | None:
-    """The first arc whose common out-neighborhood has ``size`` vertices."""
-    return next(([u, v] for (u, v), c in commons.items() if len(c) == size), None)
-
-
 def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
-    """Local out-neighborhood constraints forced by arc-transitivity."""
+    """Local out-neighborhood constraints forced by arc-transitivity.
+
+    Once the group is arc-transitive, it maps any arc onto the least one,
+    (u, v), and preserves common out-neighborhoods and distances, so every
+    arc has the c = |out(u) & out(v)| common out-neighbors of (u, v) and
+    each record is read off that arc.  A witness found there is the least
+    in lexicographic order, the one a scan over every arc finds first.
+    """
     g = facts.g
     valency = g.valency()
     if valency is None or valency < 1 or len(g.weak_components()) != 1:
@@ -104,91 +96,62 @@ def check_arc_local_constraints(facts: InstanceFacts) -> list[CheckResult]:
         return [CheckResult("SC", FAIL, witness={"strongly_connected": False}),
                 *uniform_results(ARC_LOCAL_IDS[1:], NOT_APPLICABLE, "not strongly connected")]
     results = [CheckResult("SC", PASS)]
+    u, v = min(g.arcs)
+    out_u = g.out_neighbors(u)
+    common = len(out_u & g.out_neighbors(v))
 
-    arcs = sorted(g.arcs)
-    commons = {(u, v): g.out_neighbors(u) & g.out_neighbors(v) for u, v in arcs}
+    def forbids(check_id: str, size: int, **witness) -> CheckResult:
+        """The record of a statement that no arc has ``size`` common out-neighbors."""
+        if common != size:
+            return CheckResult(check_id, PASS)
+        return CheckResult(check_id, FAIL, witness={"arc": [u, v], **witness})
 
-    # L2.1.1: no arc (u,v) has out(u) = {v} union (out(u) & out(v)).
+    # L2.1.1 (out(u) = {v} plus the common out-neighbors) and L4.1 (common
+    # count r-1) test one condition, since v lies in out(u) but not in out(v).
     if valency < 2:
         results.append(_na("L2.1.1", "valency below 2"))
     else:
-        witness = None
-        for u, v in arcs:
-            if g.out_neighbors(u) == {v} | commons[(u, v)]:
-                witness = {"arc": [u, v]}
-                break
-        results.append(
-            CheckResult("L2.1.1", FAIL if witness else PASS, witness=witness)
-        )
+        results.append(forbids("L2.1.1", valency - 1))
 
     # L2.1.2: empty common out-neighborhoods iff every 2-arc is a 2-geodesic.
     # Well-defined (and trivially true) for circuits, so valency 1 stays in.
-    # The witness is the first 2-arc, in lexicographic order, that is not a
-    # 2-geodesic; scanning arc by arc leaves the 2-arc family to the orbit counts.
-    all_empty = all(not c for c in commons.values())
+    # The witness is the first 2-arc (u, v, w) that is not a 2-geodesic.
     rows = g._distance_matrix
-    bad_two_arc = next(
-        (
-            [a, b, c]
-            for a, b in arcs
-            for c in sorted(g.out_neighbors(b))
-            if rows[a][c] != 2
-        ),
-        None,
-    )
-    all_geodesic = bad_two_arc is None
-    if all_empty == all_geodesic:
+    bad_two_arc = next(([u, v, w] for w in sorted(g.out_neighbors(v)) if rows[u][w] != 2), None)
+    if (common == 0) == (bad_two_arc is None):
         results.append(CheckResult("L2.1.2", PASS))
     else:
-        results.append(
-            CheckResult(
-                "L2.1.2",
-                FAIL,
-                witness={"all_common_empty": all_empty, "two_arc": bad_two_arc},
-            )
-        )
+        witness = {"all_common_empty": common == 0, "two_arc": bad_two_arc}
+        results.append(CheckResult("L2.1.2", FAIL, witness=witness))
 
-    # L4.1: common count never r-1 (valency r >= 2).
     if valency < 2:
         results.append(_na("L4.1", "valency below 2"))
     else:
-        arc = _arc_with_common(commons, valency - 1)
-        witness = None if arc is None else {"arc": arc, "common": valency - 1, "valency": valency}
-        results.append(CheckResult("L4.1", FAIL if witness else PASS, witness=witness))
+        results.append(forbids("L4.1", valency - 1, common=valency - 1, valency=valency))
 
-    # L4.4: out-neighborhoods splitting into k isomorphic connected pieces of
-    # size >= 3, under 2-geodesic-transitivity, forbid common count 1.
-    applicable_44 = facts.s_geodesic_transitive(2) and valency >= 3
-    if applicable_44:
-        sub, _ = g.induced(g.out_neighbors(0))
-        comps = sub.weak_components()
-        pieces = [sub.induced(c)[0] for c in comps]
-        uniform = all(len(c) >= 3 for c in comps) and all(
-            _connected_isomorphic(pieces[0], p) for p in pieces[1:]
-        )
-        applicable_44 = uniform
-    if not applicable_44:
-        results.append(_na("L4.4", "hypothesis on [out(u)] not met"))
+    # L4.4: under 2-geodesic-transitivity, [out(u)] splitting into isomorphic
+    # weakly connected pieces of size >= 3 forbids common count 1.  G_u is
+    # transitive on out(u), so it permutes the pieces transitively and they
+    # are isomorphic: only their size is tested.
+    if facts.s_geodesic_transitive(2) and all(
+        len(piece) >= 3 for piece in g.induced(out_u)[0].weak_components()
+    ):
+        results.append(forbids("L4.4", 1, common=1))
     else:
-        arc = _arc_with_common(commons, 1)
-        witness = None if arc is None else {"arc": arc, "common": 1}
-        results.append(CheckResult("L4.4", FAIL if witness else PASS, witness=witness))
+        results.append(_na("L4.4", "hypothesis on [out(u)] not met"))
 
     # L4.5: common count never r-2 for valency r >= 4.
     if valency < 4:
         results.append(_na("L4.5", "valency below 4"))
     else:
-        arc = _arc_with_common(commons, valency - 2)
-        witness = None if arc is None else {"arc": arc, "common": valency - 2, "valency": valency}
-        results.append(CheckResult("L4.5", FAIL if witness else PASS, witness=witness))
+        results.append(forbids("L4.5", valency - 2, common=valency - 2, valency=valency))
 
-    # L4.7: valency 5 with some common count 2 forbids 2-geodesic-transitivity.
-    arc = _arc_with_common(commons, 2) if valency == 5 else None
-    if arc is None:
+    # L4.7: valency 5 with common count 2 forbids 2-geodesic-transitivity.
+    if valency != 5 or common != 2:
         results.append(_na("L4.7", "needs valency 5 and a common count of 2"))
     elif facts.s_geodesic_transitive(2):
         results.append(
-            CheckResult("L4.7", FAIL, witness={"arc": arc, "two_geodesic_transitive": True})
+            CheckResult("L4.7", FAIL, witness={"arc": [u, v], "two_geodesic_transitive": True})
         )
     else:
         results.append(CheckResult("L4.7", PASS))
@@ -241,14 +204,16 @@ def _subgroup_partitions(check_id: str, facts: InstanceFacts, normal, admits, sh
 
 
 def _arc_inside_orbit(g: Digraph, partition) -> dict | None:
-    """An arc with both ends in one block of ``partition``, as a witness."""
-    for block in partition:
-        members = set(block)
-        for u in block:
-            for v in g.out_neighbors(u):
-                if v in members:
-                    return {"orbit": list(block), "arc": [u, v]}
-    return None
+    """The least arc, with its block, when both its ends lie in one block of
+    ``partition``, as a witness.
+
+    Both callers have proved the group arc-transitive and the partition a
+    normal subgroup's orbits, which the group permutes: it maps the least arc
+    onto any other, so one arc inside a block puts every arc inside one.
+    """
+    u, v = min(g.arcs)
+    block = next(b for b in partition if u in b)
+    return {"orbit": list(block), "arc": [u, v]} if v in block else None
 
 
 def check_no_arc_in_orbit(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:

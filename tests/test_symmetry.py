@@ -36,7 +36,6 @@ from digsym.groups import PermGroup
 from digsym.perm import Permutation, parse_cycles
 from digsym.symmetry import (
     InstanceFacts,
-    _count_orbits,
     automorphism_group,
     is_distance_transitive,
     is_s_arc_transitive,
@@ -362,30 +361,30 @@ class TestCountOrbits:
     def test_arcs_single_orbit(self):
         g = circuit(6)
         group = automorphism_group(g)
-        assert _count_orbits(group, sorted(g.arcs)) == 1
+        assert symmetry._count_orbits(group, sorted(g.arcs)) == 1
 
     def test_paley_two_geodesic_orbits(self):
         g = paley_tournament(7)
         family = oracles.brute_s_geodesics(g.arcs, g.n, 2)
         assert len(family) == 42
-        assert _count_orbits(automorphism_group(g), family) == 2
+        assert symmetry._count_orbits(automorphism_group(g), family) == 2
 
     def test_trivial_group_gives_singletons(self):
         g = circuit(5)
         trivial = PermGroup((), degree=5)
-        assert _count_orbits(trivial, sorted(g.arcs)) == 5
+        assert symmetry._count_orbits(trivial, sorted(g.arcs)) == 5
 
     def test_invariance_validated(self):
         group = PermGroup([parse_cycles("(0 1 2 3 4 5)", 6)])
         with pytest.raises(SetNotInvariant):
-            _count_orbits(group, [(0, 1)])
+            symmetry._count_orbits(group, [(0, 1)])
 
     def test_matches_brute_orbits(self):
         g = paley_tournament(7)
         group = automorphism_group(g)
         family = oracles.brute_s_arcs(g.arcs, g.n, 2)
         elements = [p.images for p in group.elements()]
-        assert _count_orbits(group, family) == len(oracles.orbits_of_tuples(elements, family))
+        assert symmetry._count_orbits(group, family) == len(oracles.orbits_of_tuples(elements, family))
 
     def test_matches_brute_orbits_on_small_corpus(self):
         for g in SMALL_CORPUS:
@@ -397,7 +396,7 @@ class TestCountOrbits:
                         oracles.brute_s_geodesics(g.arcs, g.n, s),
                     ):
                         brute = oracles.orbits_of_tuples(elements, family)
-                        assert _count_orbits(group, family) == len(brute), (g, s)
+                        assert symmetry._count_orbits(group, family) == len(brute), (g, s)
 
     def test_first_offender_named(self):
         # (0 1 2) maps (3, 0) to (3, 1) and (1, 2) to (2, 0), both outside the
@@ -405,7 +404,7 @@ class TestCountOrbits:
         group = PermGroup([parse_cycles("(0 1 2)", 4)])
         family = [(0, 1), (3, 0), (1, 2)]
         with pytest.raises(SetNotInvariant, match=r"^\(3, 0\) maps to \(3, 1\) outside"):
-            _count_orbits(group, family)
+            symmetry._count_orbits(group, family)
 
     def test_reads_image_tables_only(self, monkeypatch):
         # Both the invariance scan and the search build images from the
@@ -422,7 +421,7 @@ class TestCountOrbits:
             return call(perm, point)
 
         monkeypatch.setattr(Permutation, "__call__", counting_call)
-        assert _count_orbits(group, family) == 1
+        assert symmetry._count_orbits(group, family) == 1
         assert calls == 0
 
     def test_peak_memory_below_family_size(self):
@@ -434,7 +433,7 @@ class TestCountOrbits:
         family_bytes = sum(map(sys.getsizeof, family))
         tracemalloc.start()
         try:
-            assert _count_orbits(group, family) == 2
+            assert symmetry._count_orbits(group, family) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -489,7 +488,7 @@ class TestWalkLevels:
         group = automorphism_group(g)
         family = oracles.brute_s_arcs(g.arcs, g.n, 8)
         assert len(family) == 20 * 2**8
-        expected = _count_orbits(group, family)
+        expected = symmetry._count_orbits(group, family)
         del family
         gc.collect()
         gc.disable()

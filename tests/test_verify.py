@@ -6,7 +6,6 @@ import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -52,6 +51,7 @@ from digsym.verify import (
     hadamard_design_parameters,
     run_survey,
 )
+from test_symmetry import ANALYZE_N20_CONFIG
 
 
 def rotation(n, step):
@@ -136,42 +136,62 @@ class TestInstanceFacts:
         assert by_id(results, "T1.1").status == PASS
 
 
-# Weakly connected digraphs on 3-5 vertices; some pairs of equal order and
-# arc count are not isomorphic (the directed 3-cycle and the transitive
-# triangle, C4 and the 4-vertex path closed the wrong way, ...).
-SMALL_CONNECTED = [
-    build(3, [(0, 1), (1, 2), (2, 0)]),
-    build(3, [(0, 1), (1, 2), (0, 2)]),
-    build(3, [(0, 1), (1, 2)]),
-    build(3, [(0, 1), (0, 2)]),
-    build(3, [(1, 0), (2, 0)]),
-    build(3, [(2, 1), (1, 0)]),
-    build(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
-    build(4, [(0, 2), (2, 1), (1, 3), (3, 0)]),
-    build(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-    build(4, [(0, 1), (0, 2), (0, 3)]),
-    build(4, [(0, 1), (1, 2), (2, 3)]),
-    build(4, [(0, 1), (1, 2), (1, 3)]),
-    build(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
-    build(4, [(0, 1), (1, 2), (2, 0), (3, 2)]),
-    build(4, [(3, 0), (0, 1), (1, 3), (2, 1)]),
-    circuit(5),
-    cayley_digraph(cayley_spec(cyclic_table(5), [1, 2])),
-    cayley_digraph(cayley_spec(cyclic_table(5), [1, 3])),
-    build(5, [(i, (i + d) % 5) for i in range(5) for d in (1, 4)]),
-]
+def arc_transitive_facts(descriptors):
+    """The facts, under Aut, of the arc-transitive instances among ``descriptors``."""
+    for descriptor in descriptors:
+        _, g, spec = verify.build_instance(descriptor)
+        facts = InstanceFacts(g, automorphism_group(g), spec)
+        if facts.s_arc_transitive(1):
+            yield facts
 
 
-def test_connected_isomorphic_against_brute_force():
-    outcomes = []
-    for a, b in combinations_with_replacement(SMALL_CONNECTED, 2):
-        if a.n != b.n:
-            continue
-        expected = oracles.brute_isomorphic(a.arcs, b.arcs, a.n)
-        assert verify._connected_isomorphic(a, b) == expected, (a.arcs, b.arcs)
-        if len(a.arcs) == len(b.arcs) and a is not b:
-            outcomes.append(expected)
-    assert True in outcomes and False in outcomes
+def assert_one_arc_reads_match_scans(facts):
+    """The arc-local records, and the arc-in-block witness on every normal
+    partition, equal the scans over every arc of ``oracles``."""
+    g = facts.g
+    records = [tuple(r) for r in check_arc_local_constraints(facts)]
+    assert records == oracles.brute_arc_local(g, facts.s_geodesic_transitive(2)), g
+    for partition in facts.group.normal_partitions():
+        expected = oracles.brute_arc_inside_orbit(g, partition)
+        assert verify._arc_inside_orbit(g, partition) == expected, (g, partition)
+
+
+class TestOneArcReads:
+    """Under an arc-transitive group every arc looks like the least one, so
+    the arc-local batch and L3.1/L3.2's arc-in-block test read that arc
+    alone; the scans over every arc must give the same records."""
+
+    CONFIGS = [verify.default_config(), ANALYZE_N20_CONFIG]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "analyze_n20"])
+    def test_every_5th_instance(self, config):
+        found = list(arc_transitive_facts(verify.generate_descriptors(config)[::5]))
+        assert found
+        for facts in found:
+            assert_one_arc_reads_match_scans(facts)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "config, size", [(CONFIGS[0], 93), (CONFIGS[1], 34)], ids=["default", "analyze_n20"])
+    def test_every_arc_transitive_instance(self, config, size):
+        found = list(arc_transitive_facts(verify.generate_descriptors(config)))
+        assert len(found) == size
+        for facts in found:
+            assert_one_arc_reads_match_scans(facts)
+
+    @pytest.mark.parametrize("q", [7, 11, 19, 23, 31, 43, 47])
+    def test_paley(self, q):
+        assert_one_arc_reads_match_scans(aut_facts(paley_tournament(q)))
+
+    def test_arc_inside_a_block(self):
+        # Two directed triangles: each lies inside a block of the normal
+        # partition by components, and the witness is the least arc.
+        g = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        partition = ((0, 1, 2), (3, 4, 5))
+        assert partition in automorphism_group(g).normal_partitions()
+        witness = {"orbit": [0, 1, 2], "arc": [0, 1]}
+        assert verify._arc_inside_orbit(g, partition) == witness
+        assert oracles.brute_arc_inside_orbit(g, partition) == witness
 
 
 class TestArcLocalConstraints:
@@ -189,6 +209,34 @@ class TestArcLocalConstraints:
         g = paley_tournament(7)
         for u, v in g.arcs:
             assert len(g.out_neighbors(u) & g.out_neighbors(v)) == 1
+
+    @pytest.mark.parametrize(
+        "q, expected",
+        [
+            (7, [CheckResult("L4.4", FAIL, witness={"arc": [0, 1], "common": 1})]),
+            (11, [CheckResult("L4.4", PASS), CheckResult(
+                "L4.7", FAIL, witness={"arc": [0, 1], "two_geodesic_transitive": True})]),
+        ],
+    )
+    def test_under_two_geodesic_transitivity(self, monkeypatch, q, expected):
+        # No Paley tournament is 2-geodesic-transitive, so the facts are
+        # patched to say it is.  In P(7), [out(0)] is one directed triangle
+        # and c = 1; in P(11), it is one piece on 5 vertices, k = 5 and c = 2.
+        facts = aut_facts(paley_tournament(q))
+        monkeypatch.setattr(facts, "s_geodesic_transitive", lambda s: True)
+        results = check_arc_local_constraints(facts)
+        assert [by_id(results, r.check_id) for r in expected] == expected
+        assert [tuple(r) for r in results] == oracles.brute_arc_local(facts.g, True)
+
+    def test_two_arc_scan_outside_the_directed_class(self):
+        # In the directed class L2.1.2 always holds; in the undirected
+        # 5-cycle, called directly past run_check's guard, the 2-arc (0, 1, 0)
+        # is no 2-geodesic though no arc has a common out-neighbor.
+        g = oracles.symmetric_closure(circuit(5))
+        results = check_arc_local_constraints(aut_facts(g))
+        witness = {"all_common_empty": True, "two_arc": [0, 1, 0]}
+        assert by_id(results, "L2.1.2") == CheckResult("L2.1.2", FAIL, witness=witness)
+        assert [tuple(r) for r in results] == oracles.brute_arc_local(g, False)
 
     def test_circuit_valency_one(self):
         # Common out-neighborhoods are empty and every 2-arc is a 2-geodesic.
