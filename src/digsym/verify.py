@@ -16,8 +16,9 @@ passing and failures carry a replayable witness; in a survey, an instance
 that raises any other exception, or whose pool worker dies, gives
 ``error`` records instead of aborting it.
 L3.1, L3.2 and T1.1 read only the orbit partitions of intransitive normal
-subgroups, and take them from ``_subgroup_partitions``: the group's own
-(``PermGroup.normal_partitions``, which is exhaustive) or a given
+subgroups, from ``_subgroup_partitions``: the group's own
+(``PermGroup.normal_partitions``, which is exhaustive, and off which T1.1
+also reads maximality and the induced action's primitivity) or a given
 subgroup's.  They test their own hypotheses first, which make the group
 transitive.  Under an arc-transitive group every arc looks like the least
 one, so the arc-local batch (L2.1) and L3.1-L3.2's test for an arc inside
@@ -266,25 +267,29 @@ def _is_complete_undirected(g: Digraph) -> bool:
     return g.symmetry_class == UNDIRECTED and len(g.arcs) == g.n * (g.n - 1)
 
 
-def _is_maximal(kernels: dict, partition, order: int) -> bool:
-    """Whether a normal subgroup of ``order`` with orbits ``partition`` is
-    maximal subject to having >= 3 orbits: it is the partition's kernel, and
-    no other partition of ``kernels`` with >= 3 blocks has a block at 0
-    strictly containing its own, so no such kernel contains it."""
-    return order == kernels[partition].order() and not any(
-        len(q) >= 3 and set(partition[0]) < set(q[0]) for q in kernels)
+def _coarser_partitions(kernels: dict, partition) -> list:
+    """The partitions of ``kernels`` (a group's normal partitions) strictly
+    coarser than ``partition``: their block at 0 strictly contains its own."""
+    block = set(partition[0])
+    return [q for q in kernels if block < set(q[0])]
 
 
 def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None) -> CheckResult:
-    """Quotient by a normal subgroup with >= 3 orbits: the quotient stays
-    connected and geodesic-transitive at the truncated level, is directed or
-    complete undirected, and for a maximal subgroup the induced action is
-    quasiprimitive or bi-quasiprimitive, and quasiprimitive when the group
-    is not 2-arc-transitive.
+    """Quotient by a normal subgroup N with >= 3 orbits: the quotient stays
+    geodesic-transitive at the truncated level, is directed or complete
+    undirected, and for a maximal N the induced action is quasiprimitive or
+    bi-quasiprimitive, and quasiprimitive when the group is not
+    2-arc-transitive.
 
-    Without ``normal``, every normal subgroup maximal subject to having
-    >= 3 orbits is checked; maximality is read from the normal partitions
-    (``_is_maximal``)."""
+    Without ``normal``, every N maximal subject to having >= 3 orbits is
+    checked.  Maximality and primitivity read the normal partitions.  Let
+    K_P be the largest normal subgroup with N's orbits P: a normal subgroup
+    strictly above it has strictly coarser orbits, so lies in the kernel of
+    a coarser partition (``_coarser_partitions``).  So N is maximal iff
+    N = K_P and every coarser partition has 2 blocks, and the orbits of the
+    nontrivial intransitive normal subgroups of G/K_P are those Q: it is
+    quasiprimitive iff there is none, else bi-quasiprimitive.  A quotient of
+    a strongly connected digraph is strongly connected."""
     g, group = facts.g, facts.group
     if not g.is_strongly_connected():
         return _na("T1.1", "not strongly connected")
@@ -301,17 +306,16 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
     targets = []
     for p in partitions:
         order = kernels[p].order() if normal is None else normal.order()
-        maximal = _is_maximal(kernels, p, order)
+        coarser = _coarser_partitions(kernels, p)
+        maximal = order == kernels[p].order() and all(len(q) == 2 for q in coarser)
         if maximal or normal is not None:
-            targets.append((p, order, maximal))
+            targets.append((p, order, maximal, coarser))
     notes = [] if normal is not None else [f"maximal normal subgroups={len(targets)}"]
 
     failures = []
-    for partition, order, maximal in targets:
-        # The facts validated the group, and the partition is a normal
-        # subgroup's orbits, so quotient by it without checking again.
-        # The induced action permutes the quotient's arcs; its counts and
-        # primitivity tests share one facts object.
+    for partition, order, maximal, coarser in targets:
+        # The facts validated the group and the partition, so quotient by it
+        # without checking again; the induced action permutes its arcs.
         result = construct.quotient_digraph(g, partition, group=group)
         quotient = result.quotient
         image = InstanceFacts(quotient, result.image_group)
@@ -323,9 +327,7 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
                 {**here, "reason": "quotient neither directed nor complete undirected",
                  "symmetry_class": quotient.symmetry_class}
             )
-        if not quotient.is_strongly_connected():
-            failures.append({**here, "reason": "quotient not strongly connected"})
-        elif quotient.symmetry_class == DIRECTED:
+        if quotient.symmetry_class == DIRECTED:
             s_prime = min(s, quotient.diameter())
             if not image.s_geodesic_transitive(s_prime):
                 failures.append(
@@ -344,15 +346,9 @@ def check_quotient_theorem(facts: InstanceFacts, normal: PermGroup | None = None
         if not maximal:
             notes.append("given subgroup not maximal; primitivity not asserted")
             continue
-        quasi = image.group.is_quasiprimitive()
-        if quasi or image.group.is_biquasiprimitive():
-            notes.append(f"induced action {'quasiprimitive' if quasi else 'bi-quasiprimitive'}")
-        else:
-            failures.append(
-                {**here, "reason": "induced action neither quasiprimitive nor bi-quasiprimitive"}
-            )
+        notes.append(f"induced action {'bi-quasiprimitive' if coarser else 'quasiprimitive'}")
         # The corollary: without 2-arc-transitivity it is quasiprimitive.
-        if not quasi and not facts.s_arc_transitive(2):
+        if coarser and not facts.s_arc_transitive(2):
             failures.append({**here, "reason": "corollary: induced action not quasiprimitive"})
 
     notes_text = "; ".join(dict.fromkeys(notes))

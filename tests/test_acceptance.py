@@ -13,6 +13,7 @@ from itertools import permutations
 import pytest
 
 import oracles
+from corpora import ANALYZE_N20_CONFIG
 from digsym import verify
 from digsym.construct import (
     cayley_digraph,
@@ -435,15 +436,7 @@ def test_survey_par2_records_pinned():
 @pytest.mark.slow
 def test_analyze_n20_records_pinned():
     """The records of the benchmark's analyze_n20 config."""
-    config = verify.SurveyConfig(
-        circulant_orders=tuple(range(15, 21)),
-        paley_primes=(23, 31, 43, 47),
-        min_valency=2,
-        max_valency=2,
-        max_vertices=20,
-        checks=("report", "L2.1", "T1.4i", "T1.4ii"),
-    )
-    report = verify.run_survey(config)
+    report = verify.run_survey(ANALYZE_N20_CONFIG)
     assert len(report.records) == 6160
     assert records_digest(report) == "204b1d5b45b0e8bf55c0f12e12b32a84bb6a0fea1d62016d6c499906a0121908"
 
@@ -517,14 +510,8 @@ def test_burnside_counts_analyze_n20_corpus():
     """The same over the benchmark's analyze_n20 corpus: circulants
     15 <= n <= 20 with |S| = 2 and Paley tournaments 23 to 47, whose
     diameters reach 10."""
-    config = verify.SurveyConfig(
-        circulant_orders=tuple(range(15, 21)),
-        paley_primes=(23, 31, 43, 47),
-        min_valency=2,
-        max_valency=2,
-        max_vertices=20,
-    )
-    assert burnside_cross_check(verify.generate_descriptors(config), _aut) == (616, 10240)
+    descriptors = verify.generate_descriptors(ANALYZE_N20_CONFIG)
+    assert burnside_cross_check(descriptors, _aut) == (616, 10240)
 
 
 def block_inclusion_cross_check(descriptors):
@@ -532,11 +519,12 @@ def block_inclusion_cross_check(descriptors):
     (``oracles.larger_normal_subgroup``) on each instance's Aut.
 
     For every ordered pair of normal partitions P != Q, the kernel K_Q
-    properly contains K_P iff Q's block at 0 strictly contains P's.  Each
-    partition with >= 3 blocks, and the normal closure of each kernel
-    generator with >= 3 orbits, is maximal by ``verify._is_maximal`` iff no
-    kernel with >= 3 orbits properly contains it.  Returns (instances,
-    pairs, closures).
+    properly contains K_P iff Q is among P's ``verify._coarser_partitions``
+    (Q's block at 0 strictly contains P's).  Each partition with >= 3
+    blocks, and the normal closure of each kernel generator with >= 3
+    orbits, is as large as its partition's kernel with every coarser
+    partition of 2 blocks iff no kernel with >= 3 orbits properly contains
+    it.  Returns (instances, pairs, closures).
     """
     pairs = closures = 0
     for descriptor in descriptors:
@@ -544,7 +532,7 @@ def block_inclusion_cross_check(descriptors):
         group = automorphism_group(g)
         kernels = group.normal_partitions()
         for (p, k_p), (q, k_q) in permutations(kernels.items(), 2):
-            inside = set(p[0]) < set(q[0])
+            inside = q in verify._coarser_partitions(kernels, p)
             assert inside == oracles.larger_normal_subgroup(k_p, [k_q]), (descriptor, p, q)
             pairs += 1
         eligible = [k for p, k in kernels.items() if len(p) >= 3]
@@ -557,7 +545,9 @@ def block_inclusion_cross_check(descriptors):
                     closures += 1
         for sub in subgroups:
             partition = tuple(sub.orbit_partition())
-            maximal = verify._is_maximal(kernels, partition, sub.order())
+            coarser = verify._coarser_partitions(kernels, partition)
+            maximal = sub.order() == kernels[partition].order() and all(
+                len(q) == 2 for q in coarser)
             assert maximal == (not oracles.larger_normal_subgroup(sub, eligible)), descriptor
     return len(descriptors), pairs, closures
 

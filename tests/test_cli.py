@@ -444,6 +444,8 @@ class TestSurvey:
             ({"circulant_orders": [5.0]}, "circulant_orders"),
             ({"cayley_groups": [5]}, "cayley_groups"),
             ({"circulant_orders": [5], "parallelism": 1.5}, "parallelism"),
+            ({"circulant_orders": [5], "parallelism": 0},
+             "vertex bound and parallelism must be positive"),
             ({"circulant_orders": [5], "seed": True}, "seed"),
             ({"circulant_orders": [5], "checks": []}, "checks"),
             ({"circulant_orders": [5], "min_valency": 2, "max_valency": 2,

@@ -43,7 +43,8 @@ from digsym.symmetry import (
     is_vertex_transitive,
     transitivity_report,
 )
-from digsym.verify import SurveyConfig, build_instance, default_config, generate_descriptors
+from digsym.verify import build_instance, default_config, generate_descriptors
+from corpora import ANALYZE_N20_CONFIG
 from test_digraph import digraphs
 
 SMALL_CORPUS = [
@@ -206,15 +207,6 @@ def _assert_seeded_search_agrees(descriptors):
         assert seeded.order() == unseeded.order(), label
         assert all(unseeded.contains(p) for p in seeded.generators), label
         assert all(seeded.contains(p) for p in unseeded.generators), label
-
-
-ANALYZE_N20_CONFIG = SurveyConfig(
-    circulant_orders=tuple(range(15, 21)),
-    paley_primes=(23, 31, 43, 47),
-    min_valency=2,
-    max_valency=2,
-    max_vertices=20,
-)
 
 
 class TestTransitiveSeed:

@@ -51,7 +51,7 @@ from digsym.verify import (
     hadamard_design_parameters,
     run_survey,
 )
-from test_symmetry import ANALYZE_N20_CONFIG
+from corpora import ANALYZE_N20_CONFIG
 
 
 def rotation(n, step):
@@ -65,6 +65,44 @@ def aut_facts(g):
 
 def by_id(results, check_id):
     return next(r for r in results if r.check_id == check_id)
+
+
+def two_triangles():
+    """Two disjoint directed triangles: arc-transitive, not strongly connected."""
+    return build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
+def blow_up(k, m):
+    """Cay(Z_km, 1 + kZ): the circuit C_k with each vertex replaced by m."""
+    return cayley_digraph(cayley_spec(cyclic_table(k * m), [1 + k * j for j in range(m)]))
+
+
+def induced_action_reads(facts):
+    """The induced action T1.1 names for each maximal normal subgroup with
+    >= 3 orbits, checked against the quasiprimitivity tests of the image
+    group on the quotient (``construct.quotient_digraph``).
+
+    Maximality is the oracle's chain containment.  The record of each such
+    kernel given alone must end with the image group's read, and the
+    group's own record must count those subgroups and name the same reads."""
+    record = check_quotient_theorem(facts)
+    if record.status == NOT_APPLICABLE:
+        return []
+    kernels = facts.group.normal_partitions()
+    eligible = [k for p, k in kernels.items() if len(p) >= 3]
+    reads = []
+    for partition, kernel in kernels.items():
+        if len(partition) < 3 or oracles.larger_normal_subgroup(kernel, eligible):
+            continue
+        image = construct.quotient_digraph(facts.g, partition, group=facts.group).image_group
+        quasi = image.is_quasiprimitive()
+        assert quasi or image.is_biquasiprimitive(), (facts.g, partition)
+        read = f"induced action {'quasiprimitive' if quasi else 'bi-quasiprimitive'}"
+        assert check_quotient_theorem(facts, kernel).notes.endswith(read), (facts.g, partition)
+        reads.append(read)
+    assert record.notes.startswith(f"maximal normal subgroups={len(reads)}; "), facts.g
+    assert {n for n in record.notes.split("; ") if n.startswith("induced")} == set(reads)
+    return reads
 
 
 class TestInstanceFacts:
@@ -186,7 +224,7 @@ class TestOneArcReads:
     def test_arc_inside_a_block(self):
         # Two directed triangles: each lies inside a block of the normal
         # partition by components, and the witness is the least arc.
-        g = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        g = two_triangles()
         partition = ((0, 1, 2), (3, 4, 5))
         assert partition in automorphism_group(g).normal_partitions()
         witness = {"orbit": [0, 1, 2], "arc": [0, 1]}
@@ -238,6 +276,17 @@ class TestArcLocalConstraints:
         assert by_id(results, "L2.1.2") == CheckResult("L2.1.2", FAIL, witness=witness)
         assert [tuple(r) for r in results] == oracles.brute_arc_local(g, False)
 
+    def test_sc_fails_when_not_strongly_connected(self, monkeypatch):
+        # An arc-transitive digraph whose underlying graph is connected is
+        # strongly connected, so C6 is patched to say it is not.
+        facts = aut_facts(circuit(6))
+        monkeypatch.setattr(type(facts.g), "is_strongly_connected", lambda self: False)
+        assert check_arc_local_constraints(facts) == [
+            CheckResult("SC", FAIL, witness={"strongly_connected": False}),
+            *(CheckResult(rid, NOT_APPLICABLE, notes="not strongly connected")
+              for rid in verify.ARC_LOCAL_IDS[1:]),
+        ]
+
     def test_circuit_valency_one(self):
         # Common out-neighborhoods are empty and every 2-arc is a 2-geodesic.
         g = circuit(6)
@@ -288,6 +337,13 @@ class TestSmallValency:
         assert result.status == PASS
         assert "True" in result.notes
 
+    def test_fails_under_two_geodesic_transitivity(self, monkeypatch):
+        # P(7) is arc- but not 2-arc-transitive; patch it 2-geodesic-transitive.
+        facts = aut_facts(paley_tournament(7))
+        monkeypatch.setattr(facts, "s_geodesic_transitive", lambda s: True)
+        witness = {"two_geodesic_transitive": True, "two_arc_transitive": False}
+        assert check_small_valency(facts) == CheckResult("T1.4i", FAIL, witness=witness)
+
     def test_paley_19_excluded_by_valency(self):
         g = paley_tournament(19)
         assert check_small_valency(aut_facts(g)).status == NOT_APPLICABLE
@@ -325,6 +381,13 @@ class TestNoArcInOrbit:
         trivial = PermGroup((), degree=6)
         assert check_no_arc_in_orbit(InstanceFacts(g, group), trivial).status == NOT_APPLICABLE
 
+    def test_given_subgroup_not_normal(self):
+        # The stabilizer of 0 in Aut(P(7)) = Z7:Z3, x -> 2x of order 3, has 3
+        # orbits but is not normal.
+        stabilizer = PermGroup([parse_cycles("(1 2 4)(3 6 5)", 7)])
+        result = check_no_arc_in_orbit(aut_facts(paley_tournament(7)), stabilizer)
+        assert result == CheckResult("L3.1", NOT_APPLICABLE, notes="subgroup is not normal")
+
 
 class TestTwoOrbitNormal:
     def test_c6_two_orbits(self):
@@ -338,6 +401,15 @@ class TestTwoOrbitNormal:
         group = automorphism_group(g)
         normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
         assert check_two_orbit_normal(InstanceFacts(g, group), normal).status == NOT_APPLICABLE
+
+    def test_arc_inside_a_block_not_bipartite(self, monkeypatch):
+        # No orbit of a normal subgroup holds an arc (L3.1), so Aut(C6)'s
+        # normal partitions are patched to one 2-block partition holding (0, 1).
+        facts = aut_facts(circuit(6))
+        partition = ((0, 1, 2), (3, 4, 5))
+        monkeypatch.setattr(facts.group, "normal_partitions", lambda: {partition: facts.group})
+        witness = {"orbit": [0, 1, 2], "arc": [0, 1], "reason": "not bipartite"}
+        assert check_two_orbit_normal(facts) == CheckResult("L3.2", FAIL, witness=witness)
 
 
 class TestQuotientTheorem:
@@ -399,6 +471,64 @@ class TestQuotientTheorem:
         assert result.status == (FAIL if reasons else PASS)
         assert ("quotient is complete undirected" in result.notes) == complete_note
 
+    @pytest.mark.parametrize(
+        "image, internal, failure",
+        [
+            (rotation(3, 1), True, {"reason": "arc inside a normal-subgroup orbit"}),
+            (PermGroup((), 3), False,
+             {"reason": "quotient not geodesic-transitive", "s_prime": 2}),
+        ],
+        ids=["internal arc", "not geodesic-transitive"],
+    )
+    def test_failures_of_a_patched_quotient(self, monkeypatch, image, internal, failure):
+        # Neither occurs (no orbit holds an arc, and the induced action is
+        # geodesic-transitive), so the quotient of C6 by its rotation of
+        # order 2 is replaced by the directed triangle, once flagged with an
+        # internal arc and once under the trivial group.
+        fake = QuotientResult(circuit(3), (), image, internal)
+        monkeypatch.setattr(verify.construct, "quotient_digraph", lambda *a, **k: fake)
+        normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
+        result = check_quotient_theorem(aut_facts(circuit(6)), normal)
+        assert result == CheckResult(
+            "T1.1", FAIL, witness={"failures": [{"normal_order": 2, **failure}]},
+            notes="s'=2; induced action quasiprimitive")
+
+    def test_given_subgroup_below_its_kernel_not_maximal(self):
+        # In Aut(Cay(Z6, {1, 4})), of order 24, N = <(0 3)(1 4)(2 5)> has
+        # order 2 against its kernel's 8, though no partition is coarser.
+        facts = aut_facts(cayley_digraph(cayley_spec(cyclic_table(6), [1, 4])))
+        normal = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
+        kernels = facts.group.normal_partitions()
+        partition = tuple(normal.orbit_partition())
+        assert kernels[partition].order() == 8
+        assert verify._coarser_partitions(kernels, partition) == []
+        assert check_quotient_theorem(facts, normal) == CheckResult(
+            "T1.1", PASS, notes="s'=2; given subgroup not maximal; primitivity not asserted")
+
+    def test_induced_action_against_the_image_group(self):
+        # C_k[mK1] has the k blocks of its blow-up as the maximal partition;
+        # for k = 4 the 2-block partition above it makes the action
+        # bi-quasiprimitive.
+        digraphs = [circuit(n) for n in range(3, 25)]
+        digraphs += [blow_up(k, m) for k in (3, 4, 5) for m in (2, 3, 4)]
+        reads = Counter(r for g in digraphs for r in induced_action_reads(aut_facts(g)))
+        assert reads == {"induced action quasiprimitive": 19,
+                         "induced action bi-quasiprimitive": 8}
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "config, quasi, biquasi",
+        [(verify.default_config(), 34, 8), (ANALYZE_N20_CONFIG, 10, 4)],
+        ids=["default", "analyze_n20"],
+    )
+    def test_induced_action_whole_corpus(self, config, quasi, biquasi):
+        reads = Counter()
+        for descriptor in verify.generate_descriptors(config):
+            _, g, spec = verify.build_instance(descriptor)
+            reads.update(induced_action_reads(InstanceFacts(g, automorphism_group(g), spec)))
+        assert reads == {"induced action quasiprimitive": quasi,
+                         "induced action bi-quasiprimitive": biquasi}
+
     def test_not_geodesic_transitive_not_applicable(self):
         g = paley_tournament(7)
         assert check_quotient_theorem(aut_facts(g)).status == NOT_APPLICABLE
@@ -444,6 +574,24 @@ class TestRegularNormal:
         group = automorphism_group(g)
         rot3 = PermGroup([parse_cycles("(0 3)(1 4)(2 5)", 6)])
         assert check_regular_normal(InstanceFacts(g, group), rot3).status == NOT_APPLICABLE
+
+    def test_given_subgroup_not_normal(self):
+        # R(Z6) is regular but not normal in Aut(Cay(Z6, {1, 4})), of order 24.
+        spec = cayley_spec(cyclic_table(6), [1, 4])
+        facts = aut_facts(cayley_digraph(spec))
+        assert facts.group.order() == 24
+        result = check_regular_normal(facts, right_translations(spec.table))
+        assert result == CheckResult("T1.2", NOT_APPLICABLE, notes="subgroup is not normal")
+
+    def test_fails_under_two_geodesic_transitivity(self, monkeypatch):
+        # R(Z7) is normal in the holomorph action on P(7); patched to be
+        # 2-geodesic-transitive, the tournament of valency 3 is no circuit.
+        spec = cayley_spec(cyclic_table(7), [1, 2, 4])
+        facts = InstanceFacts(cayley_digraph(spec), cayley_holomorph_action(spec))
+        monkeypatch.setattr(facts, "s_geodesic_transitive", lambda s: True)
+        result = check_regular_normal(facts, right_translations(spec.table))
+        witness = {"valency": 3, "strongly_connected": True}
+        assert result == CheckResult("T1.2", FAIL, witness=witness)
 
     def test_named_sources_on_cayley_circuit(self):
         # Aut(C5) is regular and equals R(Z5); with the spec the one source is
@@ -544,6 +692,14 @@ class TestSolubleBase:
         result = check_soluble_base(aut_facts(g))
         assert result.status == NOT_APPLICABLE
 
+    def test_fails_under_two_geodesic_transitivity(self, monkeypatch):
+        # Aut(P(7)) = Z7:Z3 is soluble and quasiprimitive; patched to be
+        # 2-geodesic-transitive, the tournament of valency 3 is no circuit.
+        facts = aut_facts(paley_tournament(7))
+        monkeypatch.setattr(facts, "s_geodesic_transitive", lambda s: True)
+        witness = {"valency": 3, "vertices": 7, "is_circuit": False}
+        assert check_soluble_base(facts) == CheckResult("P3.4", FAIL, witness=witness)
+
 
 class TestHadamardDesign:
     def test_c3_degenerate(self):
@@ -580,6 +736,27 @@ class TestHadamardDesign:
     def test_irregular_returns_none(self):
         g = build(3, [(0, 1), (0, 2)])
         assert hadamard_design_parameters(g) is None
+
+    @pytest.mark.parametrize(
+        "n, conn, distance_transitive, witness",
+        [
+            (7, (1, 2, 4), False, {"reason": "not distance-transitive"}),
+            (5, (1, 2), True, {"reason": "order not 4m-1", "n": 5}),
+            (7, (1, 2, 3), True, {"parameters": None, "expected": (7, 3, 1)}),
+        ],
+        ids=["P(7)", "Cay(Z5, {1, 2})", "Cay(Z7, {1, 2, 3})"],
+    )
+    def test_failures_under_two_geodesic_transitivity(
+        self, monkeypatch, n, conn, distance_transitive, witness
+    ):
+        # Three circulants of diameter 2, patched to be 2-geodesic-transitive
+        # and, but for P(7), distance-transitive.
+        g = cayley_digraph(cayley_spec(cyclic_table(n), conn))
+        facts = aut_facts(g)
+        assert g.diameter() == 2
+        monkeypatch.setattr(facts, "s_geodesic_transitive", lambda s: True)
+        monkeypatch.setattr(facts, "distance_transitive", lambda: distance_transitive)
+        assert check_hadamard_design(facts) == CheckResult("T1.4ii", FAIL, witness=witness)
 
 
 DOOMED = ("circulant", 7, (1, 2))
@@ -620,6 +797,10 @@ class TestBuildInstance:
         for descriptor in verify.generate_descriptors(verify.default_config()):
             verify.build_instance(descriptor)
         assert built == Counter(range(4, 15)) + Counter([19])
+
+    def test_unknown_descriptor_kind_rejected(self):
+        with pytest.raises(BadParameter, match=r"^unknown descriptor \('dihedral', 5\)$"):
+            verify.build_instance(("dihedral", 5))
 
     def test_table_file_read_on_every_call(self, tmp_path):
         path = tmp_path / "group.table"
@@ -872,6 +1053,28 @@ class TestSurvey:
         assert "T1.4i" in text
         assert "FAIL" not in text
 
+    def test_summary_names_a_failure(self, monkeypatch):
+        # A counterexample gives a fail record and a FAIL line, not an error:
+        # P(7) is patched, as every digraph is, to be 2-geodesic-transitive.
+        monkeypatch.setattr(InstanceFacts, "s_geodesic_transitive", lambda self, s: True)
+        report = run_survey(SurveyConfig(paley_primes=(7,), checks=("T1.4i",)))
+        witness = {"two_geodesic_transitive": True, "two_arc_transitive": False}
+        assert report.records == [
+            {"check": "T1.4i", "status": FAIL, "witness": witness, "notes": "",
+             "instance": "paley:7"},
+        ]
+        assert report.summary_text().splitlines()[-1] == f"FAIL paley:7 T1.4i: {witness}"
+
+    def test_vertex_bound_skips_generated_families_only(self):
+        # n = 16 and abelian:4x4 exceed the bound; the Paley family ignores it.
+        config = SurveyConfig(circulant_orders=(5, 16), cayley_groups=("abelian:4x4",),
+                              paley_primes=(19,), max_vertices=14)
+        assert verify.generate_descriptors(config) == [
+            *(("circulant", 5, conn) for conn in
+              [(1,), (1, 2), (1, 3), (2,), (2, 4), (3,), (3, 4), (4,)]),
+            ("paley", 19),
+        ]
+
     def test_replay_soundness_no_failures(self):
         # Witnesses only accompany failures; the consistency sweep has none.
         report = run_survey(self.small_config())
@@ -903,6 +1106,13 @@ class TestRunCheck:
         path = build(3, [(0, 1), (1, 2)])
         [result] = verify.run_check(aut_facts(path), "report")
         assert result == CheckResult("report", NOT_APPLICABLE, notes="not strongly connected")
+
+    @pytest.mark.parametrize("check_id", ["L3.1", "L3.2", "T1.1", "P3.4"])
+    def test_strong_connectivity_guard_on_two_triangles(self, check_id):
+        facts = aut_facts(two_triangles())
+        assert facts.s_arc_transitive(1)
+        assert verify.run_check(facts, check_id) == [
+            CheckResult(check_id, NOT_APPLICABLE, notes="not strongly connected")]
 
     @pytest.mark.parametrize("check_id", verify.SUBGROUP_CHECK_IDS)
     def test_guard_applies_to_a_given_subgroup(self, check_id):
